@@ -1,8 +1,9 @@
 // Wall-clock micro-benchmarks of the library itself on the real (POSIX)
 // file system, using google-benchmark: multifile open/close cost, write and
 // read throughput through the chunk-splitting paths, the serial tools, and
-// the slz codec. These complement the virtual-time paper reproductions —
-// here real time is measured, so numbers vary by host.
+// the codec kernels (slz, CRC32C, GF(256) multiply-add). These complement
+// the virtual-time paper reproductions — here real time is measured, so
+// numbers vary by host.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -10,6 +11,8 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/api.h"
+#include "ext/compress.h"
+#include "ext/gf256.h"
 #include "ext/slz.h"
 #include "fs/posix_fs.h"
 #include "par/comm.h"
@@ -181,6 +184,36 @@ void BM_SlzDecompress(benchmark::State& state) {
       static_cast<std::int64_t>(input.size()));
 }
 BENCHMARK(BM_SlzDecompress)->Arg(64 * kKiB)->Arg(1 * kMiB);
+
+void BM_Crc32c(benchmark::State& state) {
+  std::vector<std::byte> input(static_cast<std::size_t>(state.range(0)));
+  Rng rng(5);
+  rng.fill_bytes(input);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ext::crc32c(input));
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(input.size()));
+}
+BENCHMARK(BM_Crc32c)->Arg(256 * kKiB);
+
+void BM_GfMulAdd(benchmark::State& state) {
+  std::vector<std::byte> src(static_cast<std::size_t>(state.range(0)));
+  std::vector<std::byte> dst(src.size());
+  Rng rng(7);
+  rng.fill_bytes(src);
+  const ext::GfMulTable table(0x8E);
+  for (auto _ : state) {
+    table.mul_add(dst, src);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(src.size()));
+}
+BENCHMARK(BM_GfMulAdd)->Arg(256 * kKiB);
 
 class Cleanup {
  public:

@@ -3,6 +3,12 @@
 #include <algorithm>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
+#include "common/codec.h"
+#include "common/log.h"
 #include "common/strings.h"
 #include "ext/slz.h"
 
@@ -10,23 +16,60 @@ namespace sion::ext {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> kCrc32cTable = [] {
-  std::array<std::uint32_t, 256> t{};
+// Slicing-by-8 tables: kCrc32cTables[0] is the classic bytewise table and
+// kCrc32cTables[k][b] advances byte b through k further zero bytes, so one
+// step folds 8 input bytes with 8 independent lookups.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc32cTables = [] {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = ((c & 1u) != 0u) ? (0x82F63B78u ^ (c >> 1)) : (c >> 1);
     }
-    t[i] = c;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
   }
   return t;
 }();
 
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
+std::uint32_t crc32c_update_sliced(std::uint32_t crc, const std::byte* p,
+                                   std::size_t n) {
+  const auto& t = kCrc32cTables;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint64_t w = sion::detail::load_le<std::uint64_t>(p) ^ crc;
+    crc = t[7][w & 0xFFu] ^ t[6][(w >> 8) & 0xFFu] ^ t[5][(w >> 16) & 0xFFu] ^
+          t[4][(w >> 24) & 0xFFu] ^ t[3][(w >> 32) & 0xFFu] ^
+          t[2][(w >> 40) & 0xFFu] ^ t[1][(w >> 48) & 0xFFu] ^ t[0][w >> 56];
   }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ std::to_integer<std::uint32_t>(*p)) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc;
 }
+
+#if defined(__x86_64__)
+// The SSE4.2 crc32 instruction computes exactly this polynomial; the target
+// attribute enables it for this function alone, and crc32c() calls it only
+// on CPUs that report the feature.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_update_sse42(
+    std::uint32_t crc, const std::byte* p, std::size_t n) {
+  std::uint64_t c = crc;
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p, 8);
+    c = _mm_crc32_u64(c, w);
+  }
+  auto c32 = static_cast<std::uint32_t>(c);
+  for (; n > 0; ++p, --n) {
+    c32 = _mm_crc32_u8(c32, std::to_integer<std::uint8_t>(*p));
+  }
+  return c32;
+}
+#endif
 
 std::uint32_t get_u32(std::span<const std::byte> in, std::size_t off) {
   std::uint32_t v = 0;
@@ -83,15 +126,58 @@ Result<std::uint64_t> scan_for_sync(std::uint64_t from, std::uint64_t end,
   return end;
 }
 
+// Verify one frame body (slz stream + payload CRC) and decode it into `out`,
+// which the caller sized from the CRC-checked header's raw_bytes. False when
+// the frame is damaged; `out` is then unspecified.
+bool decode_body(std::span<const std::byte> body, std::span<std::byte> out) {
+  const auto payload = body.first(body.size() - kFrameTrailerBytes);
+  return crc32c(payload) == get_u32(body, payload.size()) &&
+         slz_decompress_into(payload, out).ok();
+}
+
+void count_frame(StreamLossReport& loss, const FrameEntry& e, bool damaged) {
+  if (damaged) {
+    loss.frames_skipped += 1;
+    loss.bytes_zero_filled += e.decoded_bytes;
+  } else {
+    loss.frames_decoded += 1;
+  }
+}
+
 }  // namespace
 
+namespace detail {
+
+std::uint32_t crc32c_portable(std::span<const std::byte> data) {
+  return ~crc32c_update_sliced(0xFFFFFFFFu, data.data(), data.size());
+}
+
+#if defined(__x86_64__)
+bool crc32c_hw_available() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return has;
+}
+
+std::uint32_t crc32c_hw(std::span<const std::byte> data) {
+  SION_CHECK(crc32c_hw_available());
+  return ~crc32c_update_sse42(0xFFFFFFFFu, data.data(), data.size());
+}
+#else
+bool crc32c_hw_available() { return false; }
+
+std::uint32_t crc32c_hw(std::span<const std::byte> data) {
+  return crc32c_portable(data);
+}
+#endif
+
+}  // namespace detail
+
 std::uint32_t crc32c(std::span<const std::byte> data) {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::byte b : data) {
-    crc = kCrc32cTable[(crc ^ std::to_integer<std::uint32_t>(b)) & 0xFFu] ^
-          (crc >> 8);
-  }
-  return ~crc;
+  return detail::crc32c_hw_available() ? detail::crc32c_hw(data)
+                                       : detail::crc32c_portable(data);
 }
 
 Result<std::vector<std::byte>> compress_stream(std::span<const std::byte> input,
@@ -101,21 +187,31 @@ Result<std::vector<std::byte>> compress_stream(std::span<const std::byte> input,
   std::vector<std::byte> out;
   out.reserve(input.size() / 2 + 64);
   for (std::uint64_t pos = 0; pos < input.size(); pos += chunk) {
-    const std::uint64_t raw =
-        std::min<std::uint64_t>(chunk, input.size() - pos);
-    const std::vector<std::byte> stream = slz_compress(
-        input.subspan(static_cast<std::size_t>(pos),
-                      static_cast<std::size_t>(raw)));
-    SION_RETURN_IF_ERROR(slz_validate_frame_size(stream.size()));
-    out.insert(out.end(), kFrameSync.begin(), kFrameSync.end());
-    put_u32(out, static_cast<std::uint32_t>(stream.size()));
-    put_u32(out, static_cast<std::uint32_t>(raw));
-    const std::uint32_t header_crc =
-        crc32c(std::span<const std::byte>(out).last(16));
-    put_u32(out, header_crc);
-    out.insert(out.end(), stream.begin(), stream.end());
-    put_u32(out, crc32c(stream));
+    const auto raw = input.subspan(
+        static_cast<std::size_t>(pos),
+        static_cast<std::size_t>(
+            std::min<std::uint64_t>(chunk, input.size() - pos)));
+    // slz writes straight into the stream, which grows by the frame's worst
+    // case and is trimmed back to the bytes actually produced.
+    const std::size_t at = out.size();
+    const auto bound = static_cast<std::size_t>(slz_compress_bound(raw.size()));
+    out.resize(at + kFrameHeaderBytes + bound + kFrameTrailerBytes);
+    std::byte* const frame = out.data() + at;
+    const std::size_t comp = slz_compress_into(
+        raw, std::span<std::byte>(frame + kFrameHeaderBytes, bound));
+    std::memcpy(frame, kFrameSync.data(), kFrameSync.size());
+    sion::detail::store_le(frame + 8, static_cast<std::uint32_t>(comp));
+    sion::detail::store_le(frame + 12, static_cast<std::uint32_t>(raw.size()));
+    sion::detail::store_le(frame + 16,
+                           crc32c(std::span<const std::byte>(frame, 16)));
+    sion::detail::store_le(
+        frame + kFrameHeaderBytes + comp,
+        crc32c(std::span<const std::byte>(frame + kFrameHeaderBytes, comp)));
+    out.resize(at + kFrameHeaderBytes + comp + kFrameTrailerBytes);
   }
+  // Give back the last frame's unused worst-case room: callers hold many
+  // encoded streams at once (one per task until the collective write).
+  out.shrink_to_fit();
   return out;
 }
 
@@ -177,7 +273,10 @@ FrameStreamReader::FrameStreamReader(FrameIndex index, ReadAtFn read_at,
 
 Status FrameStreamReader::materialize(std::size_t frame_i) {
   const FrameEntry& e = index_.frames[frame_i];
-  cache_.assign(static_cast<std::size_t>(e.decoded_bytes), std::byte{0});
+  // Sized from the CRC-checked header (at most kMaxFrameRawBytes) and
+  // replaced rather than resized, so a reader never holds more than the
+  // current frame. The decoder or the zero fill below overwrites every byte.
+  cache_ = std::vector<std::byte>(static_cast<std::size_t>(e.decoded_bytes));
   cache_i_ = frame_i;
   bool damaged = e.torn;
   if (!damaged) {
@@ -188,29 +287,11 @@ Status FrameStreamReader::materialize(std::size_t frame_i) {
         read_at_(e.encoded_offset + kFrameHeaderBytes,
                  std::span<std::byte>(body)));
     encoded_read_ += kFrameHeaderBytes + got;
-    const auto payload =
-        std::span<const std::byte>(body).first(e.comp_bytes);
-    if (got != body.size() ||
-        crc32c(payload) != get_u32(body, e.comp_bytes)) {
-      damaged = true;
-    } else {
-      // The header's raw size bounds the decode: a forged slz header inside
-      // a CRC-valid frame still cannot drive a larger allocation.
-      auto decoded = slz_decompress(payload, e.decoded_bytes);
-      if (decoded.ok() && decoded.value().size() == e.decoded_bytes) {
-        cache_ = std::move(decoded).value();
-      } else {
-        damaged = true;
-      }
-    }
+    damaged = got != body.size() || !decode_body(body, cache_);
   }
+  if (damaged) std::fill(cache_.begin(), cache_.end(), std::byte{0});
   if (!loss_counted_[frame_i] && loss_ != nullptr) {
-    if (damaged) {
-      loss_->frames_skipped += 1;
-      loss_->bytes_zero_filled += e.decoded_bytes;
-    } else {
-      loss_->frames_decoded += 1;
-    }
+    count_frame(*loss_, e, damaged);
   }
   loss_counted_[frame_i] = true;
   return Status::Ok();
@@ -264,13 +345,26 @@ Result<std::vector<std::byte>> decompress_stream(
                 static_cast<std::size_t>(n));
     return n;
   };
-  SION_ASSIGN_OR_RETURN(FrameIndex index,
+  SION_ASSIGN_OR_RETURN(const FrameIndex index,
                         index_frames(encoded.size(), read_at));
-  StreamLossReport local;
-  FrameStreamReader reader(std::move(index), read_at, &local);
-  std::vector<std::byte> out(
-      static_cast<std::size_t>(reader.decoded_bytes()));
-  SION_RETURN_IF_ERROR(reader.read_decoded(0, out));
+  // The whole stream is in memory: every frame decodes straight from
+  // `encoded` into its place in the output.
+  StreamLossReport local = index.scan_loss;
+  std::vector<std::byte> out(static_cast<std::size_t>(index.decoded_bytes));
+  for (const FrameEntry& e : index.frames) {
+    const auto dst = std::span<std::byte>(out).subspan(
+        static_cast<std::size_t>(e.decoded_offset),
+        static_cast<std::size_t>(e.decoded_bytes));
+    bool damaged = e.torn;
+    if (!damaged) {
+      const auto body = encoded.subspan(
+          static_cast<std::size_t>(e.encoded_offset + kFrameHeaderBytes),
+          e.comp_bytes + kFrameTrailerBytes);
+      damaged = !decode_body(body, dst);
+    }
+    if (damaged) std::fill(dst.begin(), dst.end(), std::byte{0});
+    count_frame(local, e, damaged);
+  }
   if (loss != nullptr) loss->merge(local);
   return out;
 }

@@ -36,6 +36,7 @@
 #include "core/par_file.h"
 #include "core/serial_file.h"
 #include "ext/recovery.h"
+#include "ext/slz.h"
 
 namespace sion::ext {
 
@@ -49,13 +50,27 @@ inline constexpr std::array<std::byte, 8> kFrameSync = {
 inline constexpr std::uint64_t kFrameHeaderBytes = 20;
 inline constexpr std::uint64_t kFrameTrailerBytes = 4;
 // Format caps, protected by the header CRC: a frame may carry at most 1 GiB
-// of raw payload, and an slz stream for n bytes is at most n + 17 bytes
-// (one literal run), so anything claiming more is garbage, not a frame.
+// of raw payload, and an slz stream for n bytes is at most
+// slz_compress_bound(n) bytes, so anything claiming more is garbage, not a
+// frame. Both fit the u32 length fields.
 inline constexpr std::uint64_t kMaxFrameRawBytes = kGiB;
-inline constexpr std::uint64_t kMaxFrameCompBytes = kGiB + 64;
+inline constexpr std::uint64_t kMaxFrameCompBytes =
+    slz_compress_bound(kMaxFrameRawBytes);
+static_assert(kMaxFrameCompBytes <= 0xFFFFFFFFULL);
 
-// Software CRC32C (Castagnoli, reflected 0x82F63B78) — no external deps.
+// CRC32C (Castagnoli, reflected 0x82F63B78). On x86-64 CPUs that report
+// SSE4.2 it runs on the crc32 instruction; everywhere else it is computed by
+// slicing-by-8 over eight constexpr tables. Both give the same values.
 [[nodiscard]] std::uint32_t crc32c(std::span<const std::byte> data);
+
+namespace detail {
+// The two implementations behind crc32c, exposed so tests can compare them.
+// crc32c_hw requires crc32c_hw_available() (and is the portable path on
+// hosts without the instruction).
+[[nodiscard]] std::uint32_t crc32c_portable(std::span<const std::byte> data);
+[[nodiscard]] bool crc32c_hw_available();
+[[nodiscard]] std::uint32_t crc32c_hw(std::span<const std::byte> data);
+}  // namespace detail
 
 // Knobs for the framed-compression stream path, carried as an optional
 // sub-spec of workloads::CheckpointSpec (and by TracerSpec).
@@ -71,7 +86,9 @@ struct CompressionSpec {
 };
 
 // Encode `input` as consecutive frames. Empty input encodes to zero frames
-// (an empty stream). Fails only on the (clamped-away) u32 overflow paths.
+// (an empty stream). slz writes each frame's stream in place. The Result is
+// kept for callers; with chunk_bytes clamped to the format caps it is
+// always ok.
 Result<std::vector<std::byte>> compress_stream(std::span<const std::byte> input,
                                                const CompressionSpec& spec = {});
 

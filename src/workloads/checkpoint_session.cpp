@@ -201,11 +201,18 @@ Result<CheckpointSession::Ticket> CheckpointSession::write_async(
   // Compression happens here, upstream of every write route: the staging
   // absorb, the buddy replicas, and the collective aggregation all move the
   // already-encoded (smaller) stream as opaque bytes.
+  // A plain byte view compresses where it lies; only fill and gather views
+  // are flattened first.
   std::vector<std::byte> encoded;
   if (spec_.compression.has_value()) {
-    const std::vector<std::byte> flat = flatten_view(payload);
+    std::vector<std::byte> flat;
+    std::span<const std::byte> raw = payload.bytes();
+    if (payload.is_fill() || payload.is_gather()) {
+      flat = flatten_view(payload);
+      raw = flat;
+    }
     SION_ASSIGN_OR_RETURN(encoded,
-                          ext::compress_stream(flat, *spec_.compression));
+                          ext::compress_stream(raw, *spec_.compression));
     payload = fs::DataView(encoded);
   }
 

@@ -10,11 +10,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/api.h"
 #include "ext/compress.h"
+#include "ext/slz.h"
 #include "fs/sim/machine.h"
 #include "fs/sim/simfs.h"
 #include "par/comm.h"
@@ -237,29 +239,33 @@ TEST(CompressFaultTest, GarbageBetweenFramesIsDiscardedAndCounted) {
   EXPECT_EQ(loss.bytes_zero_filled, 0u);
 }
 
+// One seeded mutation: up to 8 bit flips, a truncation, or a 0x55 run.
+void mutate(std::vector<std::byte>& enc, Rng& rng) {
+  const int kind = static_cast<int>(rng.next_below(3));
+  if (kind == 0) {
+    const int flips = 1 + static_cast<int>(rng.next_below(8));
+    for (int f = 0; f < flips; ++f) {
+      enc[static_cast<std::size_t>(rng.next_below(enc.size()))] ^=
+          static_cast<std::byte>(1u << rng.next_below(8));
+    }
+  } else if (kind == 1) {
+    enc.resize(static_cast<std::size_t>(rng.next_below(enc.size() + 1)));
+  } else {
+    const std::size_t at = static_cast<std::size_t>(rng.next_below(enc.size()));
+    const std::size_t run = std::min<std::size_t>(
+        enc.size() - at, 1 + static_cast<std::size_t>(rng.next_below(64)));
+    std::fill_n(enc.begin() + static_cast<std::ptrdiff_t>(at), run,
+                std::byte{0x55});
+  }
+}
+
 TEST(CompressFaultTest, SeededMutationFuzzNeverCrashesOrOverAllocates) {
   const auto raw = pattern_payload(7, 10000);
   const auto clean = encode(raw, 1024);
   Rng rng(0xFAB17);
   for (int round = 0; round < 200; ++round) {
     std::vector<std::byte> enc = clean;
-    const int kind = static_cast<int>(rng.next_below(3));
-    if (kind == 0) {
-      const int flips = 1 + static_cast<int>(rng.next_below(8));
-      for (int f = 0; f < flips; ++f) {
-        enc[static_cast<std::size_t>(rng.next_below(enc.size()))] ^=
-            static_cast<std::byte>(1u << rng.next_below(8));
-      }
-    } else if (kind == 1) {
-      enc.resize(static_cast<std::size_t>(rng.next_below(enc.size() + 1)));
-    } else {
-      const std::size_t at =
-          static_cast<std::size_t>(rng.next_below(enc.size()));
-      const std::size_t run = std::min<std::size_t>(
-          enc.size() - at, 1 + static_cast<std::size_t>(rng.next_below(64)));
-      std::fill_n(enc.begin() + static_cast<std::ptrdiff_t>(at), run,
-                  std::byte{0x55});
-    }
+    mutate(enc, rng);
     StreamLossReport loss;
     auto dec = decompress_stream(enc, &loss);
     ASSERT_TRUE(dec.ok()) << "round " << round;
@@ -267,6 +273,89 @@ TEST(CompressFaultTest, SeededMutationFuzzNeverCrashesOrOverAllocates) {
     // can only shrink or hold its size — an allocation bound.
     ASSERT_LE(dec.value().size(), raw.size()) << "round " << round;
   }
+}
+
+// The slz format decoded from its definition: bytewise, bounds-checked,
+// canonical varints only. The differential oracle for the fast decoder.
+bool reference_varint(std::span<const std::byte> in, std::size_t& pos,
+                      std::uint64_t& v) {
+  v = 0;
+  for (int shift = 0; shift <= 63 && pos < in.size(); shift += 7) {
+    const auto b = std::to_integer<std::uint64_t>(in[pos++]);
+    if (shift == 63 && (b & 0x7E) != 0) return false;
+    v |= (b & 0x7F) << shift;
+    if ((b & 0x80) == 0) return b != 0 || shift == 0;
+  }
+  return false;
+}
+
+std::optional<std::vector<std::byte>> reference_slz_decode(
+    std::span<const std::byte> in, std::uint64_t usize) {
+  if (in.size() < 12 || std::memcmp(in.data(), "SLZ1", 4) != 0) {
+    return std::nullopt;
+  }
+  std::uint64_t header = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    header |= std::to_integer<std::uint64_t>(in[4 + i]) << (8 * i);
+  }
+  if (header != usize) return std::nullopt;
+  std::vector<std::byte> out;
+  std::size_t pos = 12;
+  while (out.size() < usize) {
+    std::uint64_t control = 0;
+    if (!reference_varint(in, pos, control)) return std::nullopt;
+    const std::uint64_t room = usize - out.size();
+    if ((control & 1) == 0) {
+      const std::uint64_t run = control >> 1;
+      if (run > in.size() - pos || run > room) return std::nullopt;
+      out.insert(out.end(), in.begin() + static_cast<std::ptrdiff_t>(pos),
+                 in.begin() + static_cast<std::ptrdiff_t>(pos + run));
+      pos += run;
+    } else {
+      const std::uint64_t len = (control >> 1) + 4;
+      std::uint64_t dist = 0;
+      if (!reference_varint(in, pos, dist)) return std::nullopt;
+      if (dist == 0 || dist > out.size() || len > room) return std::nullopt;
+      for (std::uint64_t i = 0; i < len; ++i) {
+        out.push_back(out[out.size() - dist]);
+      }
+    }
+  }
+  if (pos != in.size()) return std::nullopt;
+  return out;
+}
+
+TEST(CompressFaultTest, SeededMutationFuzzReachesTheSlzDecoder) {
+  // The frame-level fuzz above stops at the payload CRC, so its mutations
+  // never reach slz itself. Here the same mutations hit a bare slz stream
+  // decoded into an exactly sized buffer: the decoder must agree with the
+  // reference on every verdict and every delivered byte, and kCorrupt is
+  // its only failure.
+  const auto raw = pattern_payload(7, 10000);
+  const auto clean = slz_compress(raw);
+  ASSERT_EQ(reference_slz_decode(clean, raw.size()), raw);
+  Rng rng(0xFAB17);
+  int decoded = 0;
+  for (int round = 0; round < 2000; ++round) {
+    std::vector<std::byte> enc = clean;
+    mutate(enc, rng);
+    std::vector<std::byte> out(raw.size());
+    const Status st = slz_decompress_into(enc, out);
+    const auto want = reference_slz_decode(enc, raw.size());
+    if (want.has_value()) {
+      ASSERT_TRUE(st.ok()) << "round " << round << ": " << st.to_string();
+      ASSERT_EQ(out, *want) << "round " << round;
+      if (enc == clean) {
+        ASSERT_EQ(out, raw) << "round " << round;
+      }
+      ++decoded;
+    } else {
+      ASSERT_EQ(st.code(), ErrorCode::kCorrupt) << "round " << round;
+    }
+  }
+  // Literal-byte flips decode (to different bytes); most damage does not.
+  EXPECT_GT(decoded, 0);
+  EXPECT_LT(decoded, 2000);
 }
 
 // --- end-to-end: damaged compressed checkpoint restores with known loss ----

@@ -18,6 +18,7 @@
 #include "fs/sim/simfs.h"
 #include "par/comm.h"
 #include "par/engine.h"
+#include "workloads/tracer.h"
 
 namespace sion::ext {
 namespace {
@@ -121,7 +122,7 @@ TEST(SlzTest, ForgedSizeStreamRejectedWithoutHugeAllocation) {
   // A single flipped header byte used to drive out.reserve(usize) with a
   // corruption-controlled size (up to 1 TiB). The forged stream claims
   // 512 GiB but carries two literal bytes: the decoder must fail cleanly,
-  // with its up-front reservation capped by the (tiny) input size.
+  // without allocating for the claimed size.
   auto forged = forge_slz_stream(1ULL << 39, {0x04, 'h', 'i'});
   auto back = slz_decompress(forged);
   ASSERT_FALSE(back.ok());
@@ -173,6 +174,178 @@ TEST(SlzTest, OverflowingVarintRejected) {
   EXPECT_EQ(round.value(), in);
 }
 
+TEST(SlzTest, CompressedBytesArePinned) {
+  // slz output is on-disk format: the word-at-a-time match extension and
+  // in-place token writer must emit exactly the bytes the original bytewise
+  // encoder did. Constants recorded from that encoder.
+  const auto raw = workloads::trace_serialize(
+      workloads::trace_generate(3, 20000, 0x5EED));
+  ASSERT_EQ(raw.size(), 320000u);
+  const auto stream = slz_compress(raw);
+  EXPECT_EQ(stream.size(), 167391u);
+  EXPECT_EQ(crc32c(stream), 0xFDB30351u);
+  auto framed = compress_stream(raw);
+  ASSERT_TRUE(framed.ok());
+  EXPECT_EQ(framed.value().size(), 167513u);
+  EXPECT_EQ(crc32c(framed.value()), 0xD60A4216u);
+}
+
+namespace {
+
+// Builds a token stream by hand and, alongside, the output the format
+// defines for it (matches copied one byte at a time, so self-overlapping
+// matches repeat their period).
+class SlzTokenWriter {
+ public:
+  void literal(std::span<const std::byte> bytes) {
+    put_varint(static_cast<std::uint64_t>(bytes.size()) << 1);
+    tokens_.insert(tokens_.end(), bytes.begin(), bytes.end());
+    expected_.insert(expected_.end(), bytes.begin(), bytes.end());
+  }
+  void literal_pattern(std::size_t n, int salt) {
+    std::vector<std::byte> bytes(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      bytes[i] = static_cast<std::byte>(
+          (i * 37 + static_cast<std::size_t>(salt)) & 0xFF);
+    }
+    literal(bytes);
+  }
+  void match(std::size_t len, std::size_t dist) {
+    put_varint((static_cast<std::uint64_t>(len - kSlzMinMatch) << 1) | 1);
+    put_varint(dist);
+    for (std::size_t i = 0; i < len; ++i) {
+      expected_.push_back(expected_[expected_.size() - dist]);
+    }
+  }
+  [[nodiscard]] std::vector<std::byte> stream() const {
+    std::vector<std::byte> s;
+    for (const char c : {'S', 'L', 'Z', '1'}) {
+      s.push_back(static_cast<std::byte>(c));
+    }
+    for (int i = 0; i < 8; ++i) {
+      s.push_back(static_cast<std::byte>((expected_.size() >> (8 * i)) & 0xFF));
+    }
+    s.insert(s.end(), tokens_.begin(), tokens_.end());
+    return s;
+  }
+  [[nodiscard]] const std::vector<std::byte>& expected() const {
+    return expected_;
+  }
+
+ private:
+  void put_varint(std::uint64_t v) {
+    while (v >= 0x80) {
+      tokens_.push_back(static_cast<std::byte>((v & 0x7F) | 0x80));
+      v >>= 7;
+    }
+    tokens_.push_back(static_cast<std::byte>(v));
+  }
+
+  std::vector<std::byte> tokens_;
+  std::vector<std::byte> expected_;
+};
+
+// Both decoder entry points must deliver exactly the writer's output.
+void expect_decodes(const SlzTokenWriter& b, const std::string& what) {
+  const std::vector<std::byte> stream = b.stream();
+  std::vector<std::byte> out(b.expected().size(), std::byte{0xEE});
+  const Status st = slz_decompress_into(stream, out);
+  ASSERT_TRUE(st.ok()) << what << ": " << st.to_string();
+  ASSERT_EQ(out, b.expected()) << what;
+  auto vec = slz_decompress(stream);
+  ASSERT_TRUE(vec.ok()) << what;
+  ASSERT_EQ(vec.value(), b.expected()) << what;
+}
+
+}  // namespace
+
+TEST(SlzTest, OverlappingMatchesAtEveryShortDistance) {
+  // Distances below the copy width replicate a period shorter than one
+  // copy step; with and without a trailing literal, so both the exact tail
+  // path and the wide-copy path run.
+  for (std::size_t dist = 1; dist <= 20; ++dist) {
+    for (std::size_t len = 4; len <= 40; ++len) {
+      for (const std::size_t tail : {0, 20}) {
+        SlzTokenWriter b;
+        b.literal_pattern(dist, static_cast<int>(len));
+        b.match(len, dist);
+        if (tail > 0) b.literal_pattern(tail, 7);
+        expect_decodes(b, "dist " + std::to_string(dist) + " len " +
+                              std::to_string(len) + " tail " +
+                              std::to_string(tail));
+      }
+    }
+  }
+}
+
+TEST(SlzTest, LastTokensNearTheEndOfTheOutput) {
+  // The final tokens end 0..16 bytes before the end of an exactly sized
+  // output, where the 16-byte copies no longer fit and exact copies take
+  // over: a match followed by a `gap`-byte literal, and a literal followed
+  // by a `gap`-byte match.
+  for (std::size_t gap = 0; gap <= 16; ++gap) {
+    for (const std::size_t dist : {3, 9, 16, 33}) {
+      SlzTokenWriter a;
+      a.literal_pattern(40, static_cast<int>(gap));
+      a.match(24, dist);
+      if (gap > 0) a.literal_pattern(gap, 1);
+      expect_decodes(a, "match then literal, gap " + std::to_string(gap) +
+                            " dist " + std::to_string(dist));
+      if (gap < kSlzMinMatch) continue;
+      SlzTokenWriter b;
+      b.literal_pattern(40, 3);
+      b.literal_pattern(5, static_cast<int>(gap));
+      b.match(gap, dist);
+      expect_decodes(b, "literal then match, gap " + std::to_string(gap) +
+                            " dist " + std::to_string(dist));
+    }
+  }
+  // Whole streams of every short length round-trip through the encoder.
+  for (std::size_t n = 0; n <= 100; ++n) {
+    std::vector<std::byte> in(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      in[i] = static_cast<std::byte>((i % 5 == 4) ? i : i / 7);
+    }
+    const auto stream = slz_compress(in);
+    EXPECT_LE(stream.size(), slz_compress_bound(n));
+    std::vector<std::byte> out(n);
+    ASSERT_TRUE(slz_decompress_into(stream, out).ok()) << n;
+    ASSERT_EQ(out, in) << n;
+  }
+}
+
+TEST(SlzTest, DecompressIntoRejectsAMisSizedBuffer) {
+  const std::vector<std::byte> in(300, std::byte{'k'});
+  const auto stream = slz_compress(in);
+  std::vector<std::byte> small(299);
+  std::vector<std::byte> big(301);
+  EXPECT_EQ(slz_decompress_into(stream, small).code(), ErrorCode::kCorrupt);
+  EXPECT_EQ(slz_decompress_into(stream, big).code(), ErrorCode::kCorrupt);
+  std::vector<std::byte> exact(300);
+  ASSERT_TRUE(slz_decompress_into(stream, exact).ok());
+  EXPECT_EQ(exact, in);
+}
+
+TEST(SlzTest, CompressBoundHoldsOnAdversarialInput) {
+  // One literal byte between 4-byte matches is the worst case the bound is
+  // derived from; random bytes are the all-literal case.
+  std::vector<std::byte> in;
+  Rng rng(5);
+  for (int i = 0; i < 4000; ++i) {
+    in.push_back(static_cast<std::byte>(rng.next_below(256)));
+    for (int k = 0; k < 4; ++k) in.push_back(std::byte{'m'});
+  }
+  std::vector<std::byte> noise(20000);
+  rng.fill_bytes(noise);
+  for (const auto* input : {&in, &noise}) {
+    const auto stream = slz_compress(*input);
+    EXPECT_LE(stream.size(), slz_compress_bound(input->size()));
+    auto back = slz_decompress(stream);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back.value(), *input);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // frame layer (ext/compress.h)
 // ---------------------------------------------------------------------------
@@ -183,6 +356,43 @@ TEST(CompressTest, Crc32cKnownAnswer) {
   std::memcpy(in.data(), digits, 9);
   EXPECT_EQ(crc32c(in), 0xE3069283u);
   EXPECT_EQ(crc32c({}), 0u);
+}
+
+namespace {
+
+// CRC32C from its definition, one bit at a time.
+std::uint32_t crc32c_bitwise(std::span<const std::byte> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::byte b : data) {
+    crc ^= std::to_integer<std::uint32_t>(b);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) != 0u ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+}  // namespace
+
+TEST(CompressTest, Crc32cPathsAgreeAtEveryLengthAndAlignment) {
+  // Every length 0..300 (all slicing-by-8 and crc32-instruction tails) at
+  // every start offset mod 8: the hardware path (when the CPU has it), the
+  // portable path and crc32c() itself must equal the bitwise definition.
+  std::vector<std::byte> buf(300 + 8);
+  Rng rng(0xC2C);
+  rng.fill_bytes(buf);
+  const bool hw = detail::crc32c_hw_available();
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const auto data = std::span<const std::byte>(buf).subspan(off, len);
+      const std::uint32_t want = crc32c_bitwise(data);
+      ASSERT_EQ(detail::crc32c_portable(data), want) << off << "+" << len;
+      if (hw) {
+        ASSERT_EQ(detail::crc32c_hw(data), want) << off << "+" << len;
+      }
+      ASSERT_EQ(crc32c(data), want) << off << "+" << len;
+    }
+  }
 }
 
 TEST(CompressTest, EmptyStreamRoundtrip) {
