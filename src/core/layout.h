@@ -55,6 +55,14 @@ class FileLayout {
     return prefix_[static_cast<std::size_t>(t)];
   }
 
+  // Every task's chunk offset within a block, and every aligned chunk size.
+  [[nodiscard]] const std::vector<std::uint64_t>& chunk_offsets() const {
+    return prefix_;
+  }
+  [[nodiscard]] const std::vector<std::uint64_t>& chunksizes() const {
+    return aligned_;
+  }
+
   // Absolute offset of task `t`'s chunk in block `b`.
   [[nodiscard]] std::uint64_t chunk_start(int t, std::uint64_t b) const {
     return data_start_ + b * block_span_ + chunk_offset_in_block(t);

@@ -1,11 +1,73 @@
 #include "core/metadata.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/codec.h"
 #include "common/strings.h"
 
 namespace sion::core {
+
+namespace {
+
+// Offset of the bytes_written field inside a chunk frame: it follows the
+// magic, the two ranks and the block number.
+constexpr std::uint64_t kFrameBytesWrittenOffset = 24;
+
+}  // namespace
+
+std::vector<std::byte> ChunkFrame::serialize() const {
+  ByteWriter w;
+  w.put_bytes(std::span<const std::byte>(
+      reinterpret_cast<const std::byte*>(kFrameMagic), sizeof(kFrameMagic)));
+  w.put_u32(grank);
+  w.put_u32(lrank);
+  w.put_u64(block);
+  w.put_u64(bytes_written);
+  w.put_u64(chunk_frame_checksum(grank, lrank, block, bytes_written));
+  w.pad_to(kChunkFrameSize);
+  return w.take();
+}
+
+Status ChunkFrame::write(fs::File& file, std::uint64_t chunk_start) const {
+  const std::vector<std::byte> bytes = serialize();
+  SION_ASSIGN_OR_RETURN(const std::uint64_t n,
+                        file.pwrite(fs::DataView(bytes), chunk_start));
+  (void)n;
+  return Status::Ok();
+}
+
+Status ChunkFrame::patch_bytes_written(fs::File& file,
+                                       std::uint64_t chunk_start) const {
+  ByteWriter w;
+  w.put_u64(bytes_written);
+  w.put_u64(chunk_frame_checksum(grank, lrank, block, bytes_written));
+  SION_ASSIGN_OR_RETURN(
+      const std::uint64_t n,
+      file.pwrite(fs::DataView(w.bytes()),
+                  chunk_start + kFrameBytesWrittenOffset));
+  (void)n;
+  return Status::Ok();
+}
+
+Result<ChunkFrame> ChunkFrame::parse(std::span<const std::byte> bytes) {
+  if (bytes.size() < kChunkFrameSize) return Corrupt("short frame");
+  if (std::memcmp(bytes.data(), kFrameMagic, sizeof(kFrameMagic)) != 0) {
+    return Corrupt("no frame magic");
+  }
+  ByteReader r(bytes.subspan(sizeof(kFrameMagic)));
+  ChunkFrame f;
+  SION_ASSIGN_OR_RETURN(f.grank, r.get_u32());
+  SION_ASSIGN_OR_RETURN(f.lrank, r.get_u32());
+  SION_ASSIGN_OR_RETURN(f.block, r.get_u64());
+  SION_ASSIGN_OR_RETURN(f.bytes_written, r.get_u64());
+  SION_ASSIGN_OR_RETURN(const std::uint64_t checksum, r.get_u64());
+  if (checksum !=
+      chunk_frame_checksum(f.grank, f.lrank, f.block, f.bytes_written)) {
+    return Corrupt("frame checksum mismatch (torn or bit-flipped frame)");
+  }
+  return f;
+}
 
 std::vector<std::byte> FileHeader::serialize() const {
   ByteWriter w;
@@ -86,11 +148,27 @@ Result<FileMeta2> FileMeta2::parse(std::span<const std::byte> bytes) {
     return Corrupt("bad metablock-2 magic");
   }
   SION_ASSIGN_OR_RETURN(const std::uint32_t ntasks, r.get_u32());
+  // Every task's array starts with its u64 length, so a count the remaining
+  // bytes cannot hold is forged and must not size the reservation.
+  if (r.remaining() / sizeof(std::uint64_t) < ntasks) {
+    return Corrupt("metablock 2 lists more tasks than it holds");
+  }
   FileMeta2 m;
   m.bytes_written.reserve(ntasks);
   for (std::uint32_t t = 0; t < ntasks; ++t) {
     SION_ASSIGN_OR_RETURN(auto per_task, r.get_u64_array());
     m.bytes_written.push_back(std::move(per_task));
+  }
+  return m;
+}
+
+FileMeta2 FileMeta2::from_gather(const par::Comm::FlatGatherU64& all) {
+  const std::size_t ntasks = all.offsets.empty() ? 0 : all.offsets.size() - 1;
+  FileMeta2 m;
+  m.bytes_written.resize(ntasks);
+  for (std::size_t t = 0; t < ntasks; ++t) {
+    const auto piece = all.of(static_cast<int>(t));
+    m.bytes_written[t].assign(piece.begin(), piece.end());
   }
   return m;
 }
@@ -134,8 +212,16 @@ Result<FileMeta2> read_meta2(fs::File& file, const FileHeader& header) {
   return FileMeta2::parse(buf);
 }
 
-Status write_meta2_and_trailer(fs::File& file, std::uint64_t meta2_offset,
-                               std::uint64_t nblocks, const FileMeta2& meta2) {
+Result<FileLayout> layout_of(const FileHeader& header) {
+  return FileLayout::create(header.fsblksize, header.chunksizes_req,
+                            header.serialize().size());
+}
+
+Status write_meta2_and_trailer(fs::File& file, std::uint64_t data_start,
+                               std::uint64_t block_span,
+                               const FileMeta2& meta2) {
+  const std::uint64_t nblocks = std::max<std::uint64_t>(1, meta2.nblocks());
+  const std::uint64_t meta2_offset = data_start + nblocks * block_span;
   const std::vector<std::byte> blob = meta2.serialize();
   SION_ASSIGN_OR_RETURN(std::uint64_t n,
                         file.pwrite(fs::DataView(blob), meta2_offset));
@@ -153,6 +239,159 @@ std::string physical_file_name(const std::string& base, int filenum,
                                int nfiles) {
   if (nfiles <= 1) return base;
   return strformat("%s.%06d", base.c_str(), filenum);
+}
+
+// ---------------------------------------------------------------------------
+// whole-file steps
+// ---------------------------------------------------------------------------
+
+Result<CreatedFile> create_physical_file(fs::FileSystem& fs,
+                                         const std::string& path,
+                                         const FileHeader& header) {
+  const std::vector<std::byte> meta1 = header.serialize();
+  CreatedFile out;
+  SION_ASSIGN_OR_RETURN(out.layout,
+                        FileLayout::create(header.fsblksize,
+                                           header.chunksizes_req,
+                                           meta1.size()));
+  SION_ASSIGN_OR_RETURN(out.file, fs.create(path));
+  SION_ASSIGN_OR_RETURN(const std::uint64_t n,
+                        out.file->pwrite(fs::DataView(meta1), 0));
+  (void)n;
+  return out;
+}
+
+Result<LoadedFile> load_physical_file(fs::FileSystem& fs,
+                                      const std::string& path, int ntasks) {
+  LoadedFile out;
+  SION_ASSIGN_OR_RETURN(out.file, fs.open_read(path));
+  SION_ASSIGN_OR_RETURN(out.header, read_header(*out.file));
+  if (static_cast<int>(out.header.ntasks) != ntasks) {
+    return InvalidArgument(
+        strformat("physical file %s holds %u logical files but %d tasks "
+                  "opened it",
+                  path.c_str(), out.header.ntasks, ntasks));
+  }
+  SION_ASSIGN_OR_RETURN(const FileMeta2 meta2,
+                        read_meta2(*out.file, out.header));
+  if (meta2.bytes_written.size() != out.header.ntasks) {
+    return Corrupt("metablock 2 task count mismatch");
+  }
+  SION_ASSIGN_OR_RETURN(const FileLayout layout, layout_of(out.header));
+  out.data_start = layout.data_start();
+  out.block_span = layout.block_span();
+  out.chunk_offsets = layout.chunk_offsets();
+  out.usage_sizes.resize(out.header.ntasks);
+  ByteWriter w;
+  for (std::uint32_t t = 0; t < out.header.ntasks; ++t) {
+    const std::size_t at = w.size();
+    w.put_u64_array(meta2.bytes_written[t]);
+    out.usage_sizes[t] = w.size() - at;
+  }
+  out.usage_flat = w.take();
+  return out;
+}
+
+Result<FirstFile> open_first_file(fs::FileSystem& fs,
+                                  const std::string& name) {
+  const std::string path =
+      fs.exists(name) ? name : physical_file_name(name, 0, 2);
+  FirstFile out;
+  SION_ASSIGN_OR_RETURN(out.file, fs.open_read(path));
+  SION_ASSIGN_OR_RETURN(out.header, read_header(*out.file));
+  return out;
+}
+
+Result<MultifileMap> discover_multifile(fs::FileSystem& fs,
+                                        const std::string& name,
+                                        int ntasks) {
+  SION_ASSIGN_OR_RETURN(const FirstFile first, open_first_file(fs, name));
+  const int nfiles = static_cast<int>(first.header.nfiles);
+  MultifileMap map;
+  map.nfiles = static_cast<std::uint64_t>(nfiles);
+  map.file_of_rank.assign(static_cast<std::size_t>(ntasks), 0);
+  std::uint64_t total_tasks = 0;
+  for (int f = 0; f < nfiles; ++f) {
+    FileHeader h = first.header;
+    if (f != 0) {
+      SION_ASSIGN_OR_RETURN(
+          auto file, fs.open_read(physical_file_name(name, f, nfiles)));
+      SION_ASSIGN_OR_RETURN(h, read_header(*file));
+    }
+    total_tasks += h.ntasks;
+    for (const std::uint64_t r : h.global_ranks) {
+      if (r >= static_cast<std::uint64_t>(ntasks)) {
+        return InvalidArgument(strformat(
+            "multifile was written by rank %llu but only %d tasks "
+            "opened it (task count must match the writer)",
+            static_cast<unsigned long long>(r), ntasks));
+      }
+      map.file_of_rank[r] = static_cast<std::uint64_t>(f);
+    }
+  }
+  if (total_tasks != static_cast<std::uint64_t>(ntasks)) {
+    return InvalidArgument(strformat(
+        "multifile holds %llu logical files but %d tasks opened it",
+        static_cast<unsigned long long>(total_tasks), ntasks));
+  }
+  return map;
+}
+
+bool physical_file_usable(fs::FileSystem& fs, const std::string& path,
+                          int nfiles) {
+  auto file = fs.open_read(path);
+  if (!file.ok()) return false;
+  auto header = read_header(*file.value());
+  if (!header.ok()) return false;
+  if (nfiles > 0 && static_cast<int>(header.value().nfiles) != nfiles) {
+    return false;
+  }
+  auto meta2 = read_meta2(*file.value(), header.value());
+  return meta2.ok() &&
+         meta2.value().bytes_written.size() == header.value().ntasks;
+}
+
+Result<std::uint64_t> copy_physical_file(fs::File& src, FileHeader header,
+                                         fs::FileSystem& dst_fs,
+                                         const std::string& dst_path,
+                                         int filenum,
+                                         std::uint64_t buffer_bytes) {
+  SION_ASSIGN_OR_RETURN(const fs::FileStat st, src.stat());
+  SION_ASSIGN_OR_RETURN(auto dst, dst_fs.create(dst_path));
+  std::vector<std::byte> buf(
+      static_cast<std::size_t>(std::max<std::uint64_t>(1, buffer_bytes)));
+  std::uint64_t done = 0;
+  while (done < st.size) {
+    const std::span<std::byte> piece = std::span<std::byte>(buf).first(
+        static_cast<std::size_t>(
+            std::min<std::uint64_t>(buf.size(), st.size - done)));
+    SION_ASSIGN_OR_RETURN(const std::uint64_t got, src.pread(piece, done));
+    if (got != piece.size()) {
+      return Corrupt(strformat("source of '%s' shrank during the copy "
+                               "(short read at %llu)",
+                               dst_path.c_str(),
+                               static_cast<unsigned long long>(done)));
+    }
+    SION_ASSIGN_OR_RETURN(
+        const std::uint64_t put,
+        dst->pwrite(fs::DataView(std::span<const std::byte>(piece)), done));
+    if (put != got) {
+      return IoError(strformat("short write copying to '%s'",
+                               dst_path.c_str()));
+    }
+    done += got;
+  }
+  if (filenum >= 0) {
+    header.filenum = static_cast<std::uint32_t>(filenum);
+    const std::vector<std::byte> meta1 = header.serialize();
+    SION_ASSIGN_OR_RETURN(const std::uint64_t put,
+                          dst->pwrite(fs::DataView(meta1), 0));
+    if (put != meta1.size()) {
+      return IoError(strformat("short header patch on '%s'",
+                               dst_path.c_str()));
+    }
+  }
+  return done;
 }
 
 }  // namespace sion::core

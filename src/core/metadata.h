@@ -7,19 +7,30 @@
 // if an application dies before parclose, they stay zero and the recovery
 // extension (src/ext/recovery.h) can rebuild metablock 2 from per-chunk
 // frames.
+//
+// This header is the one owner of the physical-file format. Besides the
+// codecs it holds every whole-file step that the parallel, serial,
+// collective, buddy, ECC, staging and recovery paths share: create, load,
+// discover, probe, copy and close. None of these steps communicates; each
+// collective opener keeps its own exchange around them.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "core/layout.h"
 #include "fs/filesystem.h"
+#include "par/comm.h"
 
 namespace sion::core {
 
 inline constexpr char kMagic[8] = {'S', 'I', 'O', 'N', 'S', 'I', 'M', '1'};
 inline constexpr char kMagic2[8] = {'S', 'I', 'O', 'N', 'M', 'E', 'T', '2'};
+inline constexpr char kFrameMagic[8] = {'S', 'I', 'O', 'N', 'F', 'R', 'M', '1'};
 inline constexpr std::uint32_t kFormatVersion = 1;
 
 // Flag bits (FileHeader::flags).
@@ -54,6 +65,25 @@ inline std::uint64_t chunk_frame_checksum(std::uint32_t grank,
   return h;
 }
 
+// One chunk's recovery frame: the first kChunkFrameSize bytes of every chunk
+// when kFlagChunkFrames is set. A writer writes the whole frame when its
+// task enters the chunk and patches bytes_written (with the checksum) after
+// every write; ext::repair_multifile parses it back.
+struct ChunkFrame {
+  std::uint32_t grank = 0;  // global rank of the writing task
+  std::uint32_t lrank = 0;  // its slot in the physical file
+  std::uint64_t block = 0;
+  std::uint64_t bytes_written = 0;
+
+  [[nodiscard]] std::vector<std::byte> serialize() const;
+  // Write the whole frame into the chunk that starts at `chunk_start`.
+  Status write(fs::File& file, std::uint64_t chunk_start) const;
+  // Rewrite only bytes_written and the checksum of that chunk's frame.
+  Status patch_bytes_written(fs::File& file, std::uint64_t chunk_start) const;
+  // kCorrupt for a short buffer, a missing magic or a checksum mismatch.
+  static Result<ChunkFrame> parse(std::span<const std::byte> bytes);
+};
+
 struct FileHeader {
   std::uint32_t version = kFormatVersion;
   std::uint8_t flags = 0;
@@ -77,6 +107,10 @@ struct FileMeta2 {
   [[nodiscard]] std::uint64_t nblocks() const;
   [[nodiscard]] std::vector<std::byte> serialize() const;
   static Result<FileMeta2> parse(std::span<const std::byte> bytes);
+
+  // Metablock 2 from the close-time gather (on the file master) of every
+  // local task's per-chunk usage, task t's piece being its bytes_written.
+  static FileMeta2 from_gather(const par::Comm::FlatGatherU64& all);
 };
 
 // Read and parse metablock 1 from an open physical file.
@@ -85,14 +119,88 @@ Result<FileHeader> read_header(fs::File& file);
 // Read and parse metablock 2 (requires header.meta2_offset != 0).
 Result<FileMeta2> read_meta2(fs::File& file, const FileHeader& header);
 
-// Write metablock 2 at its position and patch the trailer fields of
-// metablock 1 in place.
-Status write_meta2_and_trailer(fs::File& file, std::uint64_t meta2_offset,
-                               std::uint64_t nblocks, const FileMeta2& meta2);
+// The chunk geometry that metablock 1 describes.
+Result<FileLayout> layout_of(const FileHeader& header);
+
+// Write metablock 2 behind the last block of a file laid out at
+// (data_start, block_span) and patch the trailer fields of metablock 1.
+Status write_meta2_and_trailer(fs::File& file, std::uint64_t data_start,
+                               std::uint64_t block_span,
+                               const FileMeta2& meta2);
 
 // Name of physical file `filenum` of a multifile set with `nfiles` files:
 // the base name itself for a single file, "<name>.<%06u>" otherwise.
 std::string physical_file_name(const std::string& base, int filenum,
                                int nfiles);
+
+// ---------------------------------------------------------------------------
+// whole-file steps
+// ---------------------------------------------------------------------------
+
+struct CreatedFile {
+  std::unique_ptr<fs::File> file;
+  FileLayout layout;
+};
+
+// The file master's step of an open for writing: lay the physical file at
+// `path` out from `header`, create it and write metablock 1.
+Result<CreatedFile> create_physical_file(fs::FileSystem& fs,
+                                         const std::string& path,
+                                         const FileHeader& header);
+
+struct LoadedFile {
+  std::unique_ptr<fs::File> file;
+  FileHeader header;
+  std::uint64_t data_start = 0;
+  std::uint64_t block_span = 0;
+  std::vector<std::uint64_t> chunk_offsets;  // per task, within a block
+  // Every task's bytes-written array serialized back to back (task t's
+  // slice is usage_sizes[t] bytes): one buffer to scatter, not one per task.
+  std::vector<std::byte> usage_flat;
+  std::vector<std::uint64_t> usage_sizes;
+};
+
+// The file master's step of an open for reading by `ntasks` tasks: both
+// metablocks of the physical file at `path`, checked against each other
+// and the task count, and each task's view in scatterable form.
+Result<LoadedFile> load_physical_file(fs::FileSystem& fs,
+                                      const std::string& path, int ntasks);
+
+struct FirstFile {
+  std::unique_ptr<fs::File> file;
+  FileHeader header;
+};
+
+// Physical file 0 of multifile `name` (the base name itself for a
+// single-file set), opened for reading, with its metablock 1.
+Result<FirstFile> open_first_file(fs::FileSystem& fs, const std::string& name);
+
+struct MultifileMap {
+  std::uint64_t nfiles = 0;
+  std::vector<std::uint64_t> file_of_rank;
+};
+
+// Rank 0's step of an open for reading by `ntasks` tasks: the file count
+// and every rank's physical file, from the headers of multifile `name`.
+// The set must have been written by exactly `ntasks` tasks.
+Result<MultifileMap> discover_multifile(fs::FileSystem& fs,
+                                        const std::string& name, int ntasks);
+
+// Light probe: the physical file at `path` opens and both metablocks parse
+// and agree on the task count — what a reader needs. Missing files,
+// injected faults and silent truncation (metablock 2 sits at the end) all
+// fail it. With `nfiles` > 0 the file must also belong to a set that size.
+bool physical_file_usable(fs::FileSystem& fs, const std::string& path,
+                          int nfiles = 0);
+
+// Copy the physical file `src` (whose metablock 1 is `header`) byte for
+// byte into a new file `dst_path` on `dst_fs`, then patch the copy's
+// filenum to `filenum` so it takes that place in its set (< 0 keeps it).
+// Returns the bytes copied.
+Result<std::uint64_t> copy_physical_file(fs::File& src, FileHeader header,
+                                         fs::FileSystem& dst_fs,
+                                         const std::string& dst_path,
+                                         int filenum,
+                                         std::uint64_t buffer_bytes);
 
 }  // namespace sion::core

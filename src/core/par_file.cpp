@@ -12,8 +12,6 @@ namespace sion::core {
 
 namespace {
 
-constexpr char kFrameMagic[8] = {'S', 'I', 'O', 'N', 'F', 'R', 'M', '1'};
-
 // Shared wording for the par::share_status* agreement helpers: a failure on
 // the file-local master or on another physical file must surface on every
 // task (see par/comm.h).
@@ -97,28 +95,14 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
     header.filenum = static_cast<std::uint32_t>(out->filenum_);
     header.global_ranks = granks;
     header.chunksizes_req = chunksizes;
-    const std::vector<std::byte> meta1 = header.serialize();
-    auto layout =
-        FileLayout::create(fsblksize, chunksizes, meta1.size());
-    if (!layout.ok()) {
-      st = layout.status();
+    auto created = create_physical_file(fs, out->path_, header);
+    if (created.ok()) {
+      data_start = created.value().layout.data_start();
+      block_span = created.value().layout.block_span();
+      chunk_offsets = created.value().layout.chunk_offsets();
+      out->file_ = std::move(created.value().file);
     } else {
-      out->meta1_end_ = meta1.size();
-      data_start = layout.value().data_start();
-      block_span = layout.value().block_span();
-      chunk_offsets.resize(static_cast<std::size_t>(lcom.size()));
-      for (int t = 0; t < lcom.size(); ++t) {
-        chunk_offsets[static_cast<std::size_t>(t)] =
-            layout.value().chunk_offset_in_block(t);
-      }
-      auto created = fs.create(out->path_);
-      if (!created.ok()) {
-        st = created.status();
-      } else {
-        out->file_ = std::move(created).value();
-        auto wrote = out->file_->pwrite(fs::DataView(meta1), 0);
-        if (!wrote.ok()) st = wrote.status();
-      }
+      st = created.status();
     }
   }
   SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kOpenFailed));
@@ -182,50 +166,20 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_read(
   // its own file index, keeping the collective O(ntasks) total instead of
   // O(ntasks) per task.
   Status st;
-  std::uint64_t nfiles_u64 = 0;
-  std::vector<std::uint64_t> file_of_rank;  // master only
+  MultifileMap found;  // global master only
   if (grank == 0) {
-    st = [&]() -> Status {
-      std::string first = name;
-      if (!fs.exists(first)) first = physical_file_name(name, 0, 2);
-      SION_ASSIGN_OR_RETURN(auto file0, fs.open_read(first));
-      SION_ASSIGN_OR_RETURN(const FileHeader h0, read_header(*file0));
-      const int nfiles = static_cast<int>(h0.nfiles);
-      std::uint64_t total_tasks = 0;
-      file_of_rank.assign(static_cast<std::size_t>(gsize), 0);
-      for (int f = 0; f < nfiles; ++f) {
-        FileHeader h = h0;
-        if (f != 0) {
-          SION_ASSIGN_OR_RETURN(
-              auto file, fs.open_read(physical_file_name(name, f, nfiles)));
-          SION_ASSIGN_OR_RETURN(h, read_header(*file));
-        }
-        total_tasks += h.ntasks;
-        for (const std::uint64_t r : h.global_ranks) {
-          if (r >= static_cast<std::uint64_t>(gsize)) {
-            return InvalidArgument(strformat(
-                "multifile was written by rank %llu but only %d tasks "
-                "opened it (task count must match the writer)",
-                static_cast<unsigned long long>(r), gsize));
-          }
-          file_of_rank[r] = static_cast<std::uint64_t>(f);
-        }
-      }
-      if (total_tasks != static_cast<std::uint64_t>(gsize)) {
-        return InvalidArgument(strformat(
-            "multifile holds %llu logical files but %d tasks opened it",
-            static_cast<unsigned long long>(total_tasks), gsize));
-      }
-      nfiles_u64 = static_cast<std::uint64_t>(nfiles);
-      return Status::Ok();
-    }();
+    auto discovered = discover_multifile(fs, name, gsize);
+    if (discovered.ok()) {
+      found = std::move(discovered).value();
+    } else {
+      st = discovered.status();
+    }
   }
   SION_RETURN_IF_ERROR(par::share_status(gcom, st, 0, kOpenFailed));
 
-  const std::uint64_t nfiles = gcom.bcast_u64(nfiles_u64, 0);
-  const std::uint64_t my_file = gcom.scatter_u64(file_of_rank, 0);
-  file_of_rank.clear();
-  file_of_rank.shrink_to_fit();
+  const std::uint64_t nfiles = gcom.bcast_u64(found.nfiles, 0);
+  const std::uint64_t my_file = gcom.scatter_u64(found.file_of_rank, 0);
+  found = {};
 
   auto out = std::unique_ptr<SionParFile>(new SionParFile());
   out->fs_ = &fs;
@@ -244,76 +198,34 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_read(
   // The file-local master parses both metablocks and scatters each task's
   // view: geometry plus the bytes-actually-written array per chunk.
   st = Status::Ok();
-  std::uint64_t fsblksize = 0;
-  std::uint64_t data_start = 0;
-  std::uint64_t block_span = 0;
-  std::uint64_t flags = 0;
-  std::vector<std::uint64_t> chunk_offsets;
-  std::vector<std::uint64_t> requested;
-  std::vector<std::byte> blobs_flat;
-  std::vector<std::uint64_t> blob_sizes;
+  LoadedFile loaded;  // file-local master only
   if (master) {
-    st = [&]() -> Status {
-      SION_ASSIGN_OR_RETURN(auto file, fs.open_read(out->path_));
-      SION_ASSIGN_OR_RETURN(const FileHeader header, read_header(*file));
-      if (static_cast<int>(header.ntasks) != lcom.size()) {
-        return InvalidArgument(
-            strformat("physical file %s holds %u logical files but %d tasks "
-                      "opened it",
-                      out->path_.c_str(), header.ntasks, lcom.size()));
-      }
-      SION_ASSIGN_OR_RETURN(const FileMeta2 meta2, read_meta2(*file, header));
-      if (meta2.bytes_written.size() != header.ntasks) {
-        return Corrupt("metablock 2 task count mismatch");
-      }
-      const std::vector<std::byte> meta1 = header.serialize();
-      SION_ASSIGN_OR_RETURN(
-          const FileLayout layout,
-          FileLayout::create(header.fsblksize, header.chunksizes_req,
-                             meta1.size()));
-      fsblksize = header.fsblksize;
-      flags = header.flags;
-      data_start = layout.data_start();
-      block_span = layout.block_span();
-      chunk_offsets.resize(header.ntasks);
-      requested.resize(header.ntasks);
-      blob_sizes.resize(header.ntasks);
-      // One flat buffer for every task's bytes-written array, sliced by the
-      // scatter below — not one heap blob per task.
-      ByteWriter w;
-      for (std::uint32_t t = 0; t < header.ntasks; ++t) {
-        chunk_offsets[t] = layout.chunk_offset_in_block(static_cast<int>(t));
-        requested[t] = header.chunksizes_req[t];
-        const std::size_t at = w.size();
-        w.put_u64_array(meta2.bytes_written[t]);
-        blob_sizes[t] = w.size() - at;
-      }
-      blobs_flat = w.take();
-      out->file_ = std::move(file);
-      return Status::Ok();
-    }();
+    auto result = load_physical_file(fs, out->path_, lcom.size());
+    if (result.ok()) {
+      loaded = std::move(result).value();
+      out->file_ = std::move(loaded.file);
+    } else {
+      st = result.status();
+    }
   }
   SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kOpenFailed));
 
-  std::uint64_t geom[4] = {fsblksize, flags, data_start, block_span};
+  std::uint64_t geom[4] = {loaded.header.fsblksize, loaded.header.flags,
+                           loaded.data_start, loaded.block_span};
   lcom.bcast_u64_seq(geom, 0);
-  fsblksize = geom[0];
-  flags = geom[1];
-  data_start = geom[2];
-  block_span = geom[3];
-  const auto [my_offset, my_request] =
-      lcom.scatter2_u64(chunk_offsets, requested, 0);
+  const auto [my_offset, my_request] = lcom.scatter2_u64(
+      loaded.chunk_offsets, loaded.header.chunksizes_req, 0);
   const std::vector<std::byte> my_blob =
-      lcom.scatterv_bytes_flat(blobs_flat, blob_sizes, 0);
+      lcom.scatterv_bytes_flat(loaded.usage_flat, loaded.usage_sizes, 0);
   ByteReader blob_reader(my_blob);
   SION_ASSIGN_OR_RETURN(auto chunk_bytes, blob_reader.get_u64_array());
 
-  out->fsblksize_ = fsblksize;
-  out->frames_ = (flags & kFlagChunkFrames) != 0;
-  out->data_start_ = data_start;
-  out->block_span_ = block_span;
-  out->chunk_start_block0_ = data_start + my_offset;
-  const std::uint64_t aligned = round_up(my_request, fsblksize);
+  out->fsblksize_ = geom[0];
+  out->frames_ = (geom[1] & kFlagChunkFrames) != 0;
+  out->data_start_ = geom[2];
+  out->block_span_ = geom[3];
+  out->chunk_start_block0_ = out->data_start_ + my_offset;
+  const std::uint64_t aligned = round_up(my_request, out->fsblksize_);
   out->capacity_ = aligned - (out->frames_ ? kChunkFrameSize : 0);
   out->chunk_bytes_ = std::move(chunk_bytes);
   if (out->chunk_bytes_.empty()) out->chunk_bytes_.assign(1, 0);
@@ -347,37 +259,17 @@ SionParFile::~SionParFile() {
 // ---------------------------------------------------------------------------
 
 Status SionParFile::write_frame(std::uint64_t block) {
-  ByteWriter w;
-  w.put_bytes(std::span<const std::byte>(
-      reinterpret_cast<const std::byte*>(kFrameMagic), sizeof(kFrameMagic)));
-  w.put_u32(static_cast<std::uint32_t>(gcom_->rank()));
-  w.put_u32(static_cast<std::uint32_t>(lrank_));
-  w.put_u64(block);
-  w.put_u64(0);  // bytes written in this chunk; patched later
-  w.put_u64(chunk_frame_checksum(static_cast<std::uint32_t>(gcom_->rank()),
-                                 static_cast<std::uint32_t>(lrank_), block,
-                                 0));
-  w.pad_to(kChunkFrameSize);
-  const std::uint64_t frame_offset =
-      chunk_file_offset(block) - kChunkFrameSize;
-  SION_ASSIGN_OR_RETURN(std::uint64_t n,
-                        file_->pwrite(fs::DataView(w.bytes()), frame_offset));
-  (void)n;
-  return Status::Ok();
+  const ChunkFrame frame{static_cast<std::uint32_t>(gcom_->rank()),
+                         static_cast<std::uint32_t>(lrank_), block, 0};
+  return frame.write(*file_, chunk_file_offset(block) - kChunkFrameSize);
 }
 
 Status SionParFile::patch_frame(std::uint64_t block) {
-  ByteWriter w;
-  w.put_u64(chunk_bytes_[block]);
-  w.put_u64(chunk_frame_checksum(static_cast<std::uint32_t>(gcom_->rank()),
-                                 static_cast<std::uint32_t>(lrank_), block,
-                                 chunk_bytes_[block]));
-  const std::uint64_t field_offset =
-      chunk_file_offset(block) - kChunkFrameSize + 24;
-  SION_ASSIGN_OR_RETURN(std::uint64_t n,
-                        file_->pwrite(fs::DataView(w.bytes()), field_offset));
-  (void)n;
-  return Status::Ok();
+  const ChunkFrame frame{static_cast<std::uint32_t>(gcom_->rank()),
+                         static_cast<std::uint32_t>(lrank_), block,
+                         chunk_bytes_[block]};
+  return frame.patch_bytes_written(*file_,
+                                   chunk_file_offset(block) - kChunkFrameSize);
 }
 
 // ---------------------------------------------------------------------------
@@ -529,17 +421,8 @@ Status SionParFile::close() {
     const auto all = lcom.gatherv_u64_flat(chunk_bytes_, 0);
     Status st;
     if (lrank_ == 0) {
-      FileMeta2 meta2;
-      meta2.bytes_written.resize(static_cast<std::size_t>(lcom.size()));
-      for (int t = 0; t < lcom.size(); ++t) {
-        const auto piece = all.of(t);
-        meta2.bytes_written[static_cast<std::size_t>(t)]
-            .assign(piece.begin(), piece.end());
-      }
-      const std::uint64_t nblocks = std::max<std::uint64_t>(1, meta2.nblocks());
-      const std::uint64_t meta2_offset =
-          data_start_ + nblocks * block_span_;
-      st = write_meta2_and_trailer(*file_, meta2_offset, nblocks, meta2);
+      st = write_meta2_and_trailer(*file_, data_start_, block_span_,
+                                   FileMeta2::from_gather(all));
     }
     SION_RETURN_IF_ERROR(par::share_status_global(lcom, *gcom_, st, 0, kOpenFailed));
   }

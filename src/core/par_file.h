@@ -161,7 +161,6 @@ class SionParFile {
   std::uint64_t chunk_start_block0_ = 0;  // my chunk's offset in block 0
   std::uint64_t block_span_ = 0;
   std::uint64_t capacity_ = 0;  // payload capacity per chunk
-  std::uint64_t meta1_end_ = 0;  // serialized metablock-1 size (master only)
   std::uint64_t data_start_ = 0;
 
   // Cursor.

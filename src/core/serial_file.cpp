@@ -2,17 +2,12 @@
 
 #include <algorithm>
 
-#include "common/codec.h"
 #include "common/log.h"
 #include "common/strings.h"
 #include "common/units.h"
 #include "fs/path.h"
 
 namespace sion::core {
-
-namespace {
-constexpr char kFrameMagic[8] = {'S', 'I', 'O', 'N', 'F', 'R', 'M', '1'};
-}
 
 // ---------------------------------------------------------------------------
 // open for writing
@@ -67,21 +62,14 @@ Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_write(
             spec.chunksizes[static_cast<std::size_t>(r)]);
       }
     }
-    const std::vector<std::byte> meta1 = header.serialize();
-    SION_ASSIGN_OR_RETURN(
-        FileLayout layout,
-        FileLayout::create(fsblksize, header.chunksizes_req, meta1.size()));
     const std::string path =
         physical_file_name(spec.filename, f, map.nfiles());
-    SION_ASSIGN_OR_RETURN(auto file, fs.create(path));
-    SION_ASSIGN_OR_RETURN(std::uint64_t n,
-                          file->pwrite(fs::DataView(meta1), 0));
-    (void)n;
+    SION_ASSIGN_OR_RETURN(CreatedFile created,
+                          create_physical_file(fs, path, header));
     out->locations_.physical_paths.push_back(path);
-    out->physical_.push_back(PhysicalFile{path, std::move(file),
+    out->physical_.push_back(PhysicalFile{path, std::move(created.file),
                                           std::move(header),
-                                          std::move(layout),
-                                          {}});
+                                          std::move(created.layout)});
   }
 
   if (spec.chunk_frames) {
@@ -97,26 +85,21 @@ Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_write(
 // ---------------------------------------------------------------------------
 
 Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_existing(
-    fs::FileSystem& fs, const std::string& name, int pinned_rank,
-    bool writable) {
-  (void)writable;
-  std::string first = name;
-  if (!fs.exists(first)) first = physical_file_name(name, 0, 2);
-
+    fs::FileSystem& fs, const std::string& name, int pinned_rank) {
   auto out = std::unique_ptr<SionSerialFile>(new SionSerialFile());
   out->fs_ = &fs;
   out->writable_ = false;
   out->pinned_rank_ = pinned_rank;
 
-  SION_ASSIGN_OR_RETURN(auto file0, fs.open_read(first));
-  SION_ASSIGN_OR_RETURN(FileHeader h0, read_header(*file0));
-  const int nfiles = static_cast<int>(h0.nfiles);
+  SION_ASSIGN_OR_RETURN(FirstFile first, open_first_file(fs, name));
+  const int nfiles = static_cast<int>(first.header.nfiles);
   out->locations_.nfiles = nfiles;
-  out->locations_.fsblksize = h0.fsblksize;
-  out->locations_.chunk_frames = (h0.flags & kFlagChunkFrames) != 0;
+  out->locations_.fsblksize = first.header.fsblksize;
+  out->locations_.chunk_frames =
+      (first.header.flags & kFlagChunkFrames) != 0;
 
-  // First pass: parse every physical file's metadata and find the total
-  // number of logical files.
+  // First pass: parse every physical file's metadata and count the logical
+  // files.
   std::uint64_t nranks = 0;
   std::vector<FileHeader> headers;
   std::vector<std::unique_ptr<fs::File>> files;
@@ -125,8 +108,8 @@ Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_existing(
     std::unique_ptr<fs::File> file;
     FileHeader header;
     if (f == 0) {
-      file = std::move(file0);
-      header = std::move(h0);
+      file = std::move(first.file);
+      header = std::move(first.header);
     } else {
       SION_ASSIGN_OR_RETURN(file,
                             fs.open_read(physical_file_name(name, f, nfiles)));
@@ -136,12 +119,24 @@ Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_existing(
     if (meta2.bytes_written.size() != header.ntasks) {
       return Corrupt("metablock 2 task count mismatch");
     }
-    for (const std::uint64_t r : header.global_ranks) {
-      nranks = std::max(nranks, r + 1);
-    }
+    nranks += header.ntasks;
     headers.push_back(std::move(header));
     files.push_back(std::move(file));
     meta2s.push_back(std::move(meta2));
+  }
+  // Global ranks index every per-rank array below, so each must lie inside
+  // the set before anything is sized or written by it. With duplicates
+  // rejected in the second pass, the set then holds every rank exactly once.
+  for (const FileHeader& header : headers) {
+    for (const std::uint64_t r : header.global_ranks) {
+      if (r >= nranks) {
+        return Corrupt(strformat(
+            "rank %llu out of range: the multifile set holds %llu logical "
+            "files",
+            static_cast<unsigned long long>(r),
+            static_cast<unsigned long long>(nranks)));
+      }
+    }
   }
 
   out->locations_.nranks = static_cast<int>(nranks);
@@ -152,11 +147,7 @@ Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_existing(
 
   for (int f = 0; f < nfiles; ++f) {
     FileHeader& header = headers[static_cast<std::size_t>(f)];
-    const std::vector<std::byte> meta1 = header.serialize();
-    SION_ASSIGN_OR_RETURN(
-        FileLayout layout,
-        FileLayout::create(header.fsblksize, header.chunksizes_req,
-                           meta1.size()));
+    SION_ASSIGN_OR_RETURN(FileLayout layout, layout_of(header));
     for (std::uint32_t slot = 0; slot < header.ntasks; ++slot) {
       const std::uint64_t r = header.global_ranks[slot];
       if (out->locations_.file_of_rank[r] != -1) {
@@ -176,13 +167,7 @@ Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_existing(
     out->locations_.physical_paths.push_back(path);
     out->physical_.push_back(PhysicalFile{
         path, std::move(files[static_cast<std::size_t>(f)]),
-        std::move(header), std::move(layout), {}});
-  }
-  for (std::uint64_t r = 0; r < nranks; ++r) {
-    if (out->locations_.file_of_rank[r] == -1) {
-      return Corrupt(strformat("rank %llu missing from the multifile set",
-                               static_cast<unsigned long long>(r)));
-    }
+        std::move(header), std::move(layout)});
   }
 
   if (pinned_rank >= 0) {
@@ -198,13 +183,13 @@ Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_existing(
 
 Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_read(
     fs::FileSystem& fs, const std::string& name) {
-  return open_existing(fs, name, /*pinned_rank=*/-1, /*writable=*/false);
+  return open_existing(fs, name, /*pinned_rank=*/-1);
 }
 
 Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_rank(
     fs::FileSystem& fs, const std::string& name, int rank) {
   if (rank < 0) return InvalidArgument("rank must be non-negative");
-  return open_existing(fs, name, rank, /*writable=*/false);
+  return open_existing(fs, name, rank);
 }
 
 SionSerialFile::~SionSerialFile() {
@@ -240,44 +225,24 @@ fs::File& SionSerialFile::file_of(int rank) const {
               .file;
 }
 
-Status SionSerialFile::write_frame(int rank, std::uint64_t block) {
-  ByteWriter w;
-  w.put_bytes(std::span<const std::byte>(
-      reinterpret_cast<const std::byte*>(kFrameMagic), sizeof(kFrameMagic)));
-  w.put_u32(static_cast<std::uint32_t>(rank));
-  w.put_u32(static_cast<std::uint32_t>(
-      local_index_[static_cast<std::size_t>(rank)]));
-  w.put_u64(block);
-  w.put_u64(0);
-  w.put_u64(chunk_frame_checksum(
+ChunkFrame SionSerialFile::frame(int rank, std::uint64_t block,
+                                 std::uint64_t bytes_written) const {
+  return ChunkFrame{
       static_cast<std::uint32_t>(rank),
       static_cast<std::uint32_t>(local_index_[static_cast<std::size_t>(rank)]),
-      block, 0));
-  w.pad_to(kChunkFrameSize);
-  SION_ASSIGN_OR_RETURN(
-      std::uint64_t n,
-      file_of(rank).pwrite(fs::DataView(w.bytes()),
-                           chunk_file_offset(rank, block) - kChunkFrameSize));
-  (void)n;
-  return Status::Ok();
+      block, bytes_written};
+}
+
+Status SionSerialFile::write_frame(int rank, std::uint64_t block) {
+  return frame(rank, block, 0).write(
+      file_of(rank), chunk_file_offset(rank, block) - kChunkFrameSize);
 }
 
 Status SionSerialFile::patch_frame(int rank, std::uint64_t block) {
-  ByteWriter w;
   const std::uint64_t bytes =
       locations_.bytes_written[static_cast<std::size_t>(rank)][block];
-  w.put_u64(bytes);
-  w.put_u64(chunk_frame_checksum(
-      static_cast<std::uint32_t>(rank),
-      static_cast<std::uint32_t>(local_index_[static_cast<std::size_t>(rank)]),
-      block, bytes));
-  SION_ASSIGN_OR_RETURN(
-      std::uint64_t n,
-      file_of(rank).pwrite(
-          fs::DataView(w.bytes()),
-          chunk_file_offset(rank, block) - kChunkFrameSize + 24));
-  (void)n;
-  return Status::Ok();
+  return frame(rank, block, bytes).patch_bytes_written(
+      file_of(rank), chunk_file_offset(rank, block) - kChunkFrameSize);
 }
 
 // ---------------------------------------------------------------------------
@@ -520,10 +485,8 @@ Status SionSerialFile::close() {
           }
         }
       }
-      const std::uint64_t nblocks =
-          std::max<std::uint64_t>(1, meta2.nblocks());
       SION_RETURN_IF_ERROR(write_meta2_and_trailer(
-          *pf.file, pf.layout.meta2_offset(nblocks), nblocks, meta2));
+          *pf.file, pf.layout.data_start(), pf.layout.block_span(), meta2));
     }
   }
   for (auto& pf : physical_) pf.file.reset();

@@ -111,19 +111,19 @@ class SionSerialFile {
     std::unique_ptr<fs::File> file;
     FileHeader header;
     FileLayout layout;
-    std::vector<int> local_of_rank_slot;  // local index per header slot
   };
 
   SionSerialFile() = default;
 
   static Result<std::unique_ptr<SionSerialFile>> open_existing(
-      fs::FileSystem& fs, const std::string& name, int pinned_rank,
-      bool writable);
+      fs::FileSystem& fs, const std::string& name, int pinned_rank);
 
   [[nodiscard]] std::uint64_t capacity(int rank) const;
   [[nodiscard]] std::uint64_t chunk_file_offset(int rank,
                                                 std::uint64_t block) const;
   [[nodiscard]] fs::File& file_of(int rank) const;
+  [[nodiscard]] ChunkFrame frame(int rank, std::uint64_t block,
+                                 std::uint64_t bytes_written) const;
   Status write_frame(int rank, std::uint64_t block);
   Status patch_frame(int rank, std::uint64_t block);
   Status advance_chunk_write();

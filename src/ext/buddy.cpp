@@ -1,16 +1,12 @@
 #include "ext/buddy.h"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "common/codec.h"
 #include "common/log.h"
 #include "common/strings.h"
-#include "core/layout.h"
 #include "core/metadata.h"
-#include "core/serial_file.h"
-#include "fs/path.h"
 #include "par/engine.h"
 
 namespace sion::ext {
@@ -38,24 +34,6 @@ std::vector<int> rotated_file_map(int gsize, int domain_size, int ndomains,
     file_of[static_cast<std::size_t>(i)] = (i / domain_size + k) % ndomains;
   }
   return file_of;
-}
-
-// Write one multifile (primary or a replica set) through the ordinary
-// writers: every rank writes its own payload; only the file mapping varies.
-Status write_set(fs::FileSystem& fs, par::Comm& gcom,
-                 core::ParOpenSpec spec, const BuddyConfig& config,
-                 fs::DataView payload) {
-  if (config.collective) {
-    SION_ASSIGN_OR_RETURN(
-        auto sion,
-        Collective::open_write(fs, gcom, spec, config.collective_config));
-    SION_RETURN_IF_ERROR(sion->write(payload));
-    return sion->close();
-  }
-  SION_ASSIGN_OR_RETURN(auto sion, core::SionParFile::open_write(fs, gcom, spec));
-  SION_ASSIGN_OR_RETURN(const std::uint64_t n, sion->write(payload));
-  (void)n;
-  return sion->close();
 }
 
 // Plain-mode mirror writer for replica set k: every rank ships its chunk
@@ -116,45 +94,34 @@ Status mirror_write(fs::FileSystem& fs, par::Comm& gcom, par::Comm& dcom,
   const auto chunksizes = dcom.gather_u64(src_chunksize, 0);
   Status st;
   std::unique_ptr<fs::File> file;
-  core::FileLayout layout;  // master only
   std::uint64_t data_start = 0;
   std::uint64_t block_span = 0;
   std::vector<std::uint64_t> chunk_offsets;
   std::vector<std::uint64_t> capacities;
   if (p == 0) {
-    st = [&]() -> Status {
-      core::FileHeader header;
-      header.fsblksize = fsblksize;
-      header.ntasks = static_cast<std::uint32_t>(domain_size);
-      header.nfiles = static_cast<std::uint32_t>(ndomains);
-      header.filenum = static_cast<std::uint32_t>(g);
-      const int src_base = ((g - k) % ndomains + ndomains) % ndomains *
-                           domain_size;
-      header.global_ranks.resize(static_cast<std::size_t>(domain_size));
-      for (int t = 0; t < domain_size; ++t) {
-        header.global_ranks[static_cast<std::size_t>(t)] =
-            static_cast<std::uint64_t>(src_base + t);
-      }
-      header.chunksizes_req = chunksizes;
-      const std::vector<std::byte> meta1 = header.serialize();
-      SION_ASSIGN_OR_RETURN(
-          layout, core::FileLayout::create(fsblksize, chunksizes,
-                                           meta1.size()));
-      data_start = layout.data_start();
-      block_span = layout.block_span();
-      chunk_offsets.resize(static_cast<std::size_t>(domain_size));
-      capacities.resize(static_cast<std::size_t>(domain_size));
-      for (int t = 0; t < domain_size; ++t) {
-        chunk_offsets[static_cast<std::size_t>(t)] =
-            layout.chunk_offset_in_block(t);
-        capacities[static_cast<std::size_t>(t)] = layout.chunksize(t);
-      }
-      SION_ASSIGN_OR_RETURN(file, fs.create(path));
-      SION_ASSIGN_OR_RETURN(const std::uint64_t n,
-                            file->pwrite(fs::DataView(meta1), 0));
-      (void)n;
-      return Status::Ok();
-    }();
+    core::FileHeader header;
+    header.fsblksize = fsblksize;
+    header.ntasks = static_cast<std::uint32_t>(domain_size);
+    header.nfiles = static_cast<std::uint32_t>(ndomains);
+    header.filenum = static_cast<std::uint32_t>(g);
+    const int src_base =
+        ((g - k) % ndomains + ndomains) % ndomains * domain_size;
+    header.global_ranks.resize(static_cast<std::size_t>(domain_size));
+    for (int t = 0; t < domain_size; ++t) {
+      header.global_ranks[static_cast<std::size_t>(t)] =
+          static_cast<std::uint64_t>(src_base + t);
+    }
+    header.chunksizes_req = chunksizes;
+    auto created = core::create_physical_file(fs, path, header);
+    if (created.ok()) {
+      data_start = created.value().layout.data_start();
+      block_span = created.value().layout.block_span();
+      chunk_offsets = created.value().layout.chunk_offsets();
+      capacities = created.value().layout.chunksizes();
+      file = std::move(created.value().file);
+    } else {
+      st = created.status();
+    }
   }
   SION_RETURN_IF_ERROR(par::share_status_global(dcom, gcom, st, 0, kBuddyFailed));
 
@@ -202,36 +169,13 @@ Status mirror_write(fs::FileSystem& fs, par::Comm& gcom, par::Comm& dcom,
   // trailer exactly like a parallel close.
   const auto all = dcom.gatherv_u64_flat(chunk_bytes, 0);
   if (p == 0 && st.ok()) {
-    core::FileMeta2 meta2;
-    meta2.bytes_written.resize(static_cast<std::size_t>(domain_size));
-    for (int t = 0; t < domain_size; ++t) {
-      const auto piece = all.of(t);
-      meta2.bytes_written[static_cast<std::size_t>(t)].assign(piece.begin(),
-                                                              piece.end());
-    }
-    const std::uint64_t nblocks = std::max<std::uint64_t>(1, meta2.nblocks());
-    st = core::write_meta2_and_trailer(*file, layout.meta2_offset(nblocks),
-                                       nblocks, meta2);
+    st = core::write_meta2_and_trailer(*file, data_start, block_span,
+                                       core::FileMeta2::from_gather(all));
   }
   file.reset();
   SION_RETURN_IF_ERROR(agree(gcom, st));
   gcom.barrier();
   return Status::Ok();
-}
-
-// A primary physical file (or replica candidate) is usable when it opens
-// and both metablocks parse — which is exactly what the restart reader
-// needs. Missing files, injected open/read faults, and silent truncation
-// (metablock 2 lives at the end) all fail this probe.
-bool file_usable(fs::FileSystem& fs, const std::string& path, int ndomains) {
-  auto file = fs.open_read(path);
-  if (!file.ok()) return false;
-  auto header = core::read_header(*file.value());
-  if (!header.ok()) return false;
-  if (static_cast<int>(header.value().nfiles) != ndomains) return false;
-  auto meta2 = core::read_meta2(*file.value(), header.value());
-  if (!meta2.ok()) return false;
-  return meta2.value().bytes_written.size() == header.value().ntasks;
 }
 
 // Copy a surviving replica file over the lost primary file and patch the
@@ -241,37 +185,33 @@ Result<std::uint64_t> heal_one(fs::FileSystem& fs, const std::string& src_path,
                                std::uint64_t buffer_bytes) {
   SION_ASSIGN_OR_RETURN(auto src, fs.open_read(src_path));
   SION_ASSIGN_OR_RETURN(core::FileHeader header, core::read_header(*src));
-  SION_ASSIGN_OR_RETURN(const fs::FileStat st, src->stat());
-  SION_ASSIGN_OR_RETURN(auto dst, fs.create(dst_path));
-  std::vector<std::byte> buf(
-      static_cast<std::size_t>(std::max<std::uint64_t>(1, buffer_bytes)));
-  std::uint64_t done = 0;
-  while (done < st.size) {
-    const std::uint64_t want = std::min<std::uint64_t>(buf.size(),
-                                                       st.size - done);
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t got,
-        src->pread(std::span<std::byte>(buf).first(want), done));
-    if (got != want) return Corrupt("replica shrank during heal copy");
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t put,
-        dst->pwrite(fs::DataView(std::span<const std::byte>(buf).first(got)),
-                    done));
-    (void)put;
-    done += got;
-  }
-  header.filenum = static_cast<std::uint32_t>(filenum);
-  SION_ASSIGN_OR_RETURN(
-      const std::uint64_t n,
-      dst->pwrite(fs::DataView(header.serialize()), 0));
-  (void)n;
-  return done;
+  return core::copy_physical_file(*src, std::move(header), fs, dst_path,
+                                  filenum, buffer_bytes);
 }
 
 }  // namespace
 
 std::string Buddy::replica_name(const std::string& name, int k) {
   return strformat("%s.b%d", name.c_str(), k);
+}
+
+Status Buddy::validate(const BuddyConfig& config, int nfiles, int ntasks) {
+  const int domains =
+      config.num_domains > 0 ? config.num_domains : std::max(1, nfiles);
+  if (config.replicas < 1) {
+    return InvalidArgument("buddy replication degree must be at least 1");
+  }
+  if (config.replicas > domains) {
+    return InvalidArgument(strformat(
+        "replication degree %d exceeds the %d failure domains (the copies "
+        "of a stream must live in distinct domains)",
+        config.replicas, domains));
+  }
+  if (ntasks > 0 && ntasks % domains != 0) {
+    return InvalidArgument(strformat(
+        "%d tasks cannot form %d equal failure domains", ntasks, domains));
+  }
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -289,19 +229,7 @@ Status Buddy::write(fs::FileSystem& fs, par::Comm& gcom,
     return InvalidArgument(
         "chunk recovery frames are not supported with buddy replication");
   }
-  if (replicas < 1) {
-    return InvalidArgument("buddy replication degree must be at least 1");
-  }
-  if (replicas > ndomains) {
-    return InvalidArgument(strformat(
-        "replication degree %d exceeds the %d failure domains (the copies "
-        "of a stream must live in distinct domains)",
-        replicas, ndomains));
-  }
-  if (gsize % ndomains != 0) {
-    return InvalidArgument(strformat(
-        "%d tasks cannot form %d equal failure domains", gsize, ndomains));
-  }
+  SION_RETURN_IF_ERROR(validate(config, spec.nfiles, gsize));
   const int domain_size = gsize / ndomains;
 
   // The mirror ship rotates single-mode views; gather payloads would need
@@ -315,32 +243,13 @@ Status Buddy::write(fs::FileSystem& fs, par::Comm& gcom,
     }
   }
 
-  // The replica layout must be reproducible at heal time from the file
-  // geometry alone, so the block size is pinned up front (the primary's
-  // writers would otherwise detect it file by file).
-  std::uint64_t fsblksize = spec.fsblksize;
-  if (fsblksize == 0) {
-    Status st;
-    if (gcom.rank() == 0) {
-      auto detected = fs.block_size(fs::parent(spec.filename));
-      if (detected.ok()) {
-        fsblksize = detected.value();
-      } else {
-        st = detected.status();
-      }
-    }
-    SION_RETURN_IF_ERROR(par::share_status(gcom, st, 0, kBuddyFailed));
-    fsblksize = gcom.bcast_u64(fsblksize, 0);
-  }
-
   // Primary: the ordinary multifile, one physical file per failure domain
   // (contiguous equal blocks == the domain mapping when D divides gsize).
-  core::ParOpenSpec pspec = spec;
-  pspec.nfiles = ndomains;
-  pspec.fsblksize = fsblksize;
-  pspec.mapping = core::Mapping::kContiguous;
-  pspec.custom_file_of_rank.clear();
-  SION_RETURN_IF_ERROR(write_set(fs, gcom, pspec, config, payload));
+  SION_ASSIGN_OR_RETURN(
+      const core::ParOpenSpec pspec,
+      write_domain_primary(
+          fs, gcom, spec, ndomains,
+          config.collective ? &config.collective_config : nullptr, payload));
 
   if (replicas == 1) return Status::Ok();
 
@@ -360,10 +269,11 @@ Status Buddy::write(fs::FileSystem& fs, par::Comm& gcom,
       rspec.mapping = core::Mapping::kCustom;
       rspec.custom_file_of_rank =
           rotated_file_map(gsize, domain_size, ndomains, k);
-      SION_RETURN_IF_ERROR(write_set(fs, gcom, rspec, config, payload));
+      SION_RETURN_IF_ERROR(
+          write_multifile(fs, gcom, rspec, &config.collective_config, payload));
     } else {
       SION_RETURN_IF_ERROR(mirror_write(fs, gcom, *dcom, set_name, k,
-                                        domain_size, ndomains, fsblksize,
+                                        domain_size, ndomains, pspec.fsblksize,
                                         spec.chunksize, payload));
     }
   }
@@ -399,15 +309,15 @@ Result<BuddyHealReport> Buddy::heal(fs::FileSystem& fs, par::Comm& mcom,
       std::uint64_t damaged = 0;
       ByteWriter body;
       for (int f = 0; f < ndomains; ++f) {
-        if (file_usable(fs, core::physical_file_name(name, f, ndomains),
-                        ndomains)) {
+        if (core::physical_file_usable(
+                fs, core::physical_file_name(name, f, ndomains), ndomains)) {
           continue;
         }
         std::vector<std::uint64_t> cands;
         for (int k = 1; k < replicas; ++k) {
           const std::string cand = core::physical_file_name(
               replica_name(name, k), (f + k) % ndomains, ndomains);
-          if (file_usable(fs, cand, ndomains)) {
+          if (core::physical_file_usable(fs, cand, ndomains)) {
             cands.push_back(static_cast<std::uint64_t>(k));
           }
         }

@@ -109,6 +109,12 @@ class Buddy {
 
   // Base name of replica set k (k >= 1): "<name>.b<k>".
   static std::string replica_name(const std::string& name, int k);
+
+  // The geometry rules every Buddy entry point shares: 1 <= replicas <= D
+  // (D = num_domains, or `nfiles` when that is 0) and, for ntasks > 0,
+  // writers that split into D equal domains. Restores pass ntasks <= 0: an
+  // N->M restart comm need not divide into the write-time domains.
+  static Status validate(const BuddyConfig& config, int nfiles, int ntasks);
 };
 
 }  // namespace sion::ext

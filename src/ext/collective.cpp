@@ -6,7 +6,6 @@
 #include "common/codec.h"
 #include "common/log.h"
 #include "common/strings.h"
-#include "core/layout.h"
 #include "core/metadata.h"
 #include "fs/path.h"
 #include "par/engine.h"
@@ -62,6 +61,21 @@ constexpr char kAggregationFailed[] =
 // complete (with dummy payloads on error); the outcome is agreed here.
 Status agree(par::Comm& comm, const Status& mine) {
   return par::agree_status(comm, mine, kAggregationFailed);
+}
+
+// Splits a physical file's communicator into the aggregation groups
+// `config` asks for; rank 0 of each group is its collector.
+par::Comm* split_groups(par::Comm& lcom, const CollectiveConfig& config) {
+  int group_size = config.group_size;
+  if (group_size <= 0) {
+    group_size = static_cast<int>(
+        ceil_div(static_cast<std::uint64_t>(lcom.size()),
+                 static_cast<std::uint64_t>(
+                     std::max(1, config.collectors_per_file))));
+  }
+  par::Comm* group = lcom.split_groups(group_size);
+  SION_CHECK(group != nullptr) << "split_groups returned no communicator";
+  return group;
 }
 
 // Collector-side write coalescer: segments are appended in file order and
@@ -182,16 +196,8 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
   const int lsize = lcom.size();
   const bool master = out->lrank_ == 0;
 
-  int group_size = config.group_size;
-  if (group_size <= 0) {
-    group_size = static_cast<int>(
-        ceil_div(static_cast<std::uint64_t>(lsize),
-                 static_cast<std::uint64_t>(
-                     std::max(1, config.collectors_per_file))));
-  }
-  out->group_ = lcom.split_groups(group_size);
-  SION_CHECK(out->group_ != nullptr) << "split_groups returned no communicator";
-  group_size = out->group_->size();  // last group may be smaller
+  out->group_ = split_groups(lcom, config);
+  const int group_size = out->group_->size();  // last group may be smaller
   const bool collector = out->group_->rank() == 0;
 
   // The file-local master detects the real file-system block size; group
@@ -269,26 +275,14 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
       }
       header.chunksizes_req = chunksizes;
     }
-    const std::vector<std::byte> meta1 = header.serialize();
-    auto layout = core::FileLayout::create(granule, chunksizes, meta1.size());
-    if (!layout.ok()) {
-      st = layout.status();
+    auto created = core::create_physical_file(fs, out->path_, header);
+    if (created.ok()) {
+      data_start = created.value().layout.data_start();
+      block_span = created.value().layout.block_span();
+      chunk_offsets = created.value().layout.chunk_offsets();
+      out->file_ = std::move(created.value().file);
     } else {
-      data_start = layout.value().data_start();
-      block_span = layout.value().block_span();
-      chunk_offsets.resize(static_cast<std::size_t>(lsize));
-      for (int t = 0; t < lsize; ++t) {
-        chunk_offsets[static_cast<std::size_t>(t)] =
-            layout.value().chunk_offset_in_block(t);
-      }
-      auto created = fs.create(out->path_);
-      if (!created.ok()) {
-        st = created.status();
-      } else {
-        out->file_ = std::move(created).value();
-        auto wrote = out->file_->pwrite(fs::DataView(meta1), 0);
-        if (!wrote.ok()) st = wrote.status();
-      }
+      st = created.status();
     }
     requested = chunksizes;
   }
@@ -350,52 +344,20 @@ Result<std::unique_ptr<Collective>> Collective::open_read(
   // The global master (a collector by construction) discovers the multifile
   // set and scatters the rank -> file map, as in SionParFile::open_read.
   Status st;
-  std::uint64_t nfiles_u64 = 0;
-  std::vector<std::uint64_t> file_of_rank;
+  core::MultifileMap found;  // global master only
   if (grank == 0) {
-    st = [&]() -> Status {
-      std::string first = name;
-      if (!fs.exists(first)) first = core::physical_file_name(name, 0, 2);
-      SION_ASSIGN_OR_RETURN(auto file0, fs.open_read(first));
-      SION_ASSIGN_OR_RETURN(const core::FileHeader h0,
-                            core::read_header(*file0));
-      const int nfiles = static_cast<int>(h0.nfiles);
-      std::uint64_t total_tasks = 0;
-      file_of_rank.assign(static_cast<std::size_t>(gsize), 0);
-      for (int f = 0; f < nfiles; ++f) {
-        core::FileHeader h = h0;
-        if (f != 0) {
-          SION_ASSIGN_OR_RETURN(
-              auto file,
-              fs.open_read(core::physical_file_name(name, f, nfiles)));
-          SION_ASSIGN_OR_RETURN(h, core::read_header(*file));
-        }
-        total_tasks += h.ntasks;
-        for (const std::uint64_t r : h.global_ranks) {
-          if (r >= static_cast<std::uint64_t>(gsize)) {
-            return InvalidArgument(strformat(
-                "multifile was written by rank %llu but only %d tasks "
-                "opened it (task count must match the writer)",
-                static_cast<unsigned long long>(r), gsize));
-          }
-          file_of_rank[r] = static_cast<std::uint64_t>(f);
-        }
-      }
-      if (total_tasks != static_cast<std::uint64_t>(gsize)) {
-        return InvalidArgument(strformat(
-            "multifile holds %llu logical files but %d tasks opened it",
-            static_cast<unsigned long long>(total_tasks), gsize));
-      }
-      nfiles_u64 = static_cast<std::uint64_t>(nfiles);
-      return Status::Ok();
-    }();
+    auto discovered = core::discover_multifile(fs, name, gsize);
+    if (discovered.ok()) {
+      found = std::move(discovered).value();
+    } else {
+      st = discovered.status();
+    }
   }
   SION_RETURN_IF_ERROR(par::share_status(gcom, st, 0, kAggregationFailed));
 
-  const std::uint64_t nfiles = gcom.bcast_u64(nfiles_u64, 0);
-  const std::uint64_t my_file = gcom.scatter_u64(file_of_rank, 0);
-  file_of_rank.clear();
-  file_of_rank.shrink_to_fit();
+  const std::uint64_t nfiles = gcom.bcast_u64(found.nfiles, 0);
+  const std::uint64_t my_file = gcom.scatter_u64(found.file_of_rank, 0);
+  found = {};
 
   auto out = std::unique_ptr<Collective>(new Collective());
   out->fs_ = &fs;
@@ -413,91 +375,43 @@ Result<std::unique_ptr<Collective>> Collective::open_read(
   const int lsize = lcom.size();
   const bool master = out->lrank_ == 0;
 
-  int group_size = config.group_size;
-  if (group_size <= 0) {
-    group_size = static_cast<int>(
-        ceil_div(static_cast<std::uint64_t>(lsize),
-                 static_cast<std::uint64_t>(
-                     std::max(1, config.collectors_per_file))));
-  }
-  out->group_ = lcom.split_groups(group_size);
-  SION_CHECK(out->group_ != nullptr) << "split_groups returned no communicator";
-  group_size = out->group_->size();
+  out->group_ = split_groups(lcom, config);
+  const int group_size = out->group_->size();  // last group may be smaller
   const bool collector = out->group_->rank() == 0;
 
   // The file-local master parses both metablocks and scatters every task's
   // view, so members learn their geometry without touching the file system.
   st = Status::Ok();
-  std::uint64_t granule = 0;
-  std::uint64_t data_start = 0;
-  std::uint64_t block_span = 0;
-  std::vector<std::uint64_t> chunk_offsets;
-  std::vector<std::uint64_t> requested;
-  std::vector<std::byte> blobs_flat;
-  std::vector<std::uint64_t> blob_sizes;
+  core::LoadedFile loaded;  // file-local master only
   if (master) {
-    st = [&]() -> Status {
-      SION_ASSIGN_OR_RETURN(auto file, fs.open_read(out->path_));
-      SION_ASSIGN_OR_RETURN(const core::FileHeader header,
-                            core::read_header(*file));
-      if (static_cast<int>(header.ntasks) != lsize) {
-        return InvalidArgument(
-            strformat("physical file %s holds %u logical files but %d tasks "
-                      "opened it",
-                      out->path_.c_str(), header.ntasks, lsize));
-      }
-      if ((header.flags & core::kFlagChunkFrames) != 0) {
-        return InvalidArgument(
-            "collective read of a chunk-framed file is not supported");
-      }
-      SION_ASSIGN_OR_RETURN(const core::FileMeta2 meta2,
-                            core::read_meta2(*file, header));
-      if (meta2.bytes_written.size() != header.ntasks) {
-        return Corrupt("metablock 2 task count mismatch");
-      }
-      const std::vector<std::byte> meta1 = header.serialize();
-      SION_ASSIGN_OR_RETURN(
-          const core::FileLayout layout,
-          core::FileLayout::create(header.fsblksize, header.chunksizes_req,
-                                   meta1.size()));
-      granule = header.fsblksize;
-      data_start = layout.data_start();
-      block_span = layout.block_span();
-      chunk_offsets.resize(header.ntasks);
-      requested.resize(header.ntasks);
-      blob_sizes.resize(header.ntasks);
-      ByteWriter w;
-      for (std::uint32_t t = 0; t < header.ntasks; ++t) {
-        chunk_offsets[t] = layout.chunk_offset_in_block(static_cast<int>(t));
-        requested[t] = header.chunksizes_req[t];
-        const std::size_t at = w.size();
-        w.put_u64_array(meta2.bytes_written[t]);
-        blob_sizes[t] = w.size() - at;
-      }
-      blobs_flat = w.take();
-      out->file_ = std::move(file);
-      return Status::Ok();
-    }();
+    auto result = core::load_physical_file(fs, out->path_, lsize);
+    if (!result.ok()) {
+      st = result.status();
+    } else if ((result.value().header.flags & core::kFlagChunkFrames) != 0) {
+      st = InvalidArgument(
+          "collective read of a chunk-framed file is not supported");
+    } else {
+      loaded = std::move(result).value();
+      out->file_ = std::move(loaded.file);
+    }
   }
   SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kAggregationFailed));
 
-  std::uint64_t geom[3] = {granule, data_start, block_span};
+  std::uint64_t geom[3] = {loaded.header.fsblksize, loaded.data_start,
+                           loaded.block_span};
   lcom.bcast_u64_seq(geom, 0);
-  granule = geom[0];
-  data_start = geom[1];
-  block_span = geom[2];
-  const auto [my_offset, my_request] =
-      lcom.scatter2_u64(chunk_offsets, requested, 0);
+  const auto [my_offset, my_request] = lcom.scatter2_u64(
+      loaded.chunk_offsets, loaded.header.chunksizes_req, 0);
   const std::vector<std::byte> my_blob =
-      lcom.scatterv_bytes_flat(blobs_flat, blob_sizes, 0);
+      lcom.scatterv_bytes_flat(loaded.usage_flat, loaded.usage_sizes, 0);
   ByteReader blob_reader(my_blob);
   SION_ASSIGN_OR_RETURN(auto chunk_bytes, blob_reader.get_u64_array());
 
-  out->granule_ = granule;
-  out->data_start_ = data_start;
-  out->block_span_ = block_span;
-  out->self_.chunk_start0 = data_start + my_offset;
-  out->self_.capacity = round_up(my_request, granule);
+  out->granule_ = geom[0];
+  out->data_start_ = geom[1];
+  out->block_span_ = geom[2];
+  out->self_.chunk_start0 = out->data_start_ + my_offset;
+  out->self_.capacity = round_up(my_request, out->granule_);
   out->chunk_bytes_ = std::move(chunk_bytes);
   if (out->chunk_bytes_.empty()) out->chunk_bytes_.assign(1, 0);
 
@@ -840,17 +754,8 @@ Status Collective::close() {
     const auto all = lcom.gatherv_u64_flat(chunk_bytes_, 0);
     Status st;
     if (lrank_ == 0) {
-      core::FileMeta2 meta2;
-      meta2.bytes_written.resize(static_cast<std::size_t>(lcom.size()));
-      for (int t = 0; t < lcom.size(); ++t) {
-        const auto piece = all.of(t);
-        meta2.bytes_written[static_cast<std::size_t>(t)]
-            .assign(piece.begin(), piece.end());
-      }
-      const std::uint64_t nblocks =
-          std::max<std::uint64_t>(1, meta2.nblocks());
-      const std::uint64_t meta2_offset = data_start_ + nblocks * block_span_;
-      st = core::write_meta2_and_trailer(*file_, meta2_offset, nblocks, meta2);
+      st = core::write_meta2_and_trailer(*file_, data_start_, block_span_,
+                                         core::FileMeta2::from_gather(all));
     }
     SION_RETURN_IF_ERROR(par::share_status_global(lcom, *gcom_, st, 0, kAggregationFailed));
   }
@@ -872,6 +777,47 @@ std::uint64_t Collective::bytes_written_total() const {
 
 std::uint64_t Collective::bytes_remaining_total() const {
   return remaining_from(self_, chunk_bytes_);
+}
+
+Status write_multifile(fs::FileSystem& fs, par::Comm& comm,
+                       const core::ParOpenSpec& spec,
+                       const CollectiveConfig* aggregation,
+                       fs::DataView payload) {
+  if (aggregation != nullptr) {
+    SION_ASSIGN_OR_RETURN(auto sion,
+                          Collective::open_write(fs, comm, spec, *aggregation));
+    SION_RETURN_IF_ERROR(sion->write(payload));
+    return sion->close();
+  }
+  SION_ASSIGN_OR_RETURN(auto sion,
+                        core::SionParFile::open_write(fs, comm, spec));
+  SION_ASSIGN_OR_RETURN(const std::uint64_t n, sion->write(payload));
+  (void)n;
+  return sion->close();
+}
+
+Result<core::ParOpenSpec> write_domain_primary(
+    fs::FileSystem& fs, par::Comm& comm, core::ParOpenSpec spec, int ndomains,
+    const CollectiveConfig* aggregation, fs::DataView payload) {
+  if (spec.fsblksize == 0) {
+    Status st;
+    if (comm.rank() == 0) {
+      auto detected = fs.block_size(fs::parent(spec.filename));
+      if (detected.ok()) {
+        spec.fsblksize = detected.value();
+      } else {
+        st = detected.status();
+      }
+    }
+    SION_RETURN_IF_ERROR(par::share_status(
+        comm, st, 0, "primary multifile write failed on another rank"));
+    spec.fsblksize = comm.bcast_u64(spec.fsblksize, 0);
+  }
+  spec.nfiles = ndomains;
+  spec.mapping = core::Mapping::kContiguous;
+  spec.custom_file_of_rank.clear();
+  SION_RETURN_IF_ERROR(write_multifile(fs, comm, spec, aggregation, payload));
+  return spec;
 }
 
 }  // namespace sion::ext

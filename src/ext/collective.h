@@ -189,4 +189,21 @@ class Collective {
   par::Comm::FlatGatherU64 member_chunk_bytes_;
 };
 
+// Collective write of one multifile in which every rank of `comm` stores
+// `payload`: through ext::Collective when `aggregation` is set, through
+// core::SionParFile otherwise.
+Status write_multifile(fs::FileSystem& fs, par::Comm& comm,
+                       const core::ParOpenSpec& spec,
+                       const CollectiveConfig* aggregation,
+                       fs::DataView payload);
+
+// Collective write of a protection scheme's primary multifile: `ndomains`
+// physical files of contiguous equal rank blocks, through write_multifile.
+// The block size is agreed up front so that companion files can be laid
+// out again at heal time from the file geometry alone (the writers would
+// otherwise detect it file by file). Returns the spec the primary used.
+Result<core::ParOpenSpec> write_domain_primary(
+    fs::FileSystem& fs, par::Comm& comm, core::ParOpenSpec spec, int ndomains,
+    const CollectiveConfig* aggregation, fs::DataView payload);
+
 }  // namespace sion::ext

@@ -109,9 +109,22 @@ Result<ParityHeader> parse_parity_header(fs::File& file) {
   return h;
 }
 
+// Whether the parity file ends exactly where its header says the payload
+// ends, with the end marker there: proof that the encode completed and
+// nothing was cut off since.
+Result<bool> parity_complete(fs::File& file, const ParityHeader& h) {
+  SION_ASSIGN_OR_RETURN(const fs::FileStat st, file.stat());
+  if (st.size != h.data_start + h.payload_bytes + 8) return false;
+  std::array<std::byte, 8> end{};
+  SION_ASSIGN_OR_RETURN(
+      const std::uint64_t got,
+      file.pread(std::span<std::byte>(end), h.data_start + h.payload_bytes));
+  return got == 8 && std::memcmp(end.data(), kParityEnd, 8) == 0;
+}
+
 // A parity file is usable when its header parses (checksummed), matches
-// the expected geometry, and the end marker sits exactly where the header
-// says the payload ends — so silent truncation anywhere fails the probe.
+// the expected geometry, and is complete — so silent truncation anywhere
+// fails the probe.
 Result<ParityHeader> parity_usable(fs::FileSystem& fs, const std::string& path,
                                    int k, int m, int index) {
   SION_ASSIGN_OR_RETURN(auto file, fs.open_read(path));
@@ -122,33 +135,13 @@ Result<ParityHeader> parity_usable(fs::FileSystem& fs, const std::string& path,
         "(k=%d, m=%d, j=%d)",
         path.c_str(), h.k, h.m, h.index, k, m, index));
   }
-  SION_ASSIGN_OR_RETURN(const fs::FileStat st, file->stat());
-  if (st.size != h.data_start + h.payload_bytes + 8) {
-    return Corrupt(strformat("parity file '%s' is truncated", path.c_str()));
-  }
-  std::array<std::byte, 8> end{};
-  SION_ASSIGN_OR_RETURN(
-      const std::uint64_t got,
-      file->pread(std::span<std::byte>(end), h.data_start + h.payload_bytes));
-  if (got != 8 || std::memcmp(end.data(), kParityEnd, 8) != 0) {
-    return Corrupt(strformat("parity file '%s' has no end marker (the "
-                             "encode never completed)",
+  SION_ASSIGN_OR_RETURN(const bool complete, parity_complete(*file, h));
+  if (!complete) {
+    return Corrupt(strformat("parity file '%s' is truncated or has no end "
+                             "marker (the encode never completed)",
                              path.c_str()));
   }
   return h;
-}
-
-// A primary physical file is usable when it opens and both metablocks
-// parse — what the restart reader needs (same probe as ext::Buddy's).
-bool data_usable(fs::FileSystem& fs, const std::string& path, int k) {
-  auto file = fs.open_read(path);
-  if (!file.ok()) return false;
-  auto header = core::read_header(*file.value());
-  if (!header.ok()) return false;
-  if (static_cast<int>(header.value().nfiles) != k) return false;
-  auto meta2 = core::read_meta2(*file.value(), header.value());
-  if (!meta2.ok()) return false;
-  return meta2.value().bytes_written.size() == header.value().ntasks;
 }
 
 EccConfig derived(const EccConfig& config, int nfiles) {
@@ -157,24 +150,26 @@ EccConfig derived(const EccConfig& config, int nfiles) {
   return c;
 }
 
-Status validate_geometry(int k, int m, std::uint64_t stripe_bytes) {
-  if (k < 1) {
-    return InvalidArgument("ecc: at least one data domain is required");
+// Rank 0 probes once and broadcasts the result, so one verdict drives every
+// task's branch and decode identically (no per-task re-probing).
+Result<EccProbe> shared_probe(fs::FileSystem& fs, par::Comm& mcom,
+                              const std::string& name,
+                              const EccConfig& config) {
+  Status st;
+  std::vector<std::byte> blob;
+  if (mcom.rank() == 0) {
+    auto probed = Ecc::probe(fs, name, config);
+    if (probed.ok()) {
+      blob = probed.value().serialize();
+    } else {
+      st = probed.status();
+    }
   }
-  if (m < 1) {
-    return InvalidArgument(
-        "ecc: at least one parity domain is required (use an unset "
-        "protection for none)");
-  }
-  if (k + m > 255) {
-    return InvalidArgument(strformat(
-        "ecc: %d data + %d parity domains exceed the 255 GF(256) supports",
-        k, m));
-  }
-  if (stripe_bytes == 0) {
-    return InvalidArgument("ecc: stripe_bytes must be > 0");
-  }
-  return Status::Ok();
+  SION_RETURN_IF_ERROR(par::share_status(mcom, st, 0, kEccFailed));
+  const std::uint64_t blob_size = mcom.bcast_u64(blob.size(), 0);
+  blob.resize(blob_size);
+  mcom.bcast_bytes(blob, 0);
+  return EccProbe::deserialize(blob);
 }
 
 // Survivor selection + decode rows for a set of lost data files: pick the
@@ -285,24 +280,6 @@ std::vector<GfMulTable> make_tables(std::span<const std::uint8_t> coeffs) {
   tables.reserve(coeffs.size());
   for (const std::uint8_t c : coeffs) tables.emplace_back(c);
   return tables;
-}
-
-// Write one multifile (the ECC primary) through the ordinary writers.
-Status write_primary(fs::FileSystem& fs, par::Comm& gcom,
-                     const core::ParOpenSpec& spec, const EccConfig& config,
-                     fs::DataView payload) {
-  if (config.collective) {
-    SION_ASSIGN_OR_RETURN(
-        auto sion,
-        Collective::open_write(fs, gcom, spec, config.collective_config));
-    SION_RETURN_IF_ERROR(sion->write(payload));
-    return sion->close();
-  }
-  SION_ASSIGN_OR_RETURN(auto sion,
-                        core::SionParFile::open_write(fs, gcom, spec));
-  SION_ASSIGN_OR_RETURN(const std::uint64_t n, sion->write(payload));
-  (void)n;
-  return sion->close();
 }
 
 // Reconstruct lost data file `d` on disk, byte-identically: decode
@@ -474,59 +451,50 @@ Result<EccParityInfo> Ecc::inspect_parity(fs::FileSystem& fs,
   info.index = h.index;
   info.stripe_bytes = h.stripe_bytes;
   info.payload_bytes = h.payload_bytes;
-  SION_ASSIGN_OR_RETURN(const fs::FileStat st, file->stat());
-  if (st.size == h.data_start + h.payload_bytes + 8) {
-    std::array<std::byte, 8> end{};
-    SION_ASSIGN_OR_RETURN(const std::uint64_t got,
-                          file->pread(std::span<std::byte>(end),
-                                      h.data_start + h.payload_bytes));
-    info.intact = got == 8 && std::memcmp(end.data(), kParityEnd, 8) == 0;
-  }
+  SION_ASSIGN_OR_RETURN(info.intact, parity_complete(*file, h));
   return info;
+}
+
+Status Ecc::validate(const EccConfig& config, int nfiles, int ntasks) {
+  const int k = derived(config, nfiles).data_domains;
+  const int m = config.parity_domains;
+  if (m < 1) {
+    return InvalidArgument(
+        "ecc: at least one parity domain is required (leave the protection "
+        "variant unset for none)");
+  }
+  if (m > 255 - k) {
+    return InvalidArgument(strformat(
+        "ecc: %d data + %d parity domains exceed the 255 failure domains "
+        "GF(256) supports",
+        k, m));
+  }
+  if (config.stripe_bytes == 0) {
+    return InvalidArgument("ecc: stripe_bytes must be > 0");
+  }
+  if (ntasks > 0 && ntasks % k != 0) {
+    return InvalidArgument(strformat(
+        "%d writer tasks cannot form %d equal data domains (of the k+m "
+        "failure domains, the k data domains must divide the writers)",
+        ntasks, k));
+  }
+  return Status::Ok();
 }
 
 Status Ecc::write(fs::FileSystem& fs, par::Comm& gcom,
                   const core::ParOpenSpec& spec, const EccConfig& config,
                   fs::DataView payload) {
-  const int gsize = gcom.size();
   const EccConfig cfg = derived(config, spec.nfiles);
-  const int k = cfg.data_domains;
   if (spec.chunk_frames) {
     return InvalidArgument(
         "chunk recovery frames are not supported with ECC protection");
   }
+  SION_RETURN_IF_ERROR(validate(config, spec.nfiles, gcom.size()));
   SION_RETURN_IF_ERROR(
-      validate_geometry(k, cfg.parity_domains, cfg.stripe_bytes));
-  if (gsize % k != 0) {
-    return InvalidArgument(strformat(
-        "%d tasks cannot form %d equal data domains", gsize, k));
-  }
-
-  // The parity layout must be reproducible at heal time from the file
-  // geometry alone, so the block size is pinned up front (the primary's
-  // writers would otherwise detect it file by file).
-  std::uint64_t fsblksize = spec.fsblksize;
-  if (fsblksize == 0) {
-    Status st;
-    if (gcom.rank() == 0) {
-      auto detected = fs.block_size(fs::parent(spec.filename));
-      if (detected.ok()) {
-        fsblksize = detected.value();
-      } else {
-        st = detected.status();
-      }
-    }
-    SION_RETURN_IF_ERROR(par::share_status(gcom, st, 0, kEccFailed));
-    fsblksize = gcom.bcast_u64(fsblksize, 0);
-  }
-
-  core::ParOpenSpec pspec = spec;
-  pspec.nfiles = k;
-  pspec.fsblksize = fsblksize;
-  pspec.mapping = core::Mapping::kContiguous;
-  pspec.custom_file_of_rank.clear();
-  SION_RETURN_IF_ERROR(write_primary(fs, gcom, pspec, cfg, payload));
-
+      write_domain_primary(fs, gcom, spec, cfg.data_domains,
+                           cfg.collective ? &cfg.collective_config : nullptr,
+                           payload)
+          .status());
   return encode_parity(fs, gcom, spec.filename, cfg);
 }
 
@@ -537,7 +505,7 @@ Status Ecc::encode_parity(fs::FileSystem& fs, par::Comm& comm,
   const int k = cfg.data_domains;
   const int m = cfg.parity_domains;
   const std::uint64_t stripe = cfg.stripe_bytes;
-  SION_RETURN_IF_ERROR(validate_geometry(k, m, stripe));
+  SION_RETURN_IF_ERROR(validate(cfg, 1, 0));
   std::vector<int> targets(only.begin(), only.end());
   if (targets.empty()) {
     for (int j = 0; j < m; ++j) targets.push_back(j);
@@ -688,7 +656,7 @@ Result<EccProbe> Ecc::probe(fs::FileSystem& fs, const std::string& name,
   const EccConfig cfg = derived(config, 1);
   const int k = cfg.data_domains;
   const int m = cfg.parity_domains;
-  SION_RETURN_IF_ERROR(validate_geometry(k, m, cfg.stripe_bytes));
+  SION_RETURN_IF_ERROR(validate(cfg, 1, 0));
   EccProbe p;
   p.k = k;
   p.m = m;
@@ -711,7 +679,7 @@ Result<EccProbe> Ecc::probe(fs::FileSystem& fs, const std::string& name,
   }
   for (int d = 0; d < k; ++d) {
     const std::string path = core::physical_file_name(name, d, k);
-    if (!data_usable(fs, path, k)) continue;
+    if (!core::physical_file_usable(fs, path, k)) continue;
     p.data_ok[static_cast<std::size_t>(d)] = 1;
     if (!have_geometry) {
       // No usable parity: lengths from the files themselves (enough for
@@ -734,23 +702,8 @@ Result<EccHealReport> Ecc::heal(fs::FileSystem& fs, par::Comm& mcom,
   const int me = mcom.rank();
   const int msize = mcom.size();
 
-  // Rank 0 probes once; the broadcast result drives every task's decode
-  // deterministically (no per-task re-probing).
-  Status st;
-  std::vector<std::byte> blob;
-  if (me == 0) {
-    auto probed = probe(fs, name, config);
-    if (probed.ok()) {
-      blob = probed.value().serialize();
-    } else {
-      st = probed.status();
-    }
-  }
-  SION_RETURN_IF_ERROR(par::share_status(mcom, st, 0, kEccFailed));
-  const std::uint64_t blob_size = mcom.bcast_u64(blob.size(), 0);
-  blob.resize(blob_size);
-  mcom.bcast_bytes(blob, 0);
-  SION_ASSIGN_OR_RETURN(const EccProbe p, EccProbe::deserialize(blob));
+  SION_ASSIGN_OR_RETURN(const EccProbe p,
+                        shared_probe(fs, mcom, name, config));
 
   EccHealReport report;
   report.data_files = p.k;
@@ -764,7 +717,7 @@ Result<EccHealReport> Ecc::heal(fs::FileSystem& fs, par::Comm& mcom,
   }
   std::uint64_t my_bytes = 0;
   std::uint64_t my_healed = 0;
-  st = Status::Ok();
+  Status st;
   if (!lost_data.empty()) {
     std::vector<int> survivor_ids;
     std::vector<std::vector<std::uint8_t>> rows;
@@ -813,22 +766,8 @@ Result<RemapStats> Ecc::restore(fs::FileSystem& fs, par::Comm& mcom,
                                 const EccConfig& config,
                                 std::span<std::byte> out, std::uint64_t want,
                                 const RemapConfig& remap_config) {
-  // One probe, broadcast, drives the branch on every task identically.
-  Status st;
-  std::vector<std::byte> blob;
-  if (mcom.rank() == 0) {
-    auto probed = probe(fs, name, config);
-    if (probed.ok()) {
-      blob = probed.value().serialize();
-    } else {
-      st = probed.status();
-    }
-  }
-  SION_RETURN_IF_ERROR(par::share_status(mcom, st, 0, kEccFailed));
-  const std::uint64_t blob_size = mcom.bcast_u64(blob.size(), 0);
-  blob.resize(blob_size);
-  mcom.bcast_bytes(blob, 0);
-  SION_ASSIGN_OR_RETURN(const EccProbe p, EccProbe::deserialize(blob));
+  SION_ASSIGN_OR_RETURN(const EccProbe p,
+                        shared_probe(fs, mcom, name, config));
 
   const auto remap_restore = [&](fs::FileSystem& through)
       -> Result<RemapStats> {

@@ -195,6 +195,12 @@ class Ecc {
 
   // Name of parity file j (j >= 0): "<name>.p<j>".
   static std::string parity_name(const std::string& name, int j);
+
+  // The geometry rules every ECC entry point shares: m >= 1, k + m <= 255
+  // (GF(256)), a nonzero stripe and, for ntasks > 0, writers that split
+  // into the k data domains (k = data_domains, or `nfiles` when that is
+  // 0). Restores pass ntasks <= 0: an N->M restart comm need not divide.
+  static Status validate(const EccConfig& config, int nfiles, int ntasks);
 };
 
 // Read-only FileSystem decorator serving degraded reads: paths of lost

@@ -1,9 +1,8 @@
 #include "ext/recovery.h"
 
-#include <cstring>
+#include <algorithm>
 #include <vector>
 
-#include "common/codec.h"
 #include "common/strings.h"
 #include "common/units.h"
 #include "core/api.h"
@@ -13,34 +12,6 @@
 namespace sion::ext {
 
 namespace {
-
-constexpr char kFrameMagic[8] = {'S', 'I', 'O', 'N', 'F', 'R', 'M', '1'};
-
-struct Frame {
-  std::uint32_t grank = 0;
-  std::uint32_t lrank = 0;
-  std::uint64_t block = 0;
-  std::uint64_t bytes_written = 0;
-};
-
-Result<Frame> parse_frame(std::span<const std::byte> bytes) {
-  if (bytes.size() < core::kChunkFrameSize) return Corrupt("short frame");
-  if (std::memcmp(bytes.data(), kFrameMagic, sizeof(kFrameMagic)) != 0) {
-    return Corrupt("no frame magic");
-  }
-  ByteReader r(bytes.subspan(sizeof(kFrameMagic)));
-  Frame f;
-  SION_ASSIGN_OR_RETURN(f.grank, r.get_u32());
-  SION_ASSIGN_OR_RETURN(f.lrank, r.get_u32());
-  SION_ASSIGN_OR_RETURN(f.block, r.get_u64());
-  SION_ASSIGN_OR_RETURN(f.bytes_written, r.get_u64());
-  SION_ASSIGN_OR_RETURN(const std::uint64_t checksum, r.get_u64());
-  if (checksum != core::chunk_frame_checksum(f.grank, f.lrank, f.block,
-                                             f.bytes_written)) {
-    return Corrupt("frame checksum mismatch (torn or bit-flipped frame)");
-  }
-  return f;
-}
 
 // Rebuild one physical file's metablock 2 from its chunk frames.
 Result<bool> repair_one(fs::FileSystem& fs, const std::string& path,
@@ -60,11 +31,8 @@ Result<bool> repair_one(fs::FileSystem& fs, const std::string& path,
                   path.c_str()));
   }
 
-  const std::vector<std::byte> meta1 = header.serialize();
-  SION_ASSIGN_OR_RETURN(
-      const core::FileLayout layout,
-      core::FileLayout::create(header.fsblksize, header.chunksizes_req,
-                               meta1.size()));
+  SION_ASSIGN_OR_RETURN(const core::FileLayout layout,
+                        core::layout_of(header));
   SION_ASSIGN_OR_RETURN(const fs::FileStat st, file->stat());
   // Frames are written when a chunk is entered, so the last block of any
   // task is bounded by how far the file extends.
@@ -100,7 +68,7 @@ Result<bool> repair_one(fs::FileSystem& fs, const std::string& path,
       SION_ASSIGN_OR_RETURN(const std::uint64_t got,
                             file->pread(frame_buf, frame_off));
       if (got < core::kChunkFrameSize) break;
-      auto frame = parse_frame(frame_buf);
+      auto frame = core::ChunkFrame::parse(frame_buf);
       if (!frame.ok()) {
         chain_broken = true;  // damaged, or simply never entered
         continue;
@@ -139,36 +107,21 @@ Result<bool> repair_one(fs::FileSystem& fs, const std::string& path,
     if (chunks.empty()) chunks.push_back(0);
   }
 
-  const std::uint64_t nblocks = std::max<std::uint64_t>(1, meta2.nblocks());
   SION_RETURN_IF_ERROR(core::write_meta2_and_trailer(
-      *file, layout.meta2_offset(nblocks), nblocks, meta2));
+      *file, layout.data_start(), layout.block_span(), meta2));
   return true;
 }
 
-// Light probe of one physical file: header and metablock 2 parse.
-bool physical_ok(fs::FileSystem& fs, const std::string& path) {
-  auto file = fs.open_read(path);
-  if (!file.ok()) return false;
-  auto header = core::read_header(*file.value());
-  if (!header.ok()) return false;
-  auto meta2 = core::read_meta2(*file.value(), header.value());
-  return meta2.ok() &&
-         meta2.value().bytes_written.size() == header.value().ntasks;
-}
-
 // Light probe of a whole multifile set rooted at `base`: file 0's header
-// gives the file count, then every physical file must pass physical_ok.
+// gives the file count, then every physical file must be usable.
 bool multifile_ok(fs::FileSystem& fs, const std::string& base) {
-  std::string first = base;
-  if (!fs.exists(first)) first = core::physical_file_name(base, 0, 2);
-  auto file0 = fs.open_read(first);
-  if (!file0.ok()) return false;
-  auto h0 = core::read_header(*file0.value());
-  if (!h0.ok()) return false;
-  file0.value().reset();
-  const int nfiles = static_cast<int>(h0.value().nfiles);
+  auto first = core::open_first_file(fs, base);
+  if (!first.ok()) return false;
+  const int nfiles = static_cast<int>(first.value().header.nfiles);
+  first.value().file.reset();
   for (int f = 0; f < nfiles; ++f) {
-    if (!physical_ok(fs, core::physical_file_name(base, f, nfiles))) {
+    if (!core::physical_file_usable(
+            fs, core::physical_file_name(base, f, nfiles))) {
       return false;
     }
   }
@@ -179,17 +132,15 @@ bool multifile_ok(fs::FileSystem& fs, const std::string& base) {
 
 Result<RepairReport> repair_multifile(fs::FileSystem& fs,
                                       const std::string& name) {
-  std::string first = name;
-  if (!fs.exists(first)) first = core::physical_file_name(name, 0, 2);
-  SION_ASSIGN_OR_RETURN(auto file0, fs.open_read(first));
-  SION_ASSIGN_OR_RETURN(const core::FileHeader h0, core::read_header(*file0));
-  file0.reset();
+  SION_ASSIGN_OR_RETURN(core::FirstFile first,
+                        core::open_first_file(fs, name));
+  first.file.reset();
+  const int nfiles = static_cast<int>(first.header.nfiles);
 
   RepairReport report;
-  report.physical_files = static_cast<int>(h0.nfiles);
-  for (int f = 0; f < static_cast<int>(h0.nfiles); ++f) {
-    const std::string path =
-        core::physical_file_name(name, f, static_cast<int>(h0.nfiles));
+  report.physical_files = nfiles;
+  for (int f = 0; f < nfiles; ++f) {
+    const std::string path = core::physical_file_name(name, f, nfiles);
     SION_ASSIGN_OR_RETURN(const bool repaired,
                           repair_one(fs, path, &report.chunks_recovered));
     if (repaired) {
@@ -253,7 +204,8 @@ Result<ProtectionSet> discover_protection(fs::FileSystem& fs,
   }
   if (set.ecc_k > 0) {
     for (int d = 0; d < set.ecc_k; ++d) {
-      if (physical_ok(fs, core::physical_file_name(name, d, set.ecc_k))) {
+      if (core::physical_file_usable(
+              fs, core::physical_file_name(name, d, set.ecc_k))) {
         ++set.data_intact;
       }
     }

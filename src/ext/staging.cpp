@@ -64,16 +64,7 @@ Result<std::unique_ptr<Staging>> Staging::open(
           "staging: ecc data_domains %d != staged nfiles %d",
           ecc->data_domains, k));
     }
-    if (ecc->parity_domains < 1 || k + ecc->parity_domains > 255) {
-      return InvalidArgument(strformat(
-          "staging: impossible ecc geometry (k=%d, m=%d)", k,
-          ecc->parity_domains));
-    }
-    if (comm.size() % k != 0) {
-      return InvalidArgument(strformat(
-          "staging: %d tasks not divisible into %d data domains",
-          comm.size(), k));
-    }
+    SION_RETURN_IF_ERROR(Ecc::validate(*ecc, k, comm.size()));
     ecc->data_domains = k;
   }
   if (buddy.has_value()) {
@@ -83,16 +74,7 @@ Result<std::unique_ptr<Staging>> Staging::open(
           "staging: buddy num_domains %d != staged nfiles %d",
           buddy->num_domains, domains));
     }
-    if (buddy->replicas < 1 || buddy->replicas > domains) {
-      return InvalidArgument(strformat(
-          "staging: %d replicas need at least as many domains (have %d)",
-          buddy->replicas, domains));
-    }
-    if (comm.size() % domains != 0) {
-      return InvalidArgument(strformat(
-          "staging: %d tasks not divisible into %d failure domains",
-          comm.size(), domains));
-    }
+    SION_RETURN_IF_ERROR(Buddy::validate(*buddy, domains, comm.size()));
   }
 
   auto s = std::unique_ptr<Staging>(new Staging());
@@ -230,17 +212,9 @@ Status Staging::write_staged(std::uint64_t index, fs::DataView payload) {
   core::ParOpenSpec spec = sion_spec_;
   spec.filename = slot_base(index);
   spec.chunksize = std::max<std::uint64_t>(1, payload.size());
-  if (collective_.has_value()) {
-    SION_ASSIGN_OR_RETURN(
-        auto sion, Collective::open_write(*fast_, *comm_, spec, *collective_));
-    SION_RETURN_IF_ERROR(sion->write(payload));
-    return sion->close();
-  }
-  SION_ASSIGN_OR_RETURN(auto sion,
-                        core::SionParFile::open_write(*fast_, *comm_, spec));
-  SION_ASSIGN_OR_RETURN(const std::uint64_t n, sion->write(payload));
-  (void)n;
-  return sion->close();
+  return write_multifile(*fast_, *comm_, spec,
+                         collective_.has_value() ? &*collective_ : nullptr,
+                         payload);
 }
 
 Status Staging::wait(std::uint64_t index) {
@@ -353,47 +327,9 @@ Status Staging::copy_file(const std::string& src_name,
   SION_ASSIGN_OR_RETURN(const core::FileMeta2 meta2,
                         core::read_meta2(*src, header));
   (void)meta2;
-  SION_ASSIGN_OR_RETURN(const fs::FileStat st, src->stat());
-
-  SION_ASSIGN_OR_RETURN(auto dst, pfs_->create(dst_name));
-  std::vector<std::byte> buffer(config_.copy_buffer_bytes);
-  std::uint64_t off = 0;
-  while (off < st.size) {
-    const std::uint64_t want =
-        std::min<std::uint64_t>(buffer.size(), st.size - off);
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t got,
-        src->pread(std::span<std::byte>(buffer.data(),
-                                        static_cast<std::size_t>(want)),
-                   off));
-    if (got != want) {
-      return Corrupt(strformat("staged file '%s' short read at %llu",
-                               src_name.c_str(),
-                               static_cast<unsigned long long>(off)));
-    }
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t put,
-        dst->pwrite(fs::DataView(std::span<const std::byte>(
-                        buffer.data(), static_cast<std::size_t>(got))),
-                    off));
-    if (put != got) {
-      return IoError(strformat("short write draining '%s'",
-                               dst_name.c_str()));
-    }
-    off += got;
-  }
-  if (patch_filenum >= 0) {
-    header.filenum = static_cast<std::uint32_t>(patch_filenum);
-    const std::vector<std::byte> hdr = header.serialize();
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t put,
-        dst->pwrite(fs::DataView(std::span<const std::byte>(hdr)), 0));
-    if (put != hdr.size()) {
-      return IoError(strformat("short header patch on '%s'",
-                               dst_name.c_str()));
-    }
-  }
-  return Status::Ok();
+  return core::copy_physical_file(*src, std::move(header), *pfs_, dst_name,
+                                  patch_filenum, config_.copy_buffer_bytes)
+      .status();
 }
 
 }  // namespace sion::ext

@@ -11,6 +11,17 @@
 #include "common/log.h"
 #include "par/comm.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define SION_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SION_ASAN 1
+#endif
+#endif
+#if defined(SION_ASAN)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace sion::par {
 
 namespace {
@@ -76,6 +87,10 @@ class SlabPool {
   void scribble() {
     std::lock_guard<std::mutex> lock(mu_);
     for (const Entry& e : entries_) {
+#if defined(SION_ASAN)
+      // Fibers that ran on this slab left ASan's stack poisoning behind.
+      ASAN_UNPOISON_MEMORY_REGION(e.ptr, e.bytes);
+#endif
       std::memset(e.ptr, 0xA5, e.bytes);
 #ifdef MADV_FREE
       ::madvise(e.ptr, e.bytes, MADV_FREE);

@@ -1,8 +1,5 @@
 #include "workloads/checkpoint.h"
 
-#include <algorithm>
-
-#include "common/strings.h"
 #include "workloads/checkpoint_session.h"
 
 namespace sion::workloads {
@@ -16,50 +13,9 @@ Status validate_protection(const CheckpointSpec& spec, int ntasks) {
         "checkpoint protection (buddy or ecc) requires the SIONlib strategy");
   }
   if (const ext::BuddyConfig* b = spec.buddy_protection(); b != nullptr) {
-    const int domains =
-        b->num_domains > 0 ? b->num_domains : std::max(1, spec.nfiles);
-    if (b->replicas < 1) {
-      return InvalidArgument("buddy replication degree must be at least 1");
-    }
-    if (b->replicas > domains) {
-      return InvalidArgument(strformat(
-          "replication degree %d exceeds the %d failure domains (the copies "
-          "of a stream must live in distinct domains)",
-          b->replicas, domains));
-    }
-    if (ntasks > 0 && ntasks % domains != 0) {
-      return InvalidArgument(strformat(
-          "%d tasks cannot form %d equal failure domains", ntasks, domains));
-    }
-    return Status::Ok();
+    return ext::Buddy::validate(*b, spec.nfiles, ntasks);
   }
-  const ext::EccConfig* e = spec.ecc_protection();
-  const int k = e->data_domains > 0 ? e->data_domains : std::max(1, spec.nfiles);
-  const int m = e->parity_domains;
-  if (k < 1) {
-    return InvalidArgument("ecc: at least one data domain is required");
-  }
-  if (m < 1) {
-    return InvalidArgument(
-        "ecc: at least one parity domain is required (leave the protection "
-        "variant unset for none)");
-  }
-  if (k + m > 255) {
-    return InvalidArgument(strformat(
-        "ecc: %d data + %d parity domains exceed the 255 failure domains "
-        "GF(256) supports",
-        k, m));
-  }
-  if (e->stripe_bytes == 0) {
-    return InvalidArgument("ecc: stripe_bytes must be > 0");
-  }
-  if (ntasks > 0 && ntasks % k != 0) {
-    return InvalidArgument(strformat(
-        "%d writer tasks cannot form %d equal data domains (of the k+m "
-        "failure domains, the k data domains must divide the writers)",
-        ntasks, k));
-  }
-  return Status::Ok();
+  return ext::Ecc::validate(*spec.ecc_protection(), spec.nfiles, ntasks);
 }
 
 // The free functions are compatibility wrappers over a one-write session.

@@ -32,12 +32,6 @@
 #include "fs/filesystem.h"
 #include "par/comm.h"
 
-// Compile-time gate for the deprecated bool-flag spec API (see
-// workloads::legacy below). Off by default; define to 1 while migrating.
-#ifndef SION_CHECKPOINT_LEGACY_API
-#define SION_CHECKPOINT_LEGACY_API 0
-#endif
-
 namespace sion::workloads {
 
 enum class IoStrategy : std::uint8_t {
@@ -127,44 +121,5 @@ Status write_checkpoint(fs::FileSystem& fs, par::Comm& comm,
 Status read_checkpoint(fs::FileSystem& fs, par::Comm& comm,
                        const CheckpointSpec& spec,
                        std::uint64_t expected_bytes, std::span<std::byte> out);
-
-// Deprecated bool-flag setters kept for one release so downstream call
-// sites can migrate incrementally. Disabled unless the TU defines
-// SION_CHECKPOINT_LEGACY_API=1 (the static_assert fires only if a call is
-// actually instantiated), and deprecated even then.
-namespace legacy {
-
-template <int Enabled = SION_CHECKPOINT_LEGACY_API>
-[[deprecated(
-    "assign spec.collective = ext::CollectiveConfig{...} instead")]] inline void
-set_collective(CheckpointSpec& spec, bool on,
-               const ext::CollectiveConfig& config = {}) {
-  static_assert(Enabled != 0,
-                "the legacy bool-flag checkpoint API is disabled; migrate to "
-                "spec.collective, or define SION_CHECKPOINT_LEGACY_API=1 "
-                "while migrating");
-  if (on) {
-    spec.collective = config;
-  } else {
-    spec.collective.reset();
-  }
-}
-
-template <int Enabled = SION_CHECKPOINT_LEGACY_API>
-[[deprecated(
-    "assign spec.protection = ext::BuddyConfig{...} instead")]] inline void
-set_buddy(CheckpointSpec& spec, bool on, const ext::BuddyConfig& config = {}) {
-  static_assert(Enabled != 0,
-                "the legacy bool-flag checkpoint API is disabled; migrate to "
-                "spec.protection, or define SION_CHECKPOINT_LEGACY_API=1 "
-                "while migrating");
-  if (on) {
-    spec.protection = config;
-  } else {
-    spec.protection = std::monostate{};
-  }
-}
-
-}  // namespace legacy
 
 }  // namespace sion::workloads

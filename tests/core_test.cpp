@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/units.h"
@@ -151,6 +152,19 @@ TEST(MetadataTest, Meta2Roundtrip) {
   EXPECT_EQ(m.nblocks(), 3u);
   auto parsed = FileMeta2::parse(m.serialize()).value();
   EXPECT_EQ(parsed.bytes_written, m.bytes_written);
+}
+
+TEST(MetadataTest, Meta2ParseRejectsForgedTaskCount) {
+  // The task count is a u32 read from disk; a value the remaining bytes
+  // cannot back must be rejected before it sizes any allocation.
+  ByteWriter w;
+  w.put_bytes(std::span<const std::byte>(
+      reinterpret_cast<const std::byte*>(kMagic2), sizeof(kMagic2)));
+  w.put_u32(0xFFFFFFFFu);
+  w.put_u64_array(std::vector<std::uint64_t>{1});
+  auto parsed = FileMeta2::parse(w.bytes());
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), ErrorCode::kCorrupt);
 }
 
 TEST(MetadataTest, PhysicalFileNames) {
@@ -692,6 +706,27 @@ TEST_F(SerialFileTest, SerialWriteMultiBlock) {
   EXPECT_EQ(got.value(), 200u * 1024);
   EXPECT_EQ(back, data);
   ASSERT_TRUE(ropen.value()->close().ok());
+}
+
+TEST_F(SerialFileTest, ForgedGlobalRankIsCorruptNotAnOutOfBoundsWrite) {
+  write_parallel("forged.sion", 2, 1, 100);
+  {
+    auto file = fs_.open_rw("forged.sion");
+    ASSERT_TRUE(file.ok());
+    auto header = read_header(*file.value());
+    ASSERT_TRUE(header.ok());
+    FileHeader forged = header.value();
+    forged.global_ranks[1] = UINT64_MAX;  // rank + 1 wraps to 0
+    // Same task count and array lengths: the forgery overwrites in place.
+    const std::vector<std::byte> bytes = forged.serialize();
+    ASSERT_TRUE(file.value()->pwrite(DataView(bytes), 0).ok());
+  }
+  auto open = SionSerialFile::open_read(fs_, "forged.sion");
+  ASSERT_FALSE(open.ok());
+  EXPECT_EQ(open.status().code(), ErrorCode::kCorrupt);
+  // Rejected by the range check, before any array is indexed by the rank.
+  EXPECT_NE(open.status().message().find("out of range"), std::string::npos)
+      << open.status().to_string();
 }
 
 TEST_F(SerialFileTest, LocationsExposeBytesWritten) {

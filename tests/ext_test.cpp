@@ -1,6 +1,6 @@
 // Tests for the paper's "future work" extensions: the slz compression codec
 // (property roundtrips on adversarial inputs), metablock-2 recovery from
-// chunk frames, and per-thread channel multiplexing.
+// chunk frames.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include "ext/compress.h"
 #include "ext/recovery.h"
 #include "ext/slz.h"
-#include "ext/threading.h"
 #include "fs/sim/machine.h"
 #include "fs/sim/simfs.h"
 #include "par/comm.h"
@@ -686,257 +685,6 @@ TEST_F(RecoveryTest, QuotaFailureMidWriteIsRecoverable) {
     ASSERT_TRUE(ropen.ok()) << ropen.status().to_string();
     ASSERT_TRUE(ropen.value()->read_skip(1 << 30).ok());
     ASSERT_TRUE(ropen.value()->close().ok());
-  });
-}
-
-// ---------------------------------------------------------------------------
-// thread channels
-// ---------------------------------------------------------------------------
-
-TEST(ThreadChannelsTest, MultiplexAndDemultiplex) {
-  fs::SimFs fs(fs::TestbedConfig());
-  par::Engine engine;
-  engine.run(3, [&](par::Comm& world) {
-    core::ParOpenSpec spec;
-    spec.filename = "thr.sion";
-    spec.chunksize = 64 * kKiB;
-    auto open = core::SionParFile::open_write(fs, world, spec);
-    ASSERT_TRUE(open.ok());
-    ThreadChannels channels(*open.value(), 4);
-    for (int tid = 0; tid < 4; ++tid) {
-      std::vector<std::byte> data(
-          100 * static_cast<std::size_t>(tid + 1),
-          static_cast<std::byte>(world.rank() * 4 + tid));
-      ASSERT_TRUE(channels.append(tid, data).ok());
-      EXPECT_EQ(channels.buffered_bytes(tid), data.size());
-    }
-    ASSERT_TRUE(channels.flush().ok());
-    ASSERT_TRUE(open.value()->close().ok());
-
-    auto ropen = core::SionParFile::open_read(fs, world, "thr.sion");
-    ASSERT_TRUE(ropen.ok());
-    auto reader = ThreadChannelReader::load(*ropen.value(), 4);
-    ASSERT_TRUE(reader.ok()) << reader.status().to_string();
-    for (int tid = 0; tid < 4; ++tid) {
-      const auto& stream = reader.value().stream(tid);
-      ASSERT_EQ(stream.size(), 100u * static_cast<std::size_t>(tid + 1));
-      for (auto b : stream) {
-        EXPECT_EQ(b, static_cast<std::byte>(world.rank() * 4 + tid));
-      }
-    }
-    ASSERT_TRUE(ropen.value()->close().ok());
-  });
-}
-
-TEST(ThreadChannelsTest, InterleavedAppendsKeepOrder) {
-  fs::SimFs fs(fs::TestbedConfig());
-  par::Engine engine;
-  engine.run(1, [&](par::Comm& world) {
-    core::ParOpenSpec spec;
-    spec.filename = "inter.sion";
-    spec.chunksize = 64 * kKiB;
-    auto open = core::SionParFile::open_write(fs, world, spec);
-    ASSERT_TRUE(open.ok());
-    ThreadChannels channels(*open.value(), 2);
-    // Two flushes with interleaved appends: per-thread byte order must hold.
-    std::vector<std::byte> a1(10, std::byte{1});
-    std::vector<std::byte> b1(10, std::byte{2});
-    std::vector<std::byte> a2(10, std::byte{3});
-    ASSERT_TRUE(channels.append(0, a1).ok());
-    ASSERT_TRUE(channels.append(1, b1).ok());
-    ASSERT_TRUE(channels.flush().ok());
-    ASSERT_TRUE(channels.append(0, a2).ok());
-    ASSERT_TRUE(channels.flush().ok());
-    ASSERT_TRUE(open.value()->close().ok());
-
-    auto ropen = core::SionParFile::open_read(fs, world, "inter.sion");
-    ASSERT_TRUE(ropen.ok());
-    auto reader = ThreadChannelReader::load(*ropen.value(), 2);
-    ASSERT_TRUE(reader.ok());
-    ASSERT_EQ(reader.value().stream(0).size(), 20u);
-    EXPECT_EQ(reader.value().stream(0)[0], std::byte{1});
-    EXPECT_EQ(reader.value().stream(0)[10], std::byte{3});
-    ASSERT_EQ(reader.value().stream(1).size(), 10u);
-    ASSERT_TRUE(ropen.value()->close().ok());
-  });
-}
-
-TEST(ThreadChannelsTest, ReaderThreadCountMismatch) {
-  // A hybrid job restarted with a different OMP_NUM_THREADS: more reader
-  // threads than writer threads is fine (extras stay empty); fewer is
-  // corruption (segments name unknown threads), reported — not a crash.
-  fs::SimFs fs(fs::TestbedConfig());
-  par::Engine engine;
-  engine.run(2, [&](par::Comm& world) {
-    core::ParOpenSpec spec;
-    spec.filename = "mismatch.sion";
-    spec.chunksize = 64 * kKiB;
-    auto open = core::SionParFile::open_write(fs, world, spec);
-    ASSERT_TRUE(open.ok());
-    ThreadChannels channels(*open.value(), 4);
-    for (int tid = 0; tid < 4; ++tid) {
-      std::vector<std::byte> data(50, static_cast<std::byte>(tid));
-      ASSERT_TRUE(channels.append(tid, data).ok());
-    }
-    ASSERT_TRUE(channels.flush().ok());
-    ASSERT_TRUE(open.value()->close().ok());
-
-    {
-      auto ropen = core::SionParFile::open_read(fs, world, "mismatch.sion");
-      ASSERT_TRUE(ropen.ok());
-      auto narrow = ThreadChannelReader::load(*ropen.value(), 2);
-      ASSERT_FALSE(narrow.ok());
-      EXPECT_EQ(narrow.status().code(), ErrorCode::kCorrupt);
-      ASSERT_TRUE(ropen.value()->close().ok());
-    }
-    {
-      auto ropen = core::SionParFile::open_read(fs, world, "mismatch.sion");
-      ASSERT_TRUE(ropen.ok());
-      auto wide = ThreadChannelReader::load(*ropen.value(), 8);
-      ASSERT_TRUE(wide.ok()) << wide.status().to_string();
-      for (int tid = 0; tid < 4; ++tid) {
-        EXPECT_EQ(wide.value().stream(tid).size(), 50u);
-      }
-      for (int tid = 4; tid < 8; ++tid) {
-        EXPECT_TRUE(wide.value().stream(tid).empty());
-      }
-      ASSERT_TRUE(ropen.value()->close().ok());
-    }
-  });
-}
-
-TEST(ThreadChannelsTest, EmptyPerThreadStreamsRoundTrip) {
-  fs::SimFs fs(fs::TestbedConfig());
-  par::Engine engine;
-  engine.run(1, [&](par::Comm& world) {
-    core::ParOpenSpec spec;
-    spec.filename = "empty.sion";
-    spec.chunksize = 8 * kKiB;
-    auto open = core::SionParFile::open_write(fs, world, spec);
-    ASSERT_TRUE(open.ok());
-    ThreadChannels channels(*open.value(), 3);
-    // Only thread 1 ever writes; 0 and 2 stay empty, including a flush
-    // with nothing buffered at all.
-    ASSERT_TRUE(channels.flush().ok());
-    std::vector<std::byte> data(30, std::byte{0x42});
-    ASSERT_TRUE(channels.append(1, data).ok());
-    ASSERT_TRUE(channels.append(1, std::span<const std::byte>{}).ok());
-    ASSERT_TRUE(channels.flush().ok());
-    ASSERT_TRUE(open.value()->close().ok());
-
-    auto ropen = core::SionParFile::open_read(fs, world, "empty.sion");
-    ASSERT_TRUE(ropen.ok());
-    auto reader = ThreadChannelReader::load(*ropen.value(), 3);
-    ASSERT_TRUE(reader.ok()) << reader.status().to_string();
-    EXPECT_TRUE(reader.value().stream(0).empty());
-    EXPECT_EQ(reader.value().stream(1).size(), 30u);
-    EXPECT_TRUE(reader.value().stream(2).empty());
-    ASSERT_TRUE(ropen.value()->close().ok());
-  });
-}
-
-TEST(ThreadChannelsTest, TruncatedFinalSegmentIsCorruptNotCrash) {
-  fs::SimFs fs(fs::TestbedConfig());
-  par::Engine engine;
-  engine.run(1, [&](par::Comm& world) {
-    // Hand-craft a stream whose final segment header promises more payload
-    // than was ever written (crash mid-flush).
-    core::ParOpenSpec spec;
-    spec.filename = "cut.sion";
-    spec.chunksize = 8 * kKiB;
-    auto open = core::SionParFile::open_write(fs, world, spec);
-    ASSERT_TRUE(open.ok());
-    ByteWriter w;
-    w.put_u32(0);    // tid
-    w.put_u32(100);  // promised payload bytes
-    ASSERT_TRUE(open.value()->write(fs::DataView(w.bytes())).ok());
-    std::vector<std::byte> partial(10, std::byte{0x7});
-    ASSERT_TRUE(open.value()->write(fs::DataView(partial)).ok());
-    ASSERT_TRUE(open.value()->close().ok());
-
-    auto ropen = core::SionParFile::open_read(fs, world, "cut.sion");
-    ASSERT_TRUE(ropen.ok());
-    auto reader = ThreadChannelReader::load(*ropen.value(), 1);
-    ASSERT_FALSE(reader.ok());
-    EXPECT_EQ(reader.status().code(), ErrorCode::kCorrupt);
-    ASSERT_TRUE(ropen.value()->close().ok());
-  });
-}
-
-TEST(ThreadChannelsTest, TruncatedSegmentHeaderIsCorruptNotCrash) {
-  fs::SimFs fs(fs::TestbedConfig());
-  par::Engine engine;
-  engine.run(1, [&](par::Comm& world) {
-    core::ParOpenSpec spec;
-    spec.filename = "cuthdr.sion";
-    spec.chunksize = 8 * kKiB;
-    auto open = core::SionParFile::open_write(fs, world, spec);
-    ASSERT_TRUE(open.ok());
-    ThreadChannels channels(*open.value(), 2);
-    std::vector<std::byte> data(20, std::byte{0x9});
-    ASSERT_TRUE(channels.append(0, data).ok());
-    ASSERT_TRUE(channels.flush().ok());
-    // 3 trailing bytes: a segment header cut short.
-    std::vector<std::byte> stub(3, std::byte{0x1});
-    ASSERT_TRUE(open.value()->write(fs::DataView(stub)).ok());
-    ASSERT_TRUE(open.value()->close().ok());
-
-    auto ropen = core::SionParFile::open_read(fs, world, "cuthdr.sion");
-    ASSERT_TRUE(ropen.ok());
-    auto reader = ThreadChannelReader::load(*ropen.value(), 2);
-    ASSERT_FALSE(reader.ok());
-    EXPECT_EQ(reader.status().code(), ErrorCode::kCorrupt);
-    ASSERT_TRUE(ropen.value()->close().ok());
-  });
-}
-
-TEST(ThreadChannelsTest, DegenerateThreadCountsErrorInsteadOfCrashing) {
-  fs::SimFs fs(fs::TestbedConfig());
-  par::Engine engine;
-  engine.run(1, [&](par::Comm& world) {
-    core::ParOpenSpec spec;
-    spec.filename = "degen.sion";
-    spec.chunksize = 4096;
-    auto open = core::SionParFile::open_write(fs, world, spec);
-    ASSERT_TRUE(open.ok());
-    // Negative/zero thread counts must not allocate absurd buffers or index
-    // out of bounds.
-    ThreadChannels none(*open.value(), -3);
-    EXPECT_EQ(none.nthreads(), 0);
-    std::vector<std::byte> data(4, std::byte{0});
-    EXPECT_FALSE(none.append(0, data).ok());
-    EXPECT_EQ(none.buffered_bytes(0), 0u);
-    EXPECT_EQ(none.buffered_bytes(-1), 0u);
-    ASSERT_TRUE(none.flush().ok());
-    ASSERT_TRUE(open.value()->close().ok());
-
-    auto ropen = core::SionParFile::open_read(fs, world, "degen.sion");
-    ASSERT_TRUE(ropen.ok());
-    EXPECT_FALSE(ThreadChannelReader::load(*ropen.value(), 0).ok());
-    EXPECT_FALSE(ThreadChannelReader::load(*ropen.value(), -2).ok());
-    auto reader = ThreadChannelReader::load(*ropen.value(), 1);
-    ASSERT_TRUE(reader.ok());
-    // Out-of-range stream lookups answer with an empty stream.
-    EXPECT_TRUE(reader.value().stream(5).empty());
-    EXPECT_TRUE(reader.value().stream(-1).empty());
-    ASSERT_TRUE(ropen.value()->close().ok());
-  });
-}
-
-TEST(ThreadChannelsTest, BadThreadIdRejected) {
-  fs::SimFs fs(fs::TestbedConfig());
-  par::Engine engine;
-  engine.run(1, [&](par::Comm& world) {
-    core::ParOpenSpec spec;
-    spec.filename = "bad.sion";
-    spec.chunksize = 4096;
-    auto open = core::SionParFile::open_write(fs, world, spec);
-    ASSERT_TRUE(open.ok());
-    ThreadChannels channels(*open.value(), 2);
-    std::vector<std::byte> data(4, std::byte{0});
-    EXPECT_FALSE(channels.append(2, data).ok());
-    EXPECT_FALSE(channels.append(-1, data).ok());
-    ASSERT_TRUE(open.value()->close().ok());
   });
 }
 

@@ -205,18 +205,9 @@ TEST_F(RecoveryFaultTest, ForgedOversizedByteCountIsRejected) {
   // Forge a frame with a *consistent* checksum but a byte count larger than
   // the chunk can hold: the capacity cross-check must catch what the
   // checksum cannot.
-  ByteWriter w;
-  const char kFrameMagic[8] = {'S', 'I', 'O', 'N', 'F', 'R', 'M', '1'};
-  w.put_bytes(std::span<const std::byte>(
-      reinterpret_cast<const std::byte*>(kFrameMagic), sizeof(kFrameMagic)));
-  w.put_u32(1);  // global rank
-  w.put_u32(1);  // local rank
-  w.put_u64(0);  // block
-  const std::uint64_t absurd = geo.layout.chunksize(1) * 100;
-  w.put_u64(absurd);
-  w.put_u64(core::chunk_frame_checksum(1, 1, 0, absurd));
-  w.pad_to(core::kChunkFrameSize);
-  overwrite("forge.sion", geo.layout.chunk_start(1, 0), w.bytes());
+  const core::ChunkFrame forged{/*grank=*/1, /*lrank=*/1, /*block=*/0,
+                               geo.layout.chunksize(1) * 100};
+  overwrite("forge.sion", geo.layout.chunk_start(1, 0), forged.serialize());
   auto report = repair_multifile(fs_, "forge.sion");
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), ErrorCode::kCorrupt);

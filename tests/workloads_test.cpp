@@ -1,9 +1,6 @@
 // Tests for the use-case workloads: MP2C particle checkpoints under every
 // I/O strategy and the Scalasca-like tracer under both backends, with and
-// without compression; plus the CheckpointSession API contract and the
-// deprecated bool-flag spec shim (enabled for this TU only).
-#define SION_CHECKPOINT_LEGACY_API 1
-
+// without compression; plus the CheckpointSession API contract.
 #include <gtest/gtest.h>
 
 #include "common/units.h"
@@ -179,46 +176,6 @@ TEST(CheckpointSessionApiTest, SessionIndicesMapToVersionedNames) {
   staging.buffers = 3;
   spec.staging = staging;
   EXPECT_EQ(CheckpointSession::checkpoint_name(spec, 4), "ck.sion.v1");
-}
-
-// --- deprecated bool-flag shim (SION_CHECKPOINT_LEGACY_API=1 in this TU) ---
-
-TEST(CheckpointLegacyShimTest, SettersComposeTheNewSubSpecs) {
-  CheckpointSpec spec;
-  spec.path = "shim.ckpt";
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  ext::CollectiveConfig aggregation;
-  aggregation.group_size = 4;
-  legacy::set_collective(spec, true, aggregation);
-  ext::BuddyConfig buddy;
-  buddy.replicas = 2;
-  buddy.num_domains = 2;
-  legacy::set_buddy(spec, true, buddy);
-#pragma GCC diagnostic pop
-  ASSERT_TRUE(spec.collective.has_value());
-  EXPECT_EQ(spec.collective->group_size, 4);
-  ASSERT_NE(spec.buddy_protection(), nullptr);
-  EXPECT_EQ(spec.buddy_protection()->replicas, 2);
-
-  // The shim round-trips through a real write/read like the new API does.
-  fs::SimFs fs(fs::TestbedConfig());
-  par::Engine engine;
-  engine.run(4, [&](par::Comm& world) {
-    const auto payload = DataView::fill(std::byte{7}, 2048);
-    ASSERT_TRUE(write_checkpoint(fs, world, spec, payload).ok());
-    std::vector<std::byte> back(2048);
-    ASSERT_TRUE(read_checkpoint(fs, world, spec, 2048, back).ok());
-    EXPECT_EQ(back, std::vector<std::byte>(2048, std::byte{7}));
-  });
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  legacy::set_collective(spec, false);
-  legacy::set_buddy(spec, false);
-#pragma GCC diagnostic pop
-  EXPECT_FALSE(spec.collective.has_value());
-  EXPECT_EQ(spec.buddy_protection(), nullptr);
 }
 
 TEST(TracerTest, EventStreamsAreBalancedAndDeterministic) {
