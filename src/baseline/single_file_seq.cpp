@@ -102,10 +102,11 @@ Status read_single_file_seq(fs::FileSystem& fs, par::Comm& comm,
   const int rank = comm.rank();
   const int io_rank = options.io_rank;
   const std::uint64_t staging = std::max<std::uint64_t>(1, options.staging_bytes);
-  const bool discard = out.empty();
-  if (!discard && out.size() < my_bytes) {
-    return InvalidArgument("output buffer smaller than expected bytes");
-  }
+  // A task whose buffer cannot hold its bytes still takes part in every
+  // gather and scatter, dropping the bytes, so no other task strands; its
+  // error joins the agreed outcome.
+  const bool fits = out.empty() || out.size() >= my_bytes;
+  const bool discard = out.empty() || !fits;
 
   const auto sizes = comm.gather_u64(my_bytes, io_rank);
 
@@ -160,6 +161,9 @@ Status read_single_file_seq(fs::FileSystem& fs, par::Comm& comm,
       }
       done += piece;
     }
+  }
+  if (!fits && st.ok()) {
+    st = InvalidArgument("output buffer smaller than expected bytes");
   }
   return share_outcome(comm, st);
 }

@@ -177,12 +177,4 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-// Convenience converters between byte spans and char data.
-inline std::span<const std::byte> as_bytes_view(std::string_view s) {
-  return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
-}
-inline std::string_view as_string_view(std::span<const std::byte> b) {
-  return {reinterpret_cast<const char*>(b.data()), b.size()};
-}
-
 }  // namespace sion

@@ -29,17 +29,6 @@ std::string format_bytes(std::uint64_t bytes) {
   return buf;
 }
 
-std::string format_bandwidth(double bytes_per_second) {
-  char buf[64];
-  const double mb = bytes_per_second / 1.0e6;
-  if (mb >= 10000.0) {
-    std::snprintf(buf, sizeof(buf), "%.1f GB/s", mb / 1000.0);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1f MB/s", mb);
-  }
-  return buf;
-}
-
 std::string format_seconds(double seconds) {
   char buf[64];
   if (seconds >= 1.0) {

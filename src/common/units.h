@@ -15,9 +15,6 @@ inline constexpr std::uint64_t kTiB = 1024 * kGiB;
 // "1.5 GiB", "512 B", ...
 std::string format_bytes(std::uint64_t bytes);
 
-// "2153.4 MB/s" style rate formatting (decimal MB, matching the paper).
-std::string format_bandwidth(double bytes_per_second);
-
 // "369.1 s", "28 ms", ...
 std::string format_seconds(double seconds);
 

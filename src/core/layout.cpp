@@ -13,11 +13,10 @@ Result<FileLayout> FileLayout::create(
   }
   FileLayout layout;
   layout.fsblksize_ = fsblksize;
-  layout.requested_ = std::move(chunksizes_req);
-  layout.aligned_.reserve(layout.requested_.size());
-  layout.prefix_.reserve(layout.requested_.size());
+  layout.aligned_.reserve(chunksizes_req.size());
+  layout.prefix_.reserve(chunksizes_req.size());
   std::uint64_t running = 0;
-  for (const std::uint64_t req : layout.requested_) {
+  for (const std::uint64_t req : chunksizes_req) {
     if (req == 0) return InvalidArgument("chunk size must be positive");
     // "not to waste any space without necessity, the chunk size is chosen to
     // be a multiple of the file-system block size" (paper 3.1).

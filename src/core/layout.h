@@ -36,10 +36,7 @@ class FileLayout {
   }
   [[nodiscard]] std::uint64_t fsblksize() const { return fsblksize_; }
 
-  // Requested and block-aligned chunk size of local task `t`.
-  [[nodiscard]] std::uint64_t requested_chunksize(int t) const {
-    return requested_[static_cast<std::size_t>(t)];
-  }
+  // Block-aligned chunk size of local task `t`.
   [[nodiscard]] std::uint64_t chunksize(int t) const {
     return aligned_[static_cast<std::size_t>(t)];
   }
@@ -77,7 +74,6 @@ class FileLayout {
   std::uint64_t fsblksize_ = 0;
   std::uint64_t data_start_ = 0;
   std::uint64_t block_span_ = 0;
-  std::vector<std::uint64_t> requested_;
   std::vector<std::uint64_t> aligned_;
   std::vector<std::uint64_t> prefix_;
 };

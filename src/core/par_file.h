@@ -128,7 +128,6 @@ class SionParFile {
   [[nodiscard]] std::uint64_t position_in_chunk() const { return pos_; }
   [[nodiscard]] int nfiles() const { return nfiles_; }
   [[nodiscard]] int filenum() const { return filenum_; }
-  [[nodiscard]] const std::string& physical_path() const { return path_; }
   [[nodiscard]] std::uint64_t fsblksize() const { return fsblksize_; }
   // Total payload bytes this task has written / can still read.
   [[nodiscard]] std::uint64_t bytes_written_total() const;

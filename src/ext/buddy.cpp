@@ -195,9 +195,11 @@ std::string Buddy::replica_name(const std::string& name, int k) {
   return strformat("%s.b%d", name.c_str(), k);
 }
 
-Status Buddy::validate(const BuddyConfig& config, int nfiles, int ntasks) {
-  const int domains =
-      config.num_domains > 0 ? config.num_domains : std::max(1, nfiles);
+Result<BuddyConfig> Buddy::resolve(const BuddyConfig& config, int nfiles,
+                                   int ntasks) {
+  BuddyConfig resolved = config;
+  if (resolved.num_domains <= 0) resolved.num_domains = std::max(1, nfiles);
+  const int domains = resolved.num_domains;
   if (config.replicas < 1) {
     return InvalidArgument("buddy replication degree must be at least 1");
   }
@@ -211,7 +213,7 @@ Status Buddy::validate(const BuddyConfig& config, int nfiles, int ntasks) {
     return InvalidArgument(strformat(
         "%d tasks cannot form %d equal failure domains", ntasks, domains));
   }
-  return Status::Ok();
+  return resolved;
 }
 
 // ---------------------------------------------------------------------------
@@ -220,22 +222,23 @@ Status Buddy::validate(const BuddyConfig& config, int nfiles, int ntasks) {
 
 Status Buddy::write(fs::FileSystem& fs, par::Comm& gcom,
                     const core::ParOpenSpec& spec, const BuddyConfig& config,
-                    fs::DataView payload) {
+                    fs::DataView payload,
+                    const CollectiveConfig* aggregation) {
   const int gsize = gcom.size();
-  const int ndomains =
-      config.num_domains > 0 ? config.num_domains : std::max(1, spec.nfiles);
   const int replicas = config.replicas;
   if (spec.chunk_frames) {
     return InvalidArgument(
         "chunk recovery frames are not supported with buddy replication");
   }
-  SION_RETURN_IF_ERROR(validate(config, spec.nfiles, gsize));
+  SION_ASSIGN_OR_RETURN(const BuddyConfig resolved,
+                        resolve(config, spec.nfiles, gsize));
+  const int ndomains = resolved.num_domains;
   const int domain_size = gsize / ndomains;
 
   // The mirror ship rotates single-mode views; gather payloads would need
   // per-part descriptors. The check is agreed so a single gather-carrying
   // rank fails every task instead of deserting its buddy mid-rotation.
-  if (replicas > 1 && !config.collective) {
+  if (replicas > 1 && aggregation == nullptr) {
     const bool gather = payload.is_gather();
     if (gcom.allreduce_u64(gather ? 1 : 0, par::ReduceOp::kMax) != 0) {
       return InvalidArgument(
@@ -247,9 +250,7 @@ Status Buddy::write(fs::FileSystem& fs, par::Comm& gcom,
   // (contiguous equal blocks == the domain mapping when D divides gsize).
   SION_ASSIGN_OR_RETURN(
       const core::ParOpenSpec pspec,
-      write_domain_primary(
-          fs, gcom, spec, ndomains,
-          config.collective ? &config.collective_config : nullptr, payload));
+      write_domain_primary(fs, gcom, spec, ndomains, aggregation, payload));
 
   if (replicas == 1) return Status::Ok();
 
@@ -260,7 +261,7 @@ Status Buddy::write(fs::FileSystem& fs, par::Comm& gcom,
 
   for (int k = 1; k < replicas; ++k) {
     const std::string set_name = replica_name(spec.filename, k);
-    if (config.collective) {
+    if (aggregation != nullptr) {
       // Rotated mapping, identity preserved: rank i's payload ships through
       // ext::Collective to the collector of buddy domain (d_i + k) mod D's
       // file — the coalesced-copy-traffic path.
@@ -270,7 +271,7 @@ Status Buddy::write(fs::FileSystem& fs, par::Comm& gcom,
       rspec.custom_file_of_rank =
           rotated_file_map(gsize, domain_size, ndomains, k);
       SION_RETURN_IF_ERROR(
-          write_multifile(fs, gcom, rspec, &config.collective_config, payload));
+          write_multifile(fs, gcom, rspec, aggregation, payload));
     } else {
       SION_RETURN_IF_ERROR(mirror_write(fs, gcom, *dcom, set_name, k,
                                         domain_size, ndomains, pspec.fsblksize,

@@ -59,12 +59,6 @@ struct BuddyConfig {
   // the primary multifile gets one physical file per domain. 0 derives D
   // from ParOpenSpec::nfiles. The writer task count must be divisible by D.
   int num_domains = 0;
-
-  // Route the primary and every replica set through ext::Collective
-  // (coalesced collector writes) instead of per-task writes plus the
-  // group-to-group mirror ship.
-  bool collective = false;
-  CollectiveConfig collective_config;
 };
 
 // Outcome of a probe-and-heal pass (assertable from tests and benches).
@@ -80,10 +74,14 @@ class Buddy {
  public:
   // Collective write over `gcom`: the primary multifile at spec.filename
   // plus config.replicas - 1 replica sets. spec.nfiles is overridden by the
-  // domain count; spec.chunk_frames must be off.
+  // domain count; spec.chunk_frames must be off. A set `aggregation` routes
+  // the primary and every replica set through ext::Collective (coalesced
+  // collector writes) instead of per-task writes plus the group-to-group
+  // mirror ship.
   static Status write(fs::FileSystem& fs, par::Comm& gcom,
                       const core::ParOpenSpec& spec, const BuddyConfig& config,
-                      fs::DataView payload);
+                      fs::DataView payload,
+                      const CollectiveConfig* aggregation = nullptr);
 
   // Collective probe-and-heal over `mcom` (any size, including 1): rank 0
   // validates every primary physical file (open + metablocks 1 and 2); lost
@@ -110,11 +108,13 @@ class Buddy {
   // Base name of replica set k (k >= 1): "<name>.b<k>".
   static std::string replica_name(const std::string& name, int k);
 
-  // The geometry rules every Buddy entry point shares: 1 <= replicas <= D
-  // (D = num_domains, or `nfiles` when that is 0) and, for ntasks > 0,
-  // writers that split into D equal domains. Restores pass ntasks <= 0: an
-  // N->M restart comm need not divide into the write-time domains.
-  static Status validate(const BuddyConfig& config, int nfiles, int ntasks);
+  // `config` with num_domains filled in (0 becomes max(1, nfiles)), once
+  // the geometry rules every Buddy entry point shares hold: 1 <= replicas
+  // <= D and, for ntasks > 0, writers that split into D equal domains.
+  // Restores pass ntasks <= 0: an N->M restart comm need not divide into
+  // the write-time domains.
+  static Result<BuddyConfig> resolve(const BuddyConfig& config, int nfiles,
+                                     int ntasks);
 };
 
 }  // namespace sion::ext

@@ -66,14 +66,7 @@ Status agree(par::Comm& comm, const Status& mine) {
 // Splits a physical file's communicator into the aggregation groups
 // `config` asks for; rank 0 of each group is its collector.
 par::Comm* split_groups(par::Comm& lcom, const CollectiveConfig& config) {
-  int group_size = config.group_size;
-  if (group_size <= 0) {
-    group_size = static_cast<int>(
-        ceil_div(static_cast<std::uint64_t>(lcom.size()),
-                 static_cast<std::uint64_t>(
-                     std::max(1, config.collectors_per_file))));
-  }
-  par::Comm* group = lcom.split_groups(group_size);
+  par::Comm* group = lcom.split_groups(config.group_size);
   SION_CHECK(group != nullptr) << "split_groups returned no communicator";
   return group;
 }
@@ -723,7 +716,7 @@ Result<std::uint64_t> Collective::read(std::span<std::byte> out) {
   return read_impl(out, /*skip=*/false, out.size());
 }
 
-Result<std::vector<std::byte>> Collective::read_all() {
+Result<std::vector<std::byte>> Collective::read_remaining() {
   const std::uint64_t total = bytes_remaining_total();
   std::vector<std::byte> out(static_cast<std::size_t>(total));
   SION_ASSIGN_OR_RETURN(const std::uint64_t got, read(out));

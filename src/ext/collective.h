@@ -41,13 +41,9 @@
 namespace sion::ext {
 
 struct CollectiveConfig {
-  // Member ranks per collector (the collector itself included). 0 derives
-  // the group size from collectors_per_file instead.
+  // Member ranks per collector (the collector itself included). 0 makes
+  // every task of a physical file one group: one collector per file.
   int group_size = 0;
-
-  // Used when group_size == 0: how many collector ranks each physical file
-  // of the multifile set gets (SIONlib's "collectors per file" knob).
-  int collectors_per_file = 1;
 
   // Cap on the collector-side aggregation buffer; payloads are shipped and
   // flushed in waves of at most this many bytes, so host memory stays
@@ -102,10 +98,11 @@ class Collective {
   Result<std::uint64_t> read(std::span<std::byte> out);
 
   // Collective over the group: every member receives its entire remaining
-  // logical stream in one buffer. The compressed-checkpoint restore path
-  // reads whole streams this way because compression frame boundaries do
-  // not respect chunk boundaries (ext/compress.h).
-  Result<std::vector<std::byte>> read_all();
+  // logical stream in one buffer, like SionParFile::read_remaining. The
+  // compressed-checkpoint restore path reads whole streams this way because
+  // compression frame boundaries do not respect chunk boundaries
+  // (ext/compress.h).
+  Result<std::vector<std::byte>> read_remaining();
 
   // Timing-only read: charges the full file-system and scatter cost and
   // advances the logical position without materialising payload bytes.
@@ -120,7 +117,6 @@ class Collective {
   [[nodiscard]] bool is_collector() const { return group_->rank() == 0; }
   [[nodiscard]] int group_size() const { return group_->size(); }
   [[nodiscard]] int nfiles() const { return nfiles_; }
-  [[nodiscard]] const std::string& physical_path() const { return path_; }
   // Packing granule the chunks were laid out with (the header's fsblksize).
   [[nodiscard]] std::uint64_t granule() const { return granule_; }
   // Usable payload capacity of one chunk of this rank.

@@ -374,18 +374,4 @@ bool stream_is_framed(std::span<const std::byte> head) {
          std::memcmp(head.data(), kFrameSync.data(), kFrameSync.size()) == 0;
 }
 
-Result<std::vector<std::byte>> read_logical_decompressed(
-    core::SionSerialFile& file, int rank, StreamLossReport* loss) {
-  SION_ASSIGN_OR_RETURN(std::vector<std::byte> raw, file.read_logical(rank));
-  if (!stream_is_framed(raw)) return raw;
-  return decompress_stream(raw, loss);
-}
-
-Result<std::vector<std::byte>> read_remaining_decompressed(
-    core::SionParFile& file, StreamLossReport* loss) {
-  SION_ASSIGN_OR_RETURN(std::vector<std::byte> raw, file.read_remaining());
-  if (!stream_is_framed(raw)) return raw;
-  return decompress_stream(raw, loss);
-}
-
 }  // namespace sion::ext

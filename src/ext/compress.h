@@ -33,8 +33,6 @@
 
 #include "common/status.h"
 #include "common/units.h"
-#include "core/par_file.h"
-#include "core/serial_file.h"
 #include "ext/recovery.h"
 #include "ext/slz.h"
 
@@ -168,13 +166,5 @@ Result<std::vector<std::byte>> decompress_stream(
 // True when `head` (the first bytes of a stream, >= 8 needed) starts with
 // the frame sync marker — the transparent-read detection rule.
 [[nodiscard]] bool stream_is_framed(std::span<const std::byte> head);
-
-// Transparent logical reads over the core readers: fetch the raw stream,
-// and decode it iff it starts with the sync marker (raw pass-through
-// otherwise). These sit in ext/ because core/ cannot depend on ext/.
-Result<std::vector<std::byte>> read_logical_decompressed(
-    core::SionSerialFile& file, int rank, StreamLossReport* loss = nullptr);
-Result<std::vector<std::byte>> read_remaining_decompressed(
-    core::SionParFile& file, StreamLossReport* loss = nullptr);
 
 }  // namespace sion::ext

@@ -144,12 +144,6 @@ Result<ParityHeader> parity_usable(fs::FileSystem& fs, const std::string& path,
   return h;
 }
 
-EccConfig derived(const EccConfig& config, int nfiles) {
-  EccConfig c = config;
-  if (c.data_domains <= 0) c.data_domains = std::max(1, nfiles);
-  return c;
-}
-
 // Rank 0 probes once and broadcasts the result, so one verdict drives every
 // task's branch and decode identically (no per-task re-probing).
 Result<EccProbe> shared_probe(fs::FileSystem& fs, par::Comm& mcom,
@@ -455,8 +449,11 @@ Result<EccParityInfo> Ecc::inspect_parity(fs::FileSystem& fs,
   return info;
 }
 
-Status Ecc::validate(const EccConfig& config, int nfiles, int ntasks) {
-  const int k = derived(config, nfiles).data_domains;
+Result<EccConfig> Ecc::resolve(const EccConfig& config, int nfiles,
+                               int ntasks) {
+  EccConfig resolved = config;
+  if (resolved.data_domains <= 0) resolved.data_domains = std::max(1, nfiles);
+  const int k = resolved.data_domains;
   const int m = config.parity_domains;
   if (m < 1) {
     return InvalidArgument(
@@ -478,34 +475,31 @@ Status Ecc::validate(const EccConfig& config, int nfiles, int ntasks) {
         "failure domains, the k data domains must divide the writers)",
         ntasks, k));
   }
-  return Status::Ok();
+  return resolved;
 }
 
 Status Ecc::write(fs::FileSystem& fs, par::Comm& gcom,
                   const core::ParOpenSpec& spec, const EccConfig& config,
-                  fs::DataView payload) {
-  const EccConfig cfg = derived(config, spec.nfiles);
+                  fs::DataView payload, const CollectiveConfig* aggregation) {
   if (spec.chunk_frames) {
     return InvalidArgument(
         "chunk recovery frames are not supported with ECC protection");
   }
-  SION_RETURN_IF_ERROR(validate(config, spec.nfiles, gcom.size()));
-  SION_RETURN_IF_ERROR(
-      write_domain_primary(fs, gcom, spec, cfg.data_domains,
-                           cfg.collective ? &cfg.collective_config : nullptr,
-                           payload)
-          .status());
+  SION_ASSIGN_OR_RETURN(const EccConfig cfg,
+                        resolve(config, spec.nfiles, gcom.size()));
+  SION_RETURN_IF_ERROR(write_domain_primary(fs, gcom, spec, cfg.data_domains,
+                                            aggregation, payload)
+                           .status());
   return encode_parity(fs, gcom, spec.filename, cfg);
 }
 
 Status Ecc::encode_parity(fs::FileSystem& fs, par::Comm& comm,
                           const std::string& name, const EccConfig& config,
                           std::span<const int> only) {
-  const EccConfig cfg = derived(config, 1);
+  SION_ASSIGN_OR_RETURN(const EccConfig cfg, resolve(config, 1, 0));
   const int k = cfg.data_domains;
   const int m = cfg.parity_domains;
   const std::uint64_t stripe = cfg.stripe_bytes;
-  SION_RETURN_IF_ERROR(validate(cfg, 1, 0));
   std::vector<int> targets(only.begin(), only.end());
   if (targets.empty()) {
     for (int j = 0; j < m; ++j) targets.push_back(j);
@@ -653,10 +647,9 @@ Status Ecc::encode_parity(fs::FileSystem& fs, par::Comm& comm,
 
 Result<EccProbe> Ecc::probe(fs::FileSystem& fs, const std::string& name,
                             const EccConfig& config) {
-  const EccConfig cfg = derived(config, 1);
+  SION_ASSIGN_OR_RETURN(const EccConfig cfg, resolve(config, 1, 0));
   const int k = cfg.data_domains;
   const int m = cfg.parity_domains;
-  SION_RETURN_IF_ERROR(validate(cfg, 1, 0));
   EccProbe p;
   p.k = k;
   p.m = m;
@@ -747,7 +740,7 @@ Result<EccHealReport> Ecc::heal(fs::FileSystem& fs, par::Comm& mcom,
     if (p.parity_ok[static_cast<std::size_t>(j)] == 0) lost_parity.push_back(j);
   }
   if (!lost_parity.empty()) {
-    EccConfig cfg = derived(config, 1);
+    SION_ASSIGN_OR_RETURN(EccConfig cfg, resolve(config, 1, 0));
     cfg.stripe_bytes = p.stripe_bytes != 0 ? p.stripe_bytes : cfg.stripe_bytes;
     SION_RETURN_IF_ERROR(encode_parity(fs, mcom, name, cfg, lost_parity));
     if (me == 0) my_bytes += static_cast<std::uint64_t>(lost_parity.size()) *

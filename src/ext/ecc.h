@@ -78,12 +78,6 @@ struct EccConfig {
   // across the primary's alignment gaps.
   std::uint64_t stripe_bytes = 256 * kKiB;
 
-  // Route the primary multifile through ext::Collective (coalesced
-  // collector writes). Parity encoding is unaffected: it reads back the
-  // physical bytes whoever wrote them.
-  bool collective = false;
-  CollectiveConfig collective_config;
-
   // What restore() does when the probe finds damage: decode lost files on
   // the fly during the restart's own reads (kDegraded, the default), or
   // reconstruct them on disk first and restart from the repaired set
@@ -142,10 +136,14 @@ class Ecc {
  public:
   // Collective write over `gcom`: the primary multifile at spec.filename
   // (spec.nfiles overridden by the data-domain count) followed by the m
-  // parity files. spec.chunk_frames must be off.
+  // parity files. spec.chunk_frames must be off. A set `aggregation` routes
+  // the primary through ext::Collective (coalesced collector writes);
+  // parity encoding is unaffected, it reads back the physical bytes
+  // whoever wrote them.
   static Status write(fs::FileSystem& fs, par::Comm& gcom,
                       const core::ParOpenSpec& spec, const EccConfig& config,
-                      fs::DataView payload);
+                      fs::DataView payload,
+                      const CollectiveConfig* aggregation = nullptr);
 
   // Collective (re-)encode of the parity files of an existing, closed
   // multifile: rank 0 stats the k data files and lays the parity files
@@ -196,11 +194,13 @@ class Ecc {
   // Name of parity file j (j >= 0): "<name>.p<j>".
   static std::string parity_name(const std::string& name, int j);
 
-  // The geometry rules every ECC entry point shares: m >= 1, k + m <= 255
-  // (GF(256)), a nonzero stripe and, for ntasks > 0, writers that split
-  // into the k data domains (k = data_domains, or `nfiles` when that is
-  // 0). Restores pass ntasks <= 0: an N->M restart comm need not divide.
-  static Status validate(const EccConfig& config, int nfiles, int ntasks);
+  // `config` with data_domains filled in (0 becomes max(1, nfiles)), once
+  // the geometry rules every ECC entry point shares hold: m >= 1,
+  // k + m <= 255 (GF(256)), a nonzero stripe and, for ntasks > 0, writers
+  // that split into the k data domains. Restores pass ntasks <= 0: an N->M
+  // restart comm need not divide.
+  static Result<EccConfig> resolve(const EccConfig& config, int nfiles,
+                                   int ntasks);
 };
 
 // Read-only FileSystem decorator serving degraded reads: paths of lost

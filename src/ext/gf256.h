@@ -67,10 +67,6 @@ inline constexpr Tables kTables = make_tables();
   return t.exp[static_cast<std::size_t>(255 - t.log[a])];
 }
 
-[[nodiscard]] inline std::uint8_t gf_div(std::uint8_t a, std::uint8_t b) {
-  return gf_mul(a, gf_inv(b));
-}
-
 // Element [j][d] of the Cauchy parity matrix for k data domains: row index
 // j in [0, m), column d in [0, k). Requires k + j <= 255.
 [[nodiscard]] inline std::uint8_t gf_cauchy(int k, int j, int d) {

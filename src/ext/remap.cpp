@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <optional>
 
 #include "common/strings.h"
 
@@ -28,19 +29,24 @@ ReadAtFn stream_read_at(core::SionSerialFile& view, int stream) {
   };
 }
 
-// Bytes stream `r` will deliver: its raw logical size, or — under
-// transparent decompression, when the stream leads with the frame sync
-// marker — the decoded size from a header walk.
-Result<std::uint64_t> scanned_stream_bytes(core::SionSerialFile& view, int r,
-                                           bool transparent) {
-  const std::uint64_t raw = view.logical_bytes(r);
-  if (!transparent || raw < kFrameSync.size()) return raw;
+// What source stream `r` delivers under transparent decompression.
+struct StreamProbe {
+  std::uint64_t bytes = 0;           // decoded size if framed, else raw size
+  std::optional<FrameIndex> frames;  // set when the stream is framed
+};
+
+// A stream that leads with the frame sync marker is framed: one head read,
+// then the header walk. Anything else passes through raw.
+Result<StreamProbe> probe_stream(core::SionSerialFile& view, int r) {
+  StreamProbe probe{view.logical_bytes(r), std::nullopt};
   std::array<std::byte, kFrameSync.size()> head{};
+  if (probe.bytes < head.size()) return probe;
   SION_ASSIGN_OR_RETURN(const std::uint64_t got, view.read_at(r, 0, head));
-  if (got < head.size() || !stream_is_framed(head)) return raw;
-  SION_ASSIGN_OR_RETURN(const FrameIndex idx,
-                        index_frames(raw, stream_read_at(view, r)));
-  return idx.decoded_bytes;
+  if (got < head.size() || !stream_is_framed(head)) return probe;
+  SION_ASSIGN_OR_RETURN(probe.frames,
+                        index_frames(probe.bytes, stream_read_at(view, r)));
+  probe.bytes = probe.frames->decoded_bytes;
+  return probe;
 }
 
 }  // namespace
@@ -81,12 +87,15 @@ Result<std::unique_ptr<Remap>> Remap::open(fs::FileSystem& fs, par::Comm& mcom,
       const int nranks = view0->locations().nranks;
       sizes.reserve(static_cast<std::size_t>(nranks));
       for (int r = 0; r < nranks && st.ok(); ++r) {
-        auto advertised = scanned_stream_bytes(*view0, r,
-                                               config.transparent_decompress);
-        if (!advertised.ok()) {
-          st = advertised.status();
+        if (!config.transparent_decompress) {
+          sizes.push_back(view0->logical_bytes(r));
+          continue;
+        }
+        auto probe = probe_stream(*view0, r);
+        if (!probe.ok()) {
+          st = probe.status();
         } else {
-          sizes.push_back(advertised.value());
+          sizes.push_back(probe.value().bytes);
         }
       }
     }
@@ -123,13 +132,9 @@ Result<std::unique_ptr<Remap>> Remap::open(fs::FileSystem& fs, par::Comm& mcom,
     }
     out->reader_of_.push_back(std::min(reader, msize - 1));
   }
-  out->first_stream_ = out->nwriters_;
   for (int j = 0; j < out->nwriters_; ++j) {
-    if (out->reader_of(j) != m) continue;
-    if (out->nstreams_ == 0) out->first_stream_ = j;
-    ++out->nstreams_;
+    if (out->reader_of(j) == m) ++out->nstreams_;
   }
-  if (out->nstreams_ == 0) out->first_stream_ = 0;
 
   // Only tasks with assigned streams hold the multifile open (the global
   // view is exactly the paper's serial access path, and M - readers tasks
@@ -242,38 +247,22 @@ Result<RemapStats> Remap::restore(std::span<std::byte> out,
       const std::uint64_t g1 = g0 + wave_len;
 
       if (reader == me) {
-        if (transparent_ && decode_stream != j) {
+        if (transparent_ && decode_stream != j && st.ok()) {
           // New source stream: probe for the sync marker and build its frame
           // index. Failures fall back to zero-shipping + agree() like any
           // other reader-side error.
           decode_stream = j;
           decoder.reset();
           decoder_encoded_prev = 0;
-          const std::uint64_t raw_len = view_->logical_bytes(j);
-          std::array<std::byte, kFrameSync.size()> head{};
-          bool framed = false;
-          if (raw_len >= head.size()) {
-            auto got_head = view_->read_at(j, 0, head);
-            if (!got_head.ok()) {
-              st = got_head.status();
-            } else {
-              framed = got_head.value() == head.size() &&
-                       stream_is_framed(head);
-            }
-          }
-          if (st.ok() && framed) {
-            auto idx = index_frames(raw_len, stream_read_at(*view_, j));
-            if (!idx.ok()) {
-              st = idx.status();
-            } else if (idx.value().decoded_bytes != stream_len) {
-              st = Corrupt("stream size changed between open and restore");
-            } else {
-              decoder = std::make_unique<FrameStreamReader>(
-                  std::move(idx).value(), stream_read_at(*view_, j),
-                  &stats.loss);
-            }
-          } else if (st.ok() && raw_len != stream_len) {
+          auto probe = probe_stream(*view_, j);
+          if (!probe.ok()) {
+            st = probe.status();
+          } else if (probe.value().bytes != stream_len) {
             st = Corrupt("stream size changed between open and restore");
+          } else if (probe.value().frames.has_value()) {
+            decoder = std::make_unique<FrameStreamReader>(
+                std::move(*probe.value().frames), stream_read_at(*view_, j),
+                &stats.loss);
           }
         }
         wave_buf.resize(wave_len);

@@ -89,8 +89,7 @@ class Remap {
   [[nodiscard]] std::uint64_t stream_bytes(int writer_rank) const {
     return stream_bytes_[static_cast<std::size_t>(writer_rank)];
   }
-  // First source stream this task reads, and how many (contiguous).
-  [[nodiscard]] int first_stream() const { return first_stream_; }
+  // How many source streams this task reads (a contiguous range).
   [[nodiscard]] int nstreams() const { return nstreams_; }
 
   // The default destination partition: rank `m`'s slice of the concatenated
@@ -129,8 +128,7 @@ class Remap {
   std::vector<std::uint64_t> stream_bytes_;   // per writer rank
   std::vector<std::uint64_t> stream_offset_;  // exclusive prefix sum
   std::vector<int> reader_of_;                // per writer rank
-  int first_stream_ = 0;  // this task's contiguous stream range
-  int nstreams_ = 0;
+  int nstreams_ = 0;  // this task's contiguous stream range
 
   // Open only on tasks with nstreams_ > 0.
   std::unique_ptr<core::SionSerialFile> view_;

@@ -11,6 +11,13 @@
 
 namespace sion::ext {
 
+namespace {
+
+// Directory on the fast tier holding the staged slot files.
+constexpr char kFastDir[] = "bb";
+
+}  // namespace
+
 Result<std::unique_ptr<Staging>> Staging::open(
     fs::FileSystem& parallel_tier, par::Comm& comm, StagingConfig config,
     core::ParOpenSpec sion_spec, std::optional<CollectiveConfig> collective,
@@ -58,23 +65,14 @@ Result<std::unique_ptr<Staging>> Staging::open(
         "staging: buddy and ecc protection are mutually exclusive");
   }
   if (ecc.has_value()) {
-    const int k = sion_spec.nfiles;
-    if (ecc->data_domains != 0 && ecc->data_domains != k) {
-      return InvalidArgument(strformat(
-          "staging: ecc data_domains %d != staged nfiles %d",
-          ecc->data_domains, k));
-    }
-    SION_RETURN_IF_ERROR(Ecc::validate(*ecc, k, comm.size()));
-    ecc->data_domains = k;
+    SION_ASSIGN_OR_RETURN(ecc,
+                          Ecc::resolve(*ecc, sion_spec.nfiles, comm.size()));
+    sion_spec.nfiles = ecc->data_domains;
   }
   if (buddy.has_value()) {
-    const int domains = sion_spec.nfiles;
-    if (buddy->num_domains != 0 && buddy->num_domains != domains) {
-      return InvalidArgument(strformat(
-          "staging: buddy num_domains %d != staged nfiles %d",
-          buddy->num_domains, domains));
-    }
-    SION_RETURN_IF_ERROR(Buddy::validate(*buddy, domains, comm.size()));
+    SION_ASSIGN_OR_RETURN(
+        buddy, Buddy::resolve(*buddy, sion_spec.nfiles, comm.size()));
+    sion_spec.nfiles = buddy->num_domains;
   }
 
   auto s = std::unique_ptr<Staging>(new Staging());
@@ -101,20 +99,17 @@ Result<std::unique_ptr<Staging>> Staging::open(
   // Ensure the staging directory exists on the fast tier (rank 0 creates it;
   // everyone shares the outcome).
   Status st = Status::Ok();
-  if (comm.rank() == 0 && !s->config_.fast_dir.empty() &&
-      !s->fast_->exists(s->config_.fast_dir)) {
-    st = s->fast_->mkdir(s->config_.fast_dir);
+  if (comm.rank() == 0 && !s->fast_->exists(kFastDir)) {
+    st = s->fast_->mkdir(kFastDir);
   }
   SION_RETURN_IF_ERROR(par::share_status(comm, st, 0, "staging open"));
   return s;
 }
 
 std::string Staging::slot_base(std::uint64_t index) const {
-  const std::string name =
-      fs::basename(sion_spec_.filename) + ".slot" +
-      std::to_string(index % static_cast<std::uint64_t>(config_.buffers));
-  if (config_.fast_dir.empty()) return name;
-  return config_.fast_dir + "/" + name;
+  return std::string(kFastDir) + "/" + fs::basename(sion_spec_.filename) +
+         ".slot" +
+         std::to_string(index % static_cast<std::uint64_t>(config_.buffers));
 }
 
 Result<double> Staging::write(std::uint64_t index, fs::DataView payload,

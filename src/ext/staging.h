@@ -58,9 +58,6 @@ struct StagingConfig {
   // over fs::BurstBufferTierConfig(machine, ntasks).
   fs::FileSystem* fast_tier = nullptr;
 
-  // Directory on the fast tier holding the staged slot files.
-  std::string fast_dir = "bb";
-
   // In-flight staged checkpoints per node (2 = classic double buffering).
   int buffers = 2;
 
@@ -90,10 +87,10 @@ class Staging {
   // Collective open. `sion_spec` is the template for the staged writes
   // (filename is the *final* base name; chunksize is set per write);
   // `collective` routes the staged fast-tier writes through
-  // ext::Collective; `buddy` replicates during the drain (requires
-  // sion_spec.nfiles == num_domains and comm.size() % domains == 0);
-  // `ecc` encodes parity during the drain instead (sion_spec.nfiles == k,
-  // mutually exclusive with `buddy`).
+  // ext::Collective; `buddy` replicates during the drain; `ecc` encodes
+  // parity during the drain instead (mutually exclusive with `buddy`).
+  // Either scheme stages one physical file per failure domain, so its
+  // resolved domain count overrides sion_spec.nfiles.
   static Result<std::unique_ptr<Staging>> open(
       fs::FileSystem& parallel_tier, par::Comm& comm, StagingConfig config,
       core::ParOpenSpec sion_spec, std::optional<CollectiveConfig> collective,

@@ -97,11 +97,6 @@ struct FaultPlan {
         {FaultSpec::Kind::kDegrade, "*", ost_index, 1.0, 0, factor});
     return *this;
   }
-  FaultPlan& read_error_ost(int ost_index, double p = 1.0) {
-    faults.push_back(
-        {FaultSpec::Kind::kReadError, "*", ost_index, p, 0, 1.0});
-    return *this;
-  }
 };
 
 // What an armed plan has injected so far (assertable from tests).

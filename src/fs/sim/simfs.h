@@ -90,7 +90,6 @@ class SimFs final : public FileSystem {
     std::uint64_t cache_hit_bytes = 0;
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
-  void reset_counters() { counters_ = Counters{}; }
 
   // Total physically allocated bytes across all files (sparse-aware).
   [[nodiscard]] std::uint64_t allocated_bytes() const;
@@ -110,7 +109,6 @@ class SimFs final : public FileSystem {
   // lost or truncated stay that way (the damage was done to "disk").
   void disarm_faults();
 
-  [[nodiscard]] bool faults_armed() const { return faults_armed_; }
   [[nodiscard]] const FaultCounters& fault_counters() const {
     return fault_counters_;
   }

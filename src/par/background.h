@@ -28,9 +28,6 @@ class BackgroundWorker {
     return busy_until_;
   }
 
-  // Completion time of the last booked job (0 when idle since creation).
-  [[nodiscard]] double busy_until() const { return busy_until_; }
-
  private:
   double busy_until_ = 0.0;
 };

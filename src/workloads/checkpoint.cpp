@@ -13,9 +13,10 @@ Status validate_protection(const CheckpointSpec& spec, int ntasks) {
         "checkpoint protection (buddy or ecc) requires the SIONlib strategy");
   }
   if (const ext::BuddyConfig* b = spec.buddy_protection(); b != nullptr) {
-    return ext::Buddy::validate(*b, spec.nfiles, ntasks);
+    return ext::Buddy::resolve(*b, spec.nfiles, ntasks).status();
   }
-  return ext::Ecc::validate(*spec.ecc_protection(), spec.nfiles, ntasks);
+  return ext::Ecc::resolve(*spec.ecc_protection(), spec.nfiles, ntasks)
+      .status();
 }
 
 // The free functions are compatibility wrappers over a one-write session.

@@ -22,7 +22,6 @@
 #include <variant>
 
 #include "common/status.h"
-#include "common/units.h"
 #include "ext/buddy.h"
 #include "ext/collective.h"
 #include "ext/compress.h"
@@ -46,21 +45,19 @@ struct CheckpointSpec {
   int nfiles = 1;               // SIONlib: physical files
   std::uint64_t fsblksize = 0;  // SIONlib: 0 = autodetect
 
-  // Single-file-seq strategy only: the designated I/O task's staging buffer.
-  std::uint64_t seq_staging_bytes = 8 * kMiB;
-
   // SIONlib strategy only: aggregate through ext::Collective instead of
   // every task writing its own chunk (paper section 6, coalescing I/O).
+  // The one aggregation setting: it also routes the protection writers'
+  // primary and replica traffic and the staged fast-tier writes.
   std::optional<ext::CollectiveConfig> collective;
 
   // SIONlib strategy only: redundancy scheme protecting the checkpoint.
   // ext::BuddyConfig mirrors every failure domain's streams into replica
   // sets (writes) and probe-and-heals lost physical files before restoring
-  // (reads); a set `collective` above carries over to the copy traffic.
-  // ext::EccConfig writes m Reed-Solomon parity files over the k-file
-  // primary instead — any m of the k+m files may be lost at m/k overhead,
-  // and restores either heal or decode lost files on the fly (degraded
-  // reads). See the README "Checkpoint protection" matrix.
+  // (reads). ext::EccConfig writes m Reed-Solomon parity files over the
+  // k-file primary instead — any m of the k+m files may be lost at m/k
+  // overhead, and restores either heal or decode lost files on the fly
+  // (degraded reads). See the README "Checkpoint protection" matrix.
   using Protection =
       std::variant<std::monostate, ext::BuddyConfig, ext::EccConfig>;
   Protection protection;
@@ -117,7 +114,9 @@ Status write_checkpoint(fs::FileSystem& fs, par::Comm& comm,
 
 // Collective read of the checkpoint written above. Every task receives its
 // `expected_bytes` into `out`; pass an empty span for timing-only restores
-// (data moved and discarded).
+// (data moved and discarded). A task whose `out` is too small, or whose
+// stream does not hold `expected_bytes`, fails only after its strategy's
+// collective calls, so the other tasks' restores still complete.
 Status read_checkpoint(fs::FileSystem& fs, par::Comm& comm,
                        const CheckpointSpec& spec,
                        std::uint64_t expected_bytes, std::span<std::byte> out);

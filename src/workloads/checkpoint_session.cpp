@@ -23,31 +23,6 @@ std::uint64_t sion_chunksize(fs::DataView payload) {
   return std::max<std::uint64_t>(1, payload.size());
 }
 
-// The buddy subsystem owns the collective-vs-plain routing for all of its
-// sets, so a set spec-level aggregation sub-spec folds into its config.
-ext::BuddyConfig buddy_config_of(const CheckpointSpec& spec) {
-  ext::BuddyConfig config = *spec.buddy_protection();
-  if (spec.collective.has_value()) {
-    config.collective = true;
-    config.collective_config = *spec.collective;
-  }
-  if (config.num_domains <= 0) config.num_domains = std::max(1, spec.nfiles);
-  return config;
-}
-
-// Same folding for ECC protection: the session-level aggregation sub-spec
-// routes the primary multifile through ext::Collective; parity encoding is
-// unaffected (it reads back physical bytes).
-ext::EccConfig ecc_config_of(const CheckpointSpec& spec) {
-  ext::EccConfig config = *spec.ecc_protection();
-  if (spec.collective.has_value()) {
-    config.collective = true;
-    config.collective_config = *spec.collective;
-  }
-  if (config.data_domains <= 0) config.data_domains = std::max(1, spec.nfiles);
-  return config;
-}
-
 // Materialise a DataView so it can be fed through the compressor. Fill and
 // gather views are expanded; compression callers pay this host cost by
 // opting in (virtual-scale benches that rely on fill virtualisation keep
@@ -79,44 +54,53 @@ ext::RemapConfig remap_config_of(const CheckpointSpec& spec) {
   return config;
 }
 
-// The same-task-count compressed read path: frame boundaries do not respect
-// chunk boundaries, so every task fetches its entire raw stream and decodes
-// it tolerantly. The decode verdict is agreed collectively so a rank whose
-// stream lost alignment (torn frame header) fails every task cleanly.
-Status restore_sion_compressed(fs::FileSystem& fs, par::Comm& comm,
-                               const CheckpointSpec& spec,
-                               const std::string& name,
-                               std::uint64_t expected_bytes,
-                               std::span<std::byte> out,
-                               ext::StreamLossReport* loss) {
-  const bool discard = out.empty();
-  std::vector<std::byte> rawbytes;
-  Status st;
-  if (spec.collective.has_value()) {
-    SION_ASSIGN_OR_RETURN(
-        auto sion, ext::Collective::open_read(fs, comm, name,
-                                              *spec.collective));
-    auto data = sion->read_all();
-    if (data.ok()) {
-      rawbytes = std::move(data).value();
-    } else {
-      st = data.status();
-    }
-    SION_RETURN_IF_ERROR(sion->close());
-  } else {
-    SION_ASSIGN_OR_RETURN(auto sion,
-                          core::SionParFile::open_read(fs, comm, name));
-    auto data = sion->read_remaining();
-    if (data.ok()) {
-      rawbytes = std::move(data).value();
-    } else {
-      st = data.status();
-    }
-    SION_RETURN_IF_ERROR(sion->close());
+// Reads this task's `expected_bytes` into `out`, or skips them when `out`
+// is empty. A buffer too small for them is filled as far as it goes, so
+// the task still makes every read call its peers make (a collective reader
+// deadlocks when one group mixes read and read_skip); the error comes
+// after.
+template <typename Reader>
+Status read_expected(Reader& reader, std::uint64_t expected_bytes,
+                     std::span<std::byte> out) {
+  if (out.empty()) return reader.read_skip(expected_bytes);
+  SION_ASSIGN_OR_RETURN(
+      const std::uint64_t n,
+      reader.read(out.first(static_cast<std::size_t>(
+          std::min<std::uint64_t>(out.size(), expected_bytes)))));
+  if (out.size() < expected_bytes) {
+    return InvalidArgument("output buffer too small for checkpoint");
   }
+  if (n != expected_bytes) return Corrupt("short checkpoint read");
+  return Status::Ok();
+}
+
+// The same-task-count read through either reader, core::SionParFile or
+// ext::Collective (`opened`). Every task reads and closes before it
+// reports a bad input, so no peer strands in a collective; the plain
+// verdict is per task. Compressed streams are fetched whole (frame
+// boundaries do not respect chunk boundaries) and decoded tolerantly, and
+// that verdict is agreed, so a rank whose stream lost alignment (torn
+// frame header) fails every task cleanly.
+template <typename Reader>
+Status restore_same_count(Result<std::unique_ptr<Reader>> opened,
+                          par::Comm& comm, const CheckpointSpec& spec,
+                          std::uint64_t expected_bytes,
+                          std::span<std::byte> out,
+                          ext::StreamLossReport& loss) {
+  SION_ASSIGN_OR_RETURN(const std::unique_ptr<Reader> sion, std::move(opened));
+  if (!spec.compression.has_value()) {
+    const bool sized = sion->bytes_remaining_total() == expected_bytes;
+    Status st = read_expected(*sion, expected_bytes, out);
+    if (!sized) st = Corrupt("checkpoint size does not match expectation");
+    const Status closed = sion->close();
+    return st.ok() ? closed : st;
+  }
+  auto raw = sion->read_remaining();
+  SION_RETURN_IF_ERROR(sion->close());
+  Status st = raw.status();
   if (st.ok()) {
     ext::StreamLossReport mine;
-    auto decoded = ext::decompress_stream(rawbytes, &mine);
+    auto decoded = ext::decompress_stream(raw.value(), &mine);
     if (!decoded.ok()) {
       st = decoded.status();
     } else if (decoded.value().size() != expected_bytes) {
@@ -125,12 +109,14 @@ Status restore_sion_compressed(fs::FileSystem& fs, par::Comm& comm,
           "expected (unrecoverable frame-header loss shrinks the stream)",
           static_cast<unsigned long long>(decoded.value().size()),
           static_cast<unsigned long long>(expected_bytes)));
+    } else if (!out.empty() && out.size() < expected_bytes) {
+      st = InvalidArgument("output buffer too small for checkpoint");
     } else {
-      if (!discard && expected_bytes > 0) {
+      if (!out.empty() && expected_bytes > 0) {
         std::memcpy(out.data(), decoded.value().data(),
                     static_cast<std::size_t>(expected_bytes));
       }
-      if (loss != nullptr) loss->merge(mine);
+      loss.merge(mine);
     }
   }
   return par::agree_status(comm, st,
@@ -164,11 +150,10 @@ Result<std::unique_ptr<CheckpointSession>> CheckpointSession::open(
     std::optional<ext::BuddyConfig> buddy;
     std::optional<ext::EccConfig> ecc;
     if (const ext::BuddyConfig* b = s.buddy_protection(); b != nullptr) {
-      buddy = buddy_config_of(s);
-      open.nfiles = buddy->num_domains;  // one physical file per domain
-    } else if (const ext::EccConfig* e = s.ecc_protection(); e != nullptr) {
-      ecc = ecc_config_of(s);
-      open.nfiles = ecc->data_domains;  // one physical file per data domain
+      buddy = *b;
+    }
+    if (const ext::EccConfig* e = s.ecc_protection(); e != nullptr) {
+      ecc = *e;
     }
     SION_ASSIGN_OR_RETURN(
         session->staging_,
@@ -341,33 +326,18 @@ Status CheckpointSession::write_now(const std::string& name,
       open.chunksize = sion_chunksize(payload);
       open.nfiles = spec.nfiles;
       open.fsblksize = spec.fsblksize;
-      if (spec.buddy_protection() != nullptr) {
-        return ext::Buddy::write(*fs_, *comm_, open, buddy_config_of(spec),
-                                 payload);
+      const ext::CollectiveConfig* aggregation =
+          spec.collective.has_value() ? &*spec.collective : nullptr;
+      if (const ext::BuddyConfig* b = spec.buddy_protection(); b != nullptr) {
+        return ext::Buddy::write(*fs_, *comm_, open, *b, payload, aggregation);
       }
-      if (spec.ecc_protection() != nullptr) {
-        return ext::Ecc::write(*fs_, *comm_, open, ecc_config_of(spec),
-                               payload);
+      if (const ext::EccConfig* e = spec.ecc_protection(); e != nullptr) {
+        return ext::Ecc::write(*fs_, *comm_, open, *e, payload, aggregation);
       }
-      if (spec.collective.has_value()) {
-        SION_ASSIGN_OR_RETURN(
-            auto sion,
-            ext::Collective::open_write(*fs_, *comm_, open, *spec.collective));
-        SION_RETURN_IF_ERROR(sion->write(payload));
-        return sion->close();
-      }
-      SION_ASSIGN_OR_RETURN(auto sion,
-                            core::SionParFile::open_write(*fs_, *comm_, open));
-      SION_ASSIGN_OR_RETURN(const std::uint64_t n, sion->write(payload));
-      (void)n;
-      return sion->close();
+      return ext::write_multifile(*fs_, *comm_, open, aggregation, payload);
     }
-    case IoStrategy::kSingleFileSeq: {
-      baseline::SingleFileSeqOptions options;
-      options.staging_bytes = spec.seq_staging_bytes;
-      return baseline::write_single_file_seq(*fs_, *comm_, name, payload,
-                                             options);
-    }
+    case IoStrategy::kSingleFileSeq:
+      return baseline::write_single_file_seq(*fs_, *comm_, name, payload);
     case IoStrategy::kTaskLocal: {
       SION_ASSIGN_OR_RETURN(
           auto file,
@@ -388,10 +358,6 @@ Status CheckpointSession::restore(fs::FileSystem& fs, par::Comm& comm,
                                   std::uint64_t expected_bytes,
                                   std::span<std::byte> out) {
   const std::string name = checkpoint_name(spec, index);
-  const bool discard = out.empty();
-  if (!discard && out.size() < expected_bytes) {
-    return InvalidArgument("output buffer too small for checkpoint");
-  }
   switch (spec.strategy) {
     case IoStrategy::kSion: {
       if (spec.restart_ntasks != 0 && comm.size() != spec.restart_ntasks) {
@@ -399,78 +365,48 @@ Status CheckpointSession::restore(fs::FileSystem& fs, par::Comm& comm,
             "restart_ntasks is %d but the restart runs %d tasks",
             spec.restart_ntasks, comm.size()));
       }
-      // Restarts run at any task count; 0 skips the writer-divisibility
-      // checks while still rejecting impossible geometries early.
-      SION_RETURN_IF_ERROR(validate_protection(spec, 0));
+      // The protected and N->M routes hand each task its `expected_bytes`
+      // slice of the concatenated global stream (with M == N exactly its
+      // own stream); a short `out` fails every task through Remap's agreed
+      // precondition. Restarts run at any task count, so the protection is
+      // resolved with ntasks 0: no writer-divisibility check.
       ext::StreamLossReport local_loss;
-      if (spec.ecc_protection() != nullptr) {
+      if (const ext::EccConfig* e = spec.ecc_protection(); e != nullptr) {
         // Probe once; lost files are either healed first or decoded on the
-        // fly during the remap reads (EccConfig::restore_mode). Each task
-        // receives its `expected_bytes` slice of the concatenated global
-        // stream (with M == N that slice is exactly the task's own stream).
+        // fly during the remap reads (EccConfig::restore_mode).
+        SION_ASSIGN_OR_RETURN(const ext::EccConfig ecc,
+                              ext::Ecc::resolve(*e, spec.nfiles, 0));
         SION_ASSIGN_OR_RETURN(
             const ext::RemapStats stats,
-            ext::Ecc::restore(fs, comm, name, ecc_config_of(spec),
-                              discard ? std::span<std::byte>{}
-                                      : out.subspan(0, expected_bytes),
-                              expected_bytes, remap_config_of(spec)));
+            ext::Ecc::restore(fs, comm, name, ecc, out, expected_bytes,
+                              remap_config_of(spec)));
         local_loss.merge(stats.loss);
-      } else if (spec.buddy_protection() != nullptr) {
-        // Probe-and-heal first, then the remap restore; each task receives
-        // its `expected_bytes` slice of the concatenated global stream
-        // (with M == N that slice is exactly the task's own stream).
+      } else if (const ext::BuddyConfig* b = spec.buddy_protection();
+                 b != nullptr) {
+        // Probe-and-heal first, then the remap restore.
+        SION_ASSIGN_OR_RETURN(const ext::BuddyConfig buddy,
+                              ext::Buddy::resolve(*b, spec.nfiles, 0));
         SION_ASSIGN_OR_RETURN(
             const ext::RemapStats stats,
-            ext::Buddy::restore(fs, comm, name, buddy_config_of(spec),
-                                discard ? std::span<std::byte>{}
-                                        : out.subspan(0, expected_bytes),
-                                expected_bytes, remap_config_of(spec)));
+            ext::Buddy::restore(fs, comm, name, buddy, out, expected_bytes,
+                                remap_config_of(spec)));
         local_loss.merge(stats.loss);
       } else if (spec.restart_ntasks != 0) {
         SION_ASSIGN_OR_RETURN(auto remap,
                               ext::Remap::open(fs, comm, name,
                                                remap_config_of(spec)));
-        SION_ASSIGN_OR_RETURN(
-            const ext::RemapStats stats,
-            remap->restore(discard ? std::span<std::byte>{}
-                                   : out.subspan(0, expected_bytes),
-                           expected_bytes));
+        SION_ASSIGN_OR_RETURN(const ext::RemapStats stats,
+                              remap->restore(out, expected_bytes));
         local_loss.merge(stats.loss);
         SION_RETURN_IF_ERROR(remap->close());
-      } else if (spec.compression.has_value()) {
-        SION_RETURN_IF_ERROR(restore_sion_compressed(
-            fs, comm, spec, name, expected_bytes,
-            discard ? std::span<std::byte>{} : out.subspan(0, expected_bytes),
-            &local_loss));
       } else if (spec.collective.has_value()) {
-        SION_ASSIGN_OR_RETURN(
-            auto sion,
-            ext::Collective::open_read(fs, comm, name, *spec.collective));
-        if (sion->bytes_remaining_total() != expected_bytes) {
-          return Corrupt("checkpoint size does not match expectation");
-        }
-        if (discard) {
-          SION_RETURN_IF_ERROR(sion->read_skip(expected_bytes));
-        } else {
-          SION_ASSIGN_OR_RETURN(const std::uint64_t n,
-                                sion->read(out.subspan(0, expected_bytes)));
-          if (n != expected_bytes) return Corrupt("short checkpoint read");
-        }
-        SION_RETURN_IF_ERROR(sion->close());
+        SION_RETURN_IF_ERROR(restore_same_count(
+            ext::Collective::open_read(fs, comm, name, *spec.collective), comm,
+            spec, expected_bytes, out, local_loss));
       } else {
-        SION_ASSIGN_OR_RETURN(auto sion,
-                              core::SionParFile::open_read(fs, comm, name));
-        if (sion->bytes_remaining_total() != expected_bytes) {
-          return Corrupt("checkpoint size does not match expectation");
-        }
-        if (discard) {
-          SION_RETURN_IF_ERROR(sion->read_skip(expected_bytes));
-        } else {
-          SION_ASSIGN_OR_RETURN(const std::uint64_t n,
-                                sion->read(out.subspan(0, expected_bytes)));
-          if (n != expected_bytes) return Corrupt("short checkpoint read");
-        }
-        SION_RETURN_IF_ERROR(sion->close());
+        SION_RETURN_IF_ERROR(
+            restore_same_count(core::SionParFile::open_read(fs, comm, name),
+                               comm, spec, expected_bytes, out, local_loss));
       }
       if (spec.compression.has_value() &&
           spec.compression->loss_report != nullptr) {
@@ -490,28 +426,18 @@ Status CheckpointSession::restore(fs::FileSystem& fs, par::Comm& comm,
       }
       return Status::Ok();
     }
-    case IoStrategy::kSingleFileSeq: {
-      baseline::SingleFileSeqOptions options;
-      options.staging_bytes = spec.seq_staging_bytes;
-      return baseline::read_single_file_seq(
-          fs, comm, name, expected_bytes,
-          discard ? std::span<std::byte>{} : out.subspan(0, expected_bytes),
-          options);
-    }
+    case IoStrategy::kSingleFileSeq:
+      return baseline::read_single_file_seq(fs, comm, name, expected_bytes,
+                                            out);
     case IoStrategy::kTaskLocal: {
-      SION_ASSIGN_OR_RETURN(
-          auto file, baseline::TaskLocalFile::open_existing(
-                         fs, fs::parent(name), fs::basename(name),
-                         comm.rank(), /*writable=*/false));
-      if (discard) {
-        SION_RETURN_IF_ERROR(file.read_skip(expected_bytes));
-      } else {
-        SION_ASSIGN_OR_RETURN(const std::uint64_t n,
-                              file.read(out.subspan(0, expected_bytes)));
-        if (n != expected_bytes) return Corrupt("short checkpoint read");
-      }
+      auto file = baseline::TaskLocalFile::open_existing(
+          fs, fs::parent(name), fs::basename(name), comm.rank(),
+          /*writable=*/false);
+      const Status st = file.ok()
+                            ? read_expected(file.value(), expected_bytes, out)
+                            : file.status();
       comm.barrier();
-      return Status::Ok();
+      return st;
     }
   }
   return InvalidArgument("unknown checkpoint strategy");

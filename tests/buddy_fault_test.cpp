@@ -221,8 +221,8 @@ TEST_P(BuddyFaultTest, MultiBlockStreamsSurviveDomainLoss) {
   BuddyConfig config;
   config.replicas = 2;
   config.num_domains = kDomains;
-  config.collective = GetParam();
-  config.collective_config.group_size = 4;
+  CollectiveConfig aggregation;
+  aggregation.group_size = 4;
   par::Engine engine;
   engine.run(kWriters, [&](par::Comm& world) {
     core::ParOpenSpec spec;
@@ -230,7 +230,9 @@ TEST_P(BuddyFaultTest, MultiBlockStreamsSurviveDomainLoss) {
     spec.chunksize = 700;  // several blocks per 1.5-4 KiB stream
     spec.fsblksize = 512;
     const auto mine = rank_payload(world.rank() + 40);
-    ASSERT_TRUE(Buddy::write(fs_, world, spec, config, DataView(mine)).ok());
+    ASSERT_TRUE(Buddy::write(fs_, world, spec, config, DataView(mine),
+                             GetParam() ? &aggregation : nullptr)
+                    .ok());
   });
   ASSERT_TRUE(fs_.remove(core::physical_file_name("blocks.ckpt", 1, 3)).ok());
   std::vector<std::byte> expect;

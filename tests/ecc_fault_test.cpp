@@ -262,8 +262,8 @@ TEST_P(EccFaultTest, MultiBlockStreamsSurviveDomainLossDegraded) {
   EccConfig config;
   config.data_domains = k;
   config.parity_domains = 1;
-  config.collective = GetParam();
-  config.collective_config.group_size = 4;
+  CollectiveConfig aggregation;
+  aggregation.group_size = 4;
   par::Engine engine;
   engine.run(kWriters, [&](par::Comm& world) {
     core::ParOpenSpec spec;
@@ -271,7 +271,9 @@ TEST_P(EccFaultTest, MultiBlockStreamsSurviveDomainLossDegraded) {
     spec.chunksize = 700;  // several blocks per 1.5-4 KiB stream
     spec.fsblksize = 512;
     const auto mine = rank_payload(world.rank() + 40);
-    ASSERT_TRUE(Ecc::write(fs_, world, spec, config, DataView(mine)).ok());
+    ASSERT_TRUE(Ecc::write(fs_, world, spec, config, DataView(mine),
+                           GetParam() ? &aggregation : nullptr)
+                    .ok());
   });
   ASSERT_TRUE(fs_.remove(core::physical_file_name("blocks.ckpt", 1, k)).ok());
   std::vector<std::byte> expect;

@@ -209,13 +209,15 @@ void write_schedule(fs::SimFs& fs, par::Engine& engine, const Schedule& s,
     spec.fsblksize = s.fsblksize;
     const auto wire = wire_bytes(s, r);
     const DataView payload(wire);
+    const ext::CollectiveConfig* aggregation =
+        s.writer == Writer::kCollective ? &s.collective : nullptr;
     if (s.buddy_domains > 0) {
       ext::BuddyConfig config;
       config.replicas = s.buddy_replicas;
       config.num_domains = s.buddy_domains;
-      config.collective = s.writer == Writer::kCollective;
-      config.collective_config = s.collective;
-      ASSERT_TRUE(ext::Buddy::write(fs, world, spec, config, payload).ok());
+      ASSERT_TRUE(
+          ext::Buddy::write(fs, world, spec, config, payload, aggregation)
+              .ok());
       return;
     }
     if (s.ecc_k > 0) {
@@ -223,9 +225,8 @@ void write_schedule(fs::SimFs& fs, par::Engine& engine, const Schedule& s,
       config.data_domains = s.ecc_k;
       config.parity_domains = s.ecc_m;
       config.stripe_bytes = s.ecc_stripe;
-      config.collective = s.writer == Writer::kCollective;
-      config.collective_config = s.collective;
-      ASSERT_TRUE(ext::Ecc::write(fs, world, spec, config, payload).ok());
+      ASSERT_TRUE(
+          ext::Ecc::write(fs, world, spec, config, payload, aggregation).ok());
       return;
     }
     if (s.writer == Writer::kCollective) {

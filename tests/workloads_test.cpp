@@ -125,6 +125,100 @@ TEST(CheckpointTest, SizeMismatchDetected) {
   });
 }
 
+// --- one task's bad restore input -------------------------------------------
+
+// Writer rank r's 1000-byte stream.
+std::vector<std::byte> stream_of(int r) {
+  std::vector<std::byte> out(1000);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::byte>((static_cast<std::size_t>(r) * 31 + i) &
+                                    0xFF);
+  }
+  return out;
+}
+
+enum class RestoreRoute : std::uint8_t { kPlain, kCollective, kRemap };
+
+// One task whose restore input is bad (a buffer too small for its bytes, or
+// an expected size its stream does not hold) still finishes its route's
+// collective sequence before it fails, so no peer strands in a collective.
+// The same-count verdicts are per task; N->M fails every task through
+// Remap's agreed precondition.
+class OneTaskRestoreFailureTest
+    : public ::testing::TestWithParam<RestoreRoute> {};
+
+TEST_P(OneTaskRestoreFailureTest, PeersFinishTheirRestore) {
+  const RestoreRoute route = GetParam();
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  CheckpointSpec spec;
+  spec.path = "bad.ckpt";
+  if (route == RestoreRoute::kCollective) {
+    spec.collective = ext::CollectiveConfig{};
+  }
+  const int writers = route == RestoreRoute::kRemap ? 4 : 2;
+  engine.run(writers, [&](par::Comm& world) {
+    const auto mine = stream_of(world.rank());
+    ASSERT_TRUE(write_checkpoint(fs, world, spec, DataView(mine)).ok());
+  });
+  if (route == RestoreRoute::kRemap) spec.restart_ntasks = 2;
+  const std::uint64_t share = 1000ULL * static_cast<std::uint64_t>(writers / 2);
+
+  // Rank 1's buffer holds half of its bytes.
+  engine.run(2, [&](par::Comm& world) {
+    std::vector<std::byte> back(world.rank() == 1 ? share / 2 : share);
+    const Status st = read_checkpoint(fs, world, spec, share, back);
+    if (route == RestoreRoute::kRemap) {
+      EXPECT_FALSE(st.ok());
+    } else if (world.rank() == 1) {
+      EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument) << st.to_string();
+    } else {
+      ASSERT_TRUE(st.ok()) << st.to_string();
+      EXPECT_EQ(back, stream_of(0));
+    }
+  });
+  if (route == RestoreRoute::kRemap) return;
+
+  // Rank 1 expects twice the bytes its stream holds.
+  engine.run(2, [&](par::Comm& world) {
+    const std::uint64_t want = world.rank() == 1 ? 2000 : 1000;
+    std::vector<std::byte> back(want);
+    const Status st = read_checkpoint(fs, world, spec, want, back);
+    if (world.rank() == 1) {
+      EXPECT_EQ(st.code(), ErrorCode::kCorrupt) << st.to_string();
+    } else {
+      ASSERT_TRUE(st.ok()) << st.to_string();
+      EXPECT_EQ(back, stream_of(0));
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Routes, OneTaskRestoreFailureTest,
+                         ::testing::Values(RestoreRoute::kPlain,
+                                           RestoreRoute::kCollective,
+                                           RestoreRoute::kRemap));
+
+// The single-file-sequential reader drops the bytes a short buffer cannot
+// hold and still serves every scatter; its outcome is agreed, so every
+// task fails.
+TEST(OneTaskRestoreFailureTest, SingleFileSeqShortBuffer) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  CheckpointSpec spec;
+  spec.path = "bad.seq";
+  spec.strategy = IoStrategy::kSingleFileSeq;
+  engine.run(3, [&](par::Comm& world) {
+    const auto mine = stream_of(world.rank());
+    ASSERT_TRUE(write_checkpoint(fs, world, spec, DataView(mine)).ok());
+    std::vector<std::byte> back(world.rank() == 1 ? 500 : 1000);
+    const Status st = read_checkpoint(fs, world, spec, 1000, back);
+    EXPECT_FALSE(st.ok());
+    if (world.rank() == 1) {
+      EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument) << st.to_string();
+    }
+  });
+}
+
 // --- CheckpointSession API contract ----------------------------------------
 
 TEST(CheckpointSessionApiTest, RejectsBadSpecsAtOpen) {
