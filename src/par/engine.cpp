@@ -1,6 +1,7 @@
 #include "par/engine.h"
 
 #include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
@@ -30,12 +31,13 @@ thread_local Engine* g_engine = nullptr;
 
 // Written at the low end of every fiber stack; checked when the fiber
 // finishes to detect (most) stack overflows without per-fiber guard pages,
-// which would exhaust vm.max_map_count at 64Ki fibers.
+// which would exhaust vm.max_map_count at 64Ki fibers. The slab layout puts
+// it in the page that holds the neighbouring fiber's top frames.
 constexpr std::uint64_t kCanary = 0x510AC0DE510AC0DEULL;
 
 // Retired stack slabs are pooled and handed to the next shard whose local
 // task count fits: a 64Ki-task sweep builds a fresh Engine per data point,
-// and re-faulting ~2 pages per fiber per point dominates the host cost of
+// and re-faulting a page per fiber per point dominates the host cost of
 // task setup otherwise. Pooled slabs are marked MADV_FREE, so the kernel may
 // reclaim (zero) any page at any moment while unreclaimed pages are reused
 // without a fault — which is why canaries are re-armed on every acquisition
@@ -777,6 +779,9 @@ void Engine::run(int ntasks, const TaskFn& body) {
   init_members_.reserve(tasks_.size());
   for (auto& t : tasks_) init_members_.push_back(&t);
 
+  // Per-fiber stack stride: stack_bytes rounded up to whole pages.
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t stride = (config_.stack_bytes + page - 1) / page * page;
   for (int s = 0; s < nshards_; ++s) {
     Shard& sh = *shards_[static_cast<std::size_t>(s)];
     sh.rank_begin = s * ranks_per_shard_;
@@ -785,10 +790,14 @@ void Engine::run(int ntasks, const TaskFn& body) {
 
     // One anonymous mapping for all of the shard's stacks: at 64Ki fibers,
     // per-fiber mmap would need 2 VMAs each (stack + guard) and blow past
-    // vm.max_map_count. The slab is kept across run() calls — re-faulting
-    // ~2 pages per fiber on every phase of a multi-phase benchmark costs
-    // more host time than the dirty pages cost memory.
-    const std::size_t needed = local * config_.stack_bytes;
+    // vm.max_map_count. Stacks start 8 bytes short of the first page end, so
+    // every stack boundary sits 8 bytes before a page end: a fiber's canary
+    // shares the page holding its lower neighbour's top frames, and a fiber
+    // whose live frames fit in that page faults in just that page. The slab
+    // is kept across run() calls — re-faulting a page per fiber on every
+    // phase of a multi-phase benchmark costs more host time than the dirty
+    // pages cost memory.
+    const std::size_t needed = local * stride + page;
     if (sh.slab == nullptr || sh.slab_bytes < needed) {
       if (sh.slab != nullptr) slab_pool().release(sh.slab, sh.slab_bytes);
       sh.slab = slab_pool().acquire(needed, &sh.slab_bytes);
@@ -797,6 +806,10 @@ void Engine::run(int ntasks, const TaskFn& body) {
         void* slab = ::mmap(nullptr, sh.slab_bytes, PROT_READ | PROT_WRITE,
                             MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
         SION_CHECK(slab != MAP_FAILED) << "mmap of fiber stack slab failed";
+#ifdef MADV_NOHUGEPAGE
+        // Sparse by design: a 2 MiB page would back 4 KiB of live frames.
+        ::madvise(slab, sh.slab_bytes, MADV_NOHUGEPAGE);
+#endif
         sh.slab = static_cast<std::byte*>(slab);
       }
     }
@@ -824,20 +837,19 @@ void Engine::run(int ntasks, const TaskFn& body) {
       task.shard_ = static_cast<std::uint32_t>(s);
       task.in_fs_op_ = false;
       task.fs_depth_ = 0;
-      task.stack_ =
-          sh.slab +
-          static_cast<std::size_t>(r - sh.rank_begin) * config_.stack_bytes;
+      task.stack_ = sh.slab + (page - sizeof(kCanary)) +
+                    static_cast<std::size_t>(r - sh.rank_begin) * stride;
       // Re-armed on EVERY acquisition: pooled slabs are MADV_FREE, so the
       // kernel may have zero-reclaimed the page holding a previous canary
       // (testing::scribble_cached_stack_slabs simulates exactly that).
       std::memcpy(task.stack_, &kCanary, sizeof(kCanary));
 #ifdef SION_FAST_FIBERS
       task.fiber_sp_ =
-          fiber_make(task.stack_, config_.stack_bytes, &fiber_entry, &task);
+          fiber_make(task.stack_, stride, &fiber_entry, &task);
 #else
       getcontext(&task.ctx_);
       task.ctx_.uc_stack.ss_sp = task.stack_;
-      task.ctx_.uc_stack.ss_size = config_.stack_bytes;
+      task.ctx_.uc_stack.ss_size = stride;
       task.ctx_.uc_link = &sh.sched_ctx;
       const std::uintptr_t task_bits = reinterpret_cast<std::uintptr_t>(&task);
       makecontext(&task.ctx_, reinterpret_cast<void (*)()>(&trampoline), 2,

@@ -114,7 +114,11 @@ struct NetworkModel {
 };
 
 struct EngineConfig {
-  std::size_t stack_bytes = 128 * 1024;  // per-fiber stack
+  // Per-fiber stack, rounded up to whole pages. Only the pages a fiber's
+  // live frames touch become resident: one page for a shallow body,
+  // whatever the size, because its canary shares the top page of the stack
+  // below it.
+  std::size_t stack_bytes = 128 * 1024;
   NetworkModel network;
   // Host threads to partition the ranks across. 1 = the classic sequential
   // engine. Results are bit-identical for every value (see "Threading

@@ -1,8 +1,14 @@
 // Tests for the fiber task runtime: scheduling determinism, virtual time
 // semantics, every collective, communicator splits, and point-to-point.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
 #include <vector>
 
@@ -112,6 +118,82 @@ TEST(EngineTest, ManyTasksLowStack) {
     count.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(count.load(), 4096);
+}
+
+// Recurses through `frames` frames of over 512 bytes each. Every frame fills
+// its whole pad, so a chain that runs off the bottom of a fiber stack writes
+// across the canary instead of skipping over it.
+[[gnu::noinline]] int fill_stack_frames(int frames) {
+  volatile unsigned char pad[512];
+  for (volatile unsigned char& b : pad) b = static_cast<unsigned char>(frames);
+  if (frames == 0) return 0;
+  const int deeper = fill_stack_frames(frames - 1);
+  return deeper + pad[0];
+}
+
+TEST(EngineDeathTest, FiberStackOverflowIsDetected) {
+  // Rank 0 runs first and retires at once; rank 1 then recurses through
+  // ~22 KiB of frames on its 16 KiB stack, into rank 0's dead one, and
+  // returns. The canary check at rank 1's retirement must catch it. ASan
+  // may first report the frames that land on rank 0's stale stack shadow
+  // as a stack-buffer-underflow; either message is a detection.
+  EXPECT_DEATH(
+      {
+        EngineConfig config;
+        config.stack_bytes = 16 * 1024;
+        Engine engine(config);
+        engine.run(2, [](Comm& world) {
+          if (world.rank() == 1) (void)fill_stack_frames(44);
+        });
+      },
+      "fiber stack overflow detected for rank 1|stack-buffer-underflow");
+}
+
+// Pages resident across the stacks of a 16Ki-fiber run whose body is one
+// barrier, per fiber. Counts from the lowest live frame's page to the
+// highest's, so it sees every fiber's top page and every canary but the
+// first.
+double resident_stack_pages_per_task() {
+  constexpr int kTasks = 16 * 1024;
+  EngineConfig config;
+  config.stack_bytes = 16 * 1024;
+  Engine engine(config);
+  std::vector<std::uintptr_t> frames(kTasks);
+  engine.run(kTasks, [&frames](Comm& world) {
+    int local = 0;
+    frames[static_cast<std::size_t>(world.rank())] =
+        reinterpret_cast<std::uintptr_t>(&local);
+    world.barrier();
+  });
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto [lo, hi] = std::minmax_element(frames.begin(), frames.end());
+  const std::uintptr_t begin = *lo & ~(page - 1);
+  const std::uintptr_t end = (*hi & ~(page - 1)) + page;
+  std::vector<unsigned char> resident((end - begin) / page);
+  if (::mincore(reinterpret_cast<void*>(begin), end - begin,
+                resident.data()) != 0) {
+    return -1.0;
+  }
+  const auto pages = std::count_if(resident.begin(), resident.end(),
+                                   [](unsigned char v) { return v & 1; });
+  return static_cast<double>(pages) / kTasks;
+}
+
+TEST(EngineDeathTest, OneResidentPagePerFiber) {
+#ifdef SION_TSAN_FIBERS
+  GTEST_SKIP() << "16Ki fibers exceed ThreadSanitizer's 8128-thread limit";
+#endif
+  // A re-executed child: the process-wide slab pool starts empty, so every
+  // resident page was faulted in by this run.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const double per_task = resident_stack_pages_per_task();
+        std::fprintf(stderr, "resident stack pages per task: %.3f\n",
+                     per_task);
+        std::exit(per_task >= 0.0 && per_task <= 1.25 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "resident stack pages per task");
 }
 
 TEST(BarrierTest, ReleasesAllAtMaxTime) {
