@@ -1,10 +1,12 @@
 #include "core/metadata.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "common/codec.h"
 #include "common/strings.h"
+#include "common/units.h"
 
 namespace sion::core {
 
@@ -13,6 +15,36 @@ namespace {
 // Offset of the bytes_written field inside a chunk frame: it follows the
 // magic, the two ranks and the block number.
 constexpr std::uint64_t kFrameBytesWrittenOffset = 24;
+
+// The granule in which copy_physical_file looks for all-zero runs.
+constexpr std::size_t kZeroRun = 4096;
+constexpr std::array<std::byte, kZeroRun> kZeroPage{};
+
+// `piece` as the parts of one gather view, its all-zero kZeroRun-byte runs
+// as fills.
+void zero_runs_as_fills(std::span<const std::byte> piece,
+                        std::vector<fs::DataView>& parts) {
+  parts.clear();
+  std::size_t run_start = 0;
+  bool run_zero = false;
+  const auto end_run = [&](std::size_t end) {
+    if (end == run_start) return;
+    const std::size_t n = end - run_start;
+    parts.push_back(run_zero ? fs::DataView::fill(std::byte{0}, n)
+                             : fs::DataView(piece.subspan(run_start, n)));
+    run_start = end;
+  };
+  for (std::size_t at = 0; at < piece.size(); at += kZeroRun) {
+    const bool zero =
+        piece.size() - at >= kZeroRun &&
+        std::memcmp(piece.data() + at, kZeroPage.data(), kZeroRun) == 0;
+    if (zero != run_zero) {
+      end_run(at);
+      run_zero = zero;
+    }
+  }
+  end_run(piece.size());
+}
 
 }  // namespace
 
@@ -112,7 +144,9 @@ Result<FileHeader> FileHeader::parse(std::span<const std::byte> bytes) {
   SION_RETURN_IF_ERROR(r.skip(4));
   SION_ASSIGN_OR_RETURN(h.global_ranks, r.get_u64_array());
   SION_ASSIGN_OR_RETURN(h.chunksizes_req, r.get_u64_array());
-  if (h.fsblksize == 0) return Corrupt("fsblksize is zero");
+  if (!is_power_of_two(h.fsblksize)) {
+    return Corrupt("fsblksize is not a power of two");
+  }
   if (h.ntasks == 0) return Corrupt("header lists zero tasks");
   if (h.global_ranks.size() != h.ntasks ||
       h.chunksizes_req.size() != h.ntasks) {
@@ -209,7 +243,36 @@ Result<FileMeta2> read_meta2(fs::File& file, const FileHeader& header) {
   SION_ASSIGN_OR_RETURN(const std::uint64_t got,
                         file.pread(buf, header.meta2_offset));
   buf.resize(got);
-  return FileMeta2::parse(buf);
+  SION_ASSIGN_OR_RETURN(FileMeta2 meta2, FileMeta2::parse(buf));
+  // Every reader walks a task's chunks by these counts, so they must stay
+  // inside the file the trailer describes: one array per task, no more
+  // blocks than it lists, no chunk fuller than its capacity.
+  if (meta2.bytes_written.size() != header.ntasks) {
+    return Corrupt("metablock 2 task count mismatch");
+  }
+  const std::uint64_t frame =
+      (header.flags & kFlagChunkFrames) != 0 ? kChunkFrameSize : 0;
+  for (std::uint32_t t = 0; t < header.ntasks; ++t) {
+    const std::vector<std::uint64_t>& chunks = meta2.bytes_written[t];
+    if (chunks.size() > header.nblocks) {
+      return Corrupt(strformat(
+          "metablock 2 records %zu blocks for task %u; the file has %llu",
+          chunks.size(), t, static_cast<unsigned long long>(header.nblocks)));
+    }
+    const std::uint64_t aligned =
+        round_up(header.chunksizes_req[t], header.fsblksize);
+    const std::uint64_t capacity = aligned > frame ? aligned - frame : 0;
+    for (const std::uint64_t bytes : chunks) {
+      if (bytes > capacity) {
+        return Corrupt(strformat(
+            "metablock 2 records %llu bytes in a chunk of task %u, which "
+            "holds %llu",
+            static_cast<unsigned long long>(bytes), t,
+            static_cast<unsigned long long>(capacity)));
+      }
+    }
+  }
+  return meta2;
 }
 
 Result<FileLayout> layout_of(const FileHeader& header) {
@@ -274,9 +337,6 @@ Result<LoadedFile> load_physical_file(fs::FileSystem& fs,
   }
   SION_ASSIGN_OR_RETURN(const FileMeta2 meta2,
                         read_meta2(*out.file, out.header));
-  if (meta2.bytes_written.size() != out.header.ntasks) {
-    return Corrupt("metablock 2 task count mismatch");
-  }
   SION_ASSIGN_OR_RETURN(const FileLayout layout, layout_of(out.header));
   out.data_start = layout.data_start();
   out.block_span = layout.block_span();
@@ -346,9 +406,7 @@ bool physical_file_usable(fs::FileSystem& fs, const std::string& path,
   if (nfiles > 0 && static_cast<int>(header.value().nfiles) != nfiles) {
     return false;
   }
-  auto meta2 = read_meta2(*file.value(), header.value());
-  return meta2.ok() &&
-         meta2.value().bytes_written.size() == header.value().ntasks;
+  return read_meta2(*file.value(), header.value()).ok();
 }
 
 Result<std::uint64_t> copy_physical_file(fs::File& src, FileHeader header,
@@ -358,8 +416,9 @@ Result<std::uint64_t> copy_physical_file(fs::File& src, FileHeader header,
                                          std::uint64_t buffer_bytes) {
   SION_ASSIGN_OR_RETURN(const fs::FileStat st, src.stat());
   SION_ASSIGN_OR_RETURN(auto dst, dst_fs.create(dst_path));
-  std::vector<std::byte> buf(
-      static_cast<std::size_t>(std::max<std::uint64_t>(1, buffer_bytes)));
+  std::vector<std::byte> buf(static_cast<std::size_t>(
+      std::max<std::uint64_t>(1, std::min(st.size, buffer_bytes))));
+  std::vector<fs::DataView> parts;
   std::uint64_t done = 0;
   while (done < st.size) {
     const std::span<std::byte> piece = std::span<std::byte>(buf).first(
@@ -372,9 +431,9 @@ Result<std::uint64_t> copy_physical_file(fs::File& src, FileHeader header,
                                dst_path.c_str(),
                                static_cast<unsigned long long>(done)));
     }
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t put,
-        dst->pwrite(fs::DataView(std::span<const std::byte>(piece)), done));
+    zero_runs_as_fills(piece, parts);
+    SION_ASSIGN_OR_RETURN(const std::uint64_t put,
+                          dst->pwrite(fs::DataView::gather(parts), done));
     if (put != got) {
       return IoError(strformat("short write copying to '%s'",
                                dst_path.c_str()));

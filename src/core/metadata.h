@@ -116,7 +116,9 @@ struct FileMeta2 {
 // Read and parse metablock 1 from an open physical file.
 Result<FileHeader> read_header(fs::File& file);
 
-// Read and parse metablock 2 (requires header.meta2_offset != 0).
+// Read and parse metablock 2 (requires header.meta2_offset != 0). kCorrupt
+// unless it holds one array per task of `header`, no array is longer than
+// header.nblocks and no chunk records more bytes than its capacity.
 Result<FileMeta2> read_meta2(fs::File& file, const FileHeader& header);
 
 // The chunk geometry that metablock 1 describes.
@@ -186,8 +188,8 @@ struct MultifileMap {
 Result<MultifileMap> discover_multifile(fs::FileSystem& fs,
                                         const std::string& name, int ntasks);
 
-// Light probe: the physical file at `path` opens and both metablocks parse
-// and agree on the task count — what a reader needs. Missing files,
+// Light probe: the physical file at `path` opens and both metablocks pass
+// read_header and read_meta2 — what a reader needs. Missing files,
 // injected faults and silent truncation (metablock 2 sits at the end) all
 // fail it. With `nfiles` > 0 the file must also belong to a set that size.
 bool physical_file_usable(fs::FileSystem& fs, const std::string& path,
@@ -196,6 +198,9 @@ bool physical_file_usable(fs::FileSystem& fs, const std::string& path,
 // Copy the physical file `src` (whose metablock 1 is `header`) byte for
 // byte into a new file `dst_path` on `dst_fs`, then patch the copy's
 // filenum to `filenum` so it takes that place in its set (< 0 keeps it).
+// Each piece of up to `buffer_bytes` is one pwrite whose all-zero 4 KiB
+// runs (chunk padding, unwritten chunks) travel as fills, so a simulated
+// destination keeps them as constant extents instead of real bytes.
 // Returns the bytes copied.
 Result<std::uint64_t> copy_physical_file(fs::File& src, FileHeader header,
                                          fs::FileSystem& dst_fs,

@@ -1,6 +1,6 @@
 #include "core/par_file.h"
 
-#include <algorithm>
+#include <bit>
 
 #include "common/codec.h"
 #include "common/log.h"
@@ -38,10 +38,7 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
                     spec.custom_file_of_rank));
 
   auto out = std::unique_ptr<SionParFile>(new SionParFile());
-  out->fs_ = &fs;
   out->gcom_ = &gcom;
-  out->writable_ = true;
-  out->frames_ = spec.chunk_frames;
   out->nfiles_ = map.nfiles();
   out->filenum_ = map.file_of(grank);
   out->path_ =
@@ -51,8 +48,7 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
   out->lcom_ = gcom.split(out->filenum_, grank);
   SION_CHECK(out->lcom_ != nullptr) << "split returned no communicator";
   par::Comm& lcom = *out->lcom_;
-  out->lrank_ = lcom.rank();
-  const bool master = out->lrank_ == 0;
+  const bool master = lcom.rank() == 0;
 
   // The master detects the file-system block size (the paper's fstat()),
   // then everyone aligns their chunk to it.
@@ -70,10 +66,10 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
     SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kOpenFailed));
     fsblksize = lcom.bcast_u64(fsblksize, 0);
   }
-  out->fsblksize_ = fsblksize;
   if (!is_power_of_two(fsblksize)) {
     return InvalidArgument("file-system block size must be a power of two");
   }
+  out->fsblksize_log2_ = static_cast<std::uint8_t>(std::countr_zero(fsblksize));
 
   // Collective metadata exchange: chunk sizes and global ranks to the
   // file-local master.
@@ -100,7 +96,7 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
       data_start = created.value().layout.data_start();
       block_span = created.value().layout.block_span();
       chunk_offsets = created.value().layout.chunk_offsets();
-      out->file_ = std::move(created.value().file);
+      out->handle_ = std::move(created.value().file);
     } else {
       st = created.status();
     }
@@ -115,15 +111,10 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
   data_start = geom[0];
   block_span = geom[1];
   const std::uint64_t my_offset = lcom.scatter_u64(chunk_offsets, 0);
-  out->data_start_ = data_start;
-  out->block_span_ = block_span;
-  out->chunk_start_block0_ = data_start + my_offset;
   const std::uint64_t aligned = round_up(spec.chunksize, fsblksize);
-  const std::uint64_t frame = spec.chunk_frames ? kChunkFrameSize : 0;
-  if (aligned <= frame) {
+  if (spec.chunk_frames && aligned <= kChunkFrameSize) {
     return InvalidArgument("chunk too small for recovery frame");
   }
-  out->capacity_ = aligned - frame;
 
   // Non-masters open the (hot) physical file — the cheap path that makes
   // SIONlib creation orders of magnitude faster than task-local files.
@@ -133,14 +124,15 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
     if (!opened.ok()) {
       st = opened.status();
     } else {
-      out->file_ = std::move(opened).value();
+      out->handle_ = std::move(opened).value();
     }
   }
   SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kOpenFailed));
 
   out->chunk_bytes_.assign(1, 0);
-  st = Status::Ok();
-  if (out->frames_) st = out->write_frame(0);
+  out->attach(data_start + my_offset, block_span, aligned, /*writable=*/true,
+              spec.chunk_frames);
+  st = out->write_frame(0);
   // The agreement doubles as the closing barrier: a failed first-frame
   // write (e.g. quota exceeded) on any task must fail the open everywhere.
   const std::uint64_t frame_failed =
@@ -182,9 +174,7 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_read(
   found = {};
 
   auto out = std::unique_ptr<SionParFile>(new SionParFile());
-  out->fs_ = &fs;
   out->gcom_ = &gcom;
-  out->writable_ = false;
   out->nfiles_ = static_cast<int>(nfiles);
   out->filenum_ = static_cast<int>(my_file);
   out->path_ = physical_file_name(name, out->filenum_, out->nfiles_);
@@ -192,8 +182,7 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_read(
   out->lcom_ = gcom.split(out->filenum_, grank);
   SION_CHECK(out->lcom_ != nullptr) << "split returned no communicator";
   par::Comm& lcom = *out->lcom_;
-  out->lrank_ = lcom.rank();
-  const bool master = out->lrank_ == 0;
+  const bool master = lcom.rank() == 0;
 
   // The file-local master parses both metablocks and scatters each task's
   // view: geometry plus the bytes-actually-written array per chunk.
@@ -203,7 +192,7 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_read(
     auto result = load_physical_file(fs, out->path_, lcom.size());
     if (result.ok()) {
       loaded = std::move(result).value();
-      out->file_ = std::move(loaded.file);
+      out->handle_ = std::move(loaded.file);
     } else {
       st = result.status();
     }
@@ -220,13 +209,7 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_read(
   ByteReader blob_reader(my_blob);
   SION_ASSIGN_OR_RETURN(auto chunk_bytes, blob_reader.get_u64_array());
 
-  out->fsblksize_ = geom[0];
-  out->frames_ = (geom[1] & kFlagChunkFrames) != 0;
-  out->data_start_ = geom[2];
-  out->block_span_ = geom[3];
-  out->chunk_start_block0_ = out->data_start_ + my_offset;
-  const std::uint64_t aligned = round_up(my_request, out->fsblksize_);
-  out->capacity_ = aligned - (out->frames_ ? kChunkFrameSize : 0);
+  out->fsblksize_log2_ = static_cast<std::uint8_t>(std::countr_zero(geom[0]));
   out->chunk_bytes_ = std::move(chunk_bytes);
   if (out->chunk_bytes_.empty()) out->chunk_bytes_.assign(1, 0);
 
@@ -236,17 +219,19 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_read(
     if (!opened.ok()) {
       st = opened.status();
     } else {
-      out->file_ = std::move(opened).value();
+      out->handle_ = std::move(opened).value();
     }
   }
   SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kOpenFailed));
+  out->attach(geom[2] + my_offset, geom[3], round_up(my_request, geom[0]),
+              /*writable=*/false, (geom[1] & kFlagChunkFrames) != 0);
 
   gcom.barrier();
   return out;
 }
 
 SionParFile::~SionParFile() {
-  if (!closed_ && writable_) {
+  if (file_ != nullptr && writable()) {
     SION_LOG_WARN << "SION file " << path_
                   << " destroyed without collective close; metablock 2 was "
                      "not written (sionrepair can reconstruct it if chunk "
@@ -254,157 +239,12 @@ SionParFile::~SionParFile() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// recovery frames
-// ---------------------------------------------------------------------------
-
-Status SionParFile::write_frame(std::uint64_t block) {
-  const ChunkFrame frame{static_cast<std::uint32_t>(gcom_->rank()),
-                         static_cast<std::uint32_t>(lrank_), block, 0};
-  return frame.write(*file_, chunk_file_offset(block) - kChunkFrameSize);
-}
-
-Status SionParFile::patch_frame(std::uint64_t block) {
-  const ChunkFrame frame{static_cast<std::uint32_t>(gcom_->rank()),
-                         static_cast<std::uint32_t>(lrank_), block,
-                         chunk_bytes_[block]};
-  return frame.patch_bytes_written(*file_,
-                                   chunk_file_offset(block) - kChunkFrameSize);
-}
-
-// ---------------------------------------------------------------------------
-// write path
-// ---------------------------------------------------------------------------
-
-Status SionParFile::advance_chunk_write() {
-  if (frames_) SION_RETURN_IF_ERROR(patch_frame(block_));
-  ++block_;
-  pos_ = 0;
-  chunk_bytes_.push_back(0);
-  if (frames_) SION_RETURN_IF_ERROR(write_frame(block_));
-  return Status::Ok();
-}
-
-Status SionParFile::ensure_free_space(std::uint64_t nbytes) {
-  if (!writable_) return FailedPrecondition("file opened for reading");
-  if (closed_) return FailedPrecondition("file already closed");
-  if (nbytes > capacity_) {
-    return InvalidArgument(
-        strformat("request of %llu bytes exceeds the chunk capacity of %llu; "
-                  "use write() instead",
-                  static_cast<unsigned long long>(nbytes),
-                  static_cast<unsigned long long>(capacity_)));
-  }
-  if (pos_ + nbytes > capacity_) {
-    SION_RETURN_IF_ERROR(advance_chunk_write());
-  }
-  return Status::Ok();
-}
-
-Result<std::uint64_t> SionParFile::write_raw(fs::DataView data) {
-  if (!writable_) return FailedPrecondition("file opened for reading");
-  if (closed_) return FailedPrecondition("file already closed");
-  if (data.size() > capacity_ - pos_) {
-    return OutOfRange(
-        "write does not fit in the current chunk; call ensure_free_space");
-  }
-  SION_ASSIGN_OR_RETURN(
-      const std::uint64_t n,
-      file_->pwrite(data, chunk_file_offset(block_) + pos_));
-  pos_ += n;
-  chunk_bytes_[block_] += n;
-  // Keep the recovery frame current after every write: this is what makes a
-  // crash *between* writes recoverable (the paper's robustness plan), at the
-  // cost of one small extra write per call (measured in bench_ablation).
-  if (frames_) SION_RETURN_IF_ERROR(patch_frame(block_));
-  return n;
-}
-
-Result<std::uint64_t> SionParFile::write(fs::DataView data) {
-  if (!writable_) return FailedPrecondition("file opened for reading");
-  if (closed_) return FailedPrecondition("file already closed");
-  std::uint64_t done = 0;
-  while (done < data.size()) {
-    if (pos_ == capacity_) SION_RETURN_IF_ERROR(advance_chunk_write());
-    const std::uint64_t take =
-        std::min(capacity_ - pos_, data.size() - done);
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t n,
-        file_->pwrite(data.subview(done, take),
-                      chunk_file_offset(block_) + pos_));
-    pos_ += n;
-    chunk_bytes_[block_] += n;
-    done += n;
-    if (frames_) SION_RETURN_IF_ERROR(patch_frame(block_));
-  }
-  return done;
-}
-
-// ---------------------------------------------------------------------------
-// read path
-// ---------------------------------------------------------------------------
-
-bool SionParFile::eof() const {
-  std::uint64_t b = block_;
-  std::uint64_t p = pos_;
-  while (b < chunk_bytes_.size()) {
-    if (p < chunk_bytes_[b]) return false;
-    ++b;
-    p = 0;
-  }
-  return true;
-}
-
-std::uint64_t SionParFile::bytes_avail_in_chunk() const {
-  if (block_ >= chunk_bytes_.size()) return 0;
-  return chunk_bytes_[block_] - pos_;
-}
-
-Result<std::uint64_t> SionParFile::read_raw(std::span<std::byte> out) {
-  if (writable_) return FailedPrecondition("file opened for writing");
-  const std::uint64_t avail = bytes_avail_in_chunk();
-  const std::uint64_t want = std::min<std::uint64_t>(out.size(), avail);
-  if (want == 0) return static_cast<std::uint64_t>(0);
-  SION_ASSIGN_OR_RETURN(
-      const std::uint64_t n,
-      file_->pread(out.subspan(0, want), chunk_file_offset(block_) + pos_));
-  pos_ += n;
-  return n;
-}
-
-Result<std::uint64_t> SionParFile::read(std::span<std::byte> out) {
-  if (writable_) return FailedPrecondition("file opened for writing");
-  std::uint64_t done = 0;
-  while (done < out.size() && !eof()) {
-    if (bytes_avail_in_chunk() == 0) {
-      ++block_;
-      pos_ = 0;
-      continue;
-    }
-    SION_ASSIGN_OR_RETURN(const std::uint64_t n,
-                          read_raw(out.subspan(done)));
-    done += n;
-  }
-  return done;
-}
-
-Status SionParFile::read_skip(std::uint64_t nbytes) {
-  if (writable_) return FailedPrecondition("file opened for writing");
-  std::uint64_t done = 0;
-  while (done < nbytes && !eof()) {
-    const std::uint64_t avail = bytes_avail_in_chunk();
-    if (avail == 0) {
-      ++block_;
-      pos_ = 0;
-      continue;
-    }
-    const std::uint64_t take = std::min(nbytes - done, avail);
-    SION_RETURN_IF_ERROR(
-        file_->pread_discard(take, chunk_file_offset(block_) + pos_));
-    pos_ += take;
-    done += take;
-  }
-  return Status::Ok();
+void SionParFile::attach(std::uint64_t chunk0, std::uint64_t block_span,
+                         std::uint64_t chunksize, bool writable, bool frames) {
+  ChunkStream::operator=(ChunkStream(
+      handle_.get(), &chunk_bytes_, chunk0, block_span, chunksize, writable,
+      frames, static_cast<std::uint32_t>(gcom_->rank()),
+      static_cast<std::uint32_t>(lcom_->rank())));
 }
 
 // ---------------------------------------------------------------------------
@@ -412,55 +252,25 @@ Status SionParFile::read_skip(std::uint64_t nbytes) {
 // ---------------------------------------------------------------------------
 
 Status SionParFile::close() {
-  if (closed_) return FailedPrecondition("file already closed");
+  if (file_ == nullptr) return FailedPrecondition("file already closed");
   par::Comm& lcom = *lcom_;
-  if (writable_) {
-    if (frames_) SION_RETURN_IF_ERROR(patch_frame(block_));
+  if (writable()) {
+    SION_RETURN_IF_ERROR(patch_frame(current_block()));
     // "the master collects the number of bytes from each task that was
     // effectively written and stores it in the metadata block" (paper 3.1).
     const auto all = lcom.gatherv_u64_flat(chunk_bytes_, 0);
     Status st;
-    if (lrank_ == 0) {
-      st = write_meta2_and_trailer(*file_, data_start_, block_span_,
+    if (lcom.rank() == 0) {
+      // The master's chunk opens block 0, so it starts at the data region.
+      st = write_meta2_and_trailer(*file_, chunk_start(0), block_span(),
                                    FileMeta2::from_gather(all));
     }
     SION_RETURN_IF_ERROR(par::share_status_global(lcom, *gcom_, st, 0, kOpenFailed));
   }
-  file_.reset();
-  closed_ = true;
+  file_ = nullptr;
+  handle_.reset();
   gcom_->barrier();
   return Status::Ok();
-}
-
-// ---------------------------------------------------------------------------
-// totals
-// ---------------------------------------------------------------------------
-
-std::uint64_t SionParFile::bytes_written_total() const {
-  std::uint64_t total = 0;
-  for (const std::uint64_t b : chunk_bytes_) total += b;
-  return total;
-}
-
-std::uint64_t SionParFile::bytes_remaining_total() const {
-  std::uint64_t total = 0;
-  for (std::uint64_t b = block_; b < chunk_bytes_.size(); ++b) {
-    total += chunk_bytes_[b] - (b == block_ ? pos_ : 0);
-  }
-  return total;
-}
-
-Result<std::vector<std::byte>> SionParFile::read_remaining() {
-  const std::uint64_t total = bytes_remaining_total();
-  std::vector<std::byte> out(static_cast<std::size_t>(total));
-  SION_ASSIGN_OR_RETURN(const std::uint64_t got, read(out));
-  if (got != total) {
-    return Corrupt(strformat("logical stream delivered %llu of %llu "
-                             "remaining bytes",
-                             static_cast<unsigned long long>(got),
-                             static_cast<unsigned long long>(total)));
-  }
-  return out;
 }
 
 }  // namespace sion::core

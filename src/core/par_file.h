@@ -25,11 +25,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "core/chunk_stream.h"
 #include "core/filemap.h"
 #include "core/layout.h"
 #include "core/metadata.h"
@@ -62,7 +62,9 @@ struct ParOpenSpec {
   bool chunk_frames = false;
 };
 
-class SionParFile {
+// The stream API (ensure_free_space, write_raw, write, eof, read_raw, read,
+// read_skip, read_remaining, the totals) comes from ChunkStream.
+class SionParFile : public ChunkStream {
  public:
   // Collective open for writing; every task of `gcom` must call it with the
   // same filename/nfiles/mapping (chunksize may differ per task).
@@ -79,92 +81,32 @@ class SionParFile {
   SionParFile(const SionParFile&) = delete;
   SionParFile& operator=(const SionParFile&) = delete;
 
-  // ---- write mode ---------------------------------------------------------
-
-  // Guarantee `nbytes` of contiguous space in the current chunk, advancing
-  // to the next block's chunk when necessary (sion_ensure_free_space).
-  Status ensure_free_space(std::uint64_t nbytes);
-
-  // Write entirely within the current chunk (the ANSI C fwrite() analog);
-  // fails with kOutOfRange when the chunk cannot hold `data` — call
-  // ensure_free_space first.
-  Result<std::uint64_t> write_raw(fs::DataView data);
-
-  // sion_fwrite: splits `data` at chunk boundaries internally, so no bound
-  // on the write size is needed.
-  Result<std::uint64_t> write(fs::DataView data);
-
-  // ---- read mode ------------------------------------------------------------
-
-  [[nodiscard]] bool eof() const;                       // sion_feof
-  [[nodiscard]] std::uint64_t bytes_avail_in_chunk() const;
-
-  // Read within the current chunk (fread() analog); a preceding
-  // bytes_avail_in_chunk() bounds the request.
-  Result<std::uint64_t> read_raw(std::span<std::byte> out);
-
-  // sion_fread: crosses chunk boundaries internally.
-  Result<std::uint64_t> read(std::span<std::byte> out);
-
-  // The entire remaining logical stream as one buffer — the raw-byte
-  // foundation of the transparent decompression path (ext/compress.h),
-  // where frame boundaries do not respect chunk boundaries.
-  Result<std::vector<std::byte>> read_remaining();
-
-  // Timing-only read used by benchmarks: charges full I/O cost and advances
-  // the logical position without materialising bytes.
-  Status read_skip(std::uint64_t nbytes);
-
   // Collective close. Write mode: gathers per-chunk usage to the file-local
   // master, which writes metablock 2 and patches the metablock-1 trailer.
   Status close();
 
-  // ---- introspection ----------------------------------------------------------
-
-  [[nodiscard]] bool writable() const { return writable_; }
-  // Usable payload capacity of one chunk for this task.
-  [[nodiscard]] std::uint64_t chunk_capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t current_block() const { return block_; }
-  [[nodiscard]] std::uint64_t position_in_chunk() const { return pos_; }
   [[nodiscard]] int nfiles() const { return nfiles_; }
   [[nodiscard]] int filenum() const { return filenum_; }
-  [[nodiscard]] std::uint64_t fsblksize() const { return fsblksize_; }
-  // Total payload bytes this task has written / can still read.
-  [[nodiscard]] std::uint64_t bytes_written_total() const;
-  [[nodiscard]] std::uint64_t bytes_remaining_total() const;
+  [[nodiscard]] std::uint64_t fsblksize() const {
+    return std::uint64_t{1} << fsblksize_log2_;
+  }
 
  private:
   SionParFile() = default;
 
-  [[nodiscard]] std::uint64_t chunk_file_offset(std::uint64_t block) const {
-    return chunk_start_block0_ + block * block_span_ +
-           (frames_ ? kChunkFrameSize : 0);
-  }
-  Status write_frame(std::uint64_t block);
-  Status patch_frame(std::uint64_t block);
-  Status advance_chunk_write();
+  // Point the stream at this task's chunks of `handle_`.
+  void attach(std::uint64_t chunk0, std::uint64_t block_span,
+              std::uint64_t chunksize, bool writable, bool frames);
 
-  // Shared state.
-  fs::FileSystem* fs_ = nullptr;
-  par::Comm* gcom_ = nullptr;
-  par::Comm* lcom_ = nullptr;
-  std::unique_ptr<fs::File> file_;
-  std::string path_;
-  bool writable_ = false;
-  bool closed_ = false;
-  bool frames_ = false;
+  // A power of two (checked at open, rejected by the header parser
+  // otherwise), kept as its exponent in the stream's tail padding.
+  std::uint8_t fsblksize_log2_ = 0;
   int nfiles_ = 1;
   int filenum_ = 0;
-  int lrank_ = 0;
-  std::uint64_t fsblksize_ = 0;
-  std::uint64_t chunk_start_block0_ = 0;  // my chunk's offset in block 0
-  std::uint64_t block_span_ = 0;
-  std::uint64_t capacity_ = 0;  // payload capacity per chunk
-  std::uint64_t data_start_ = 0;
-
-  // Cursor.
-  std::uint64_t block_ = 0;
-  std::uint64_t pos_ = 0;
+  par::Comm* gcom_ = nullptr;
+  par::Comm* lcom_ = nullptr;
+  std::unique_ptr<fs::File> handle_;
+  std::string path_;
 
   // Write mode: payload bytes per chunk so far. Read mode: payload bytes per
   // chunk as recorded in metablock 2.

@@ -1,6 +1,6 @@
 #include "core/serial_file.h"
 
-#include <algorithm>
+#include <numeric>
 
 #include "common/log.h"
 #include "common/strings.h"
@@ -32,7 +32,6 @@ Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_write(
   }
 
   auto out = std::unique_ptr<SionSerialFile>(new SionSerialFile());
-  out->fs_ = &fs;
   out->writable_ = true;
   out->locations_.nranks = nranks;
   out->locations_.nfiles = map.nfiles();
@@ -72,11 +71,10 @@ Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_write(
                                           std::move(created.layout)});
   }
 
-  if (spec.chunk_frames) {
-    for (int r = 0; r < nranks; ++r) {
-      SION_RETURN_IF_ERROR(out->write_frame(r, 0));
-    }
+  for (int r = 0; r < nranks; ++r) {
+    SION_RETURN_IF_ERROR(out->stream_of(r).write_frame(0));
   }
+  out->ChunkStream::operator=(out->stream_of(0));
   return out;
 }
 
@@ -87,8 +85,6 @@ Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_write(
 Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_existing(
     fs::FileSystem& fs, const std::string& name, int pinned_rank) {
   auto out = std::unique_ptr<SionSerialFile>(new SionSerialFile());
-  out->fs_ = &fs;
-  out->writable_ = false;
   out->pinned_rank_ = pinned_rank;
 
   SION_ASSIGN_OR_RETURN(FirstFile first, open_first_file(fs, name));
@@ -116,9 +112,6 @@ Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_existing(
       SION_ASSIGN_OR_RETURN(header, read_header(*file));
     }
     SION_ASSIGN_OR_RETURN(FileMeta2 meta2, read_meta2(*file, header));
-    if (meta2.bytes_written.size() != header.ntasks) {
-      return Corrupt("metablock 2 task count mismatch");
-    }
     nranks += header.ntasks;
     headers.push_back(std::move(header));
     files.push_back(std::move(file));
@@ -178,6 +171,7 @@ Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_existing(
     }
     out->rank_ = pinned_rank;
   }
+  out->ChunkStream::operator=(out->stream_of(out->rank_));
   return out;
 }
 
@@ -193,63 +187,17 @@ Result<std::unique_ptr<SionSerialFile>> SionSerialFile::open_rank(
 }
 
 SionSerialFile::~SionSerialFile() {
-  if (!closed_ && writable_) {
+  if (file_ != nullptr && writable_) {
     SION_LOG_WARN << "serial SION file destroyed without close; "
                      "metablock 2 was not written";
   }
 }
 
 // ---------------------------------------------------------------------------
-// geometry helpers
+// streams
 // ---------------------------------------------------------------------------
 
-std::uint64_t SionSerialFile::capacity(int rank) const {
-  const std::uint64_t aligned =
-      round_up(locations_.chunksizes[static_cast<std::size_t>(rank)],
-               locations_.fsblksize);
-  return aligned - (locations_.chunk_frames ? kChunkFrameSize : 0);
-}
-
-std::uint64_t SionSerialFile::chunk_file_offset(int rank,
-                                                std::uint64_t block) const {
-  const auto& pf = physical_[static_cast<std::size_t>(
-      locations_.file_of_rank[static_cast<std::size_t>(rank)])];
-  const int local = local_index_[static_cast<std::size_t>(rank)];
-  return pf.layout.chunk_start(local, block) +
-         (locations_.chunk_frames ? kChunkFrameSize : 0);
-}
-
-fs::File& SionSerialFile::file_of(int rank) const {
-  return *physical_[static_cast<std::size_t>(
-                        locations_.file_of_rank[static_cast<std::size_t>(rank)])]
-              .file;
-}
-
-ChunkFrame SionSerialFile::frame(int rank, std::uint64_t block,
-                                 std::uint64_t bytes_written) const {
-  return ChunkFrame{
-      static_cast<std::uint32_t>(rank),
-      static_cast<std::uint32_t>(local_index_[static_cast<std::size_t>(rank)]),
-      block, bytes_written};
-}
-
-Status SionSerialFile::write_frame(int rank, std::uint64_t block) {
-  return frame(rank, block, 0).write(
-      file_of(rank), chunk_file_offset(rank, block) - kChunkFrameSize);
-}
-
-Status SionSerialFile::patch_frame(int rank, std::uint64_t block) {
-  const std::uint64_t bytes =
-      locations_.bytes_written[static_cast<std::size_t>(rank)][block];
-  return frame(rank, block, bytes).patch_bytes_written(
-      file_of(rank), chunk_file_offset(rank, block) - kChunkFrameSize);
-}
-
-// ---------------------------------------------------------------------------
-// navigation
-// ---------------------------------------------------------------------------
-
-Status SionSerialFile::seek(int rank, std::uint64_t block, std::uint64_t pos) {
+Status SionSerialFile::check_rank(int rank) const {
   if (rank < 0 || rank >= locations_.nranks) {
     return InvalidArgument(strformat("rank %d out of range", rank));
   }
@@ -257,212 +205,45 @@ Status SionSerialFile::seek(int rank, std::uint64_t block, std::uint64_t pos) {
     return InvalidArgument(
         strformat("task-local view is pinned to rank %d", pinned_rank_));
   }
-  auto& chunks = locations_.bytes_written[static_cast<std::size_t>(rank)];
-  if (writable_) {
-    if (pos > capacity(rank)) {
-      return OutOfRange("seek position beyond chunk capacity");
-    }
-    if (block >= chunks.size()) {
-      const std::uint64_t old_blocks = chunks.size();
-      chunks.resize(block + 1, 0);
-      if (locations_.chunk_frames) {
-        for (std::uint64_t b = old_blocks; b <= block; ++b) {
-          SION_RETURN_IF_ERROR(write_frame(rank, b));
-        }
-      }
-    }
-  } else {
-    if (block >= chunks.size()) return OutOfRange("seek beyond last chunk");
-    if (pos > chunks[block]) {
-      return OutOfRange("seek position beyond data in chunk");
-    }
-  }
+  return Status::Ok();
+}
+
+ChunkStream SionSerialFile::stream_of(int rank) {
+  const auto r = static_cast<std::size_t>(rank);
+  const PhysicalFile& pf = physical_[static_cast<std::size_t>(
+      locations_.file_of_rank[r])];
+  const int local = local_index_[r];
+  return ChunkStream(pf.file.get(), &locations_.bytes_written[r],
+                     pf.layout.chunk_start(local, 0), pf.layout.block_span(),
+                     pf.layout.chunksize(local), writable_,
+                     locations_.chunk_frames, static_cast<std::uint32_t>(rank),
+                     static_cast<std::uint32_t>(local));
+}
+
+Status SionSerialFile::seek(int rank, std::uint64_t block, std::uint64_t pos) {
+  SION_RETURN_IF_ERROR(check_rank(rank));
+  ChunkStream stream = stream_of(rank);
+  SION_RETURN_IF_ERROR(stream.seek(block, pos));
   rank_ = rank;
-  block_ = block;
-  pos_ = pos;
+  ChunkStream::operator=(stream);
   return Status::Ok();
 }
-
-// ---------------------------------------------------------------------------
-// write path
-// ---------------------------------------------------------------------------
-
-Status SionSerialFile::advance_chunk_write() {
-  auto& chunks = locations_.bytes_written[static_cast<std::size_t>(rank_)];
-  if (locations_.chunk_frames) SION_RETURN_IF_ERROR(patch_frame(rank_, block_));
-  ++block_;
-  pos_ = 0;
-  if (block_ >= chunks.size()) {
-    chunks.resize(block_ + 1, 0);
-    if (locations_.chunk_frames) {
-      SION_RETURN_IF_ERROR(write_frame(rank_, block_));
-    }
-  }
-  return Status::Ok();
-}
-
-Status SionSerialFile::ensure_free_space(std::uint64_t nbytes) {
-  if (!writable_) return FailedPrecondition("file opened for reading");
-  if (closed_) return FailedPrecondition("file already closed");
-  if (nbytes > capacity(rank_)) {
-    return InvalidArgument("request exceeds chunk capacity; use write()");
-  }
-  if (pos_ + nbytes > capacity(rank_)) {
-    SION_RETURN_IF_ERROR(advance_chunk_write());
-  }
-  return Status::Ok();
-}
-
-Result<std::uint64_t> SionSerialFile::write_raw(fs::DataView data) {
-  if (!writable_) return FailedPrecondition("file opened for reading");
-  if (closed_) return FailedPrecondition("file already closed");
-  if (data.size() > capacity(rank_) - pos_) {
-    return OutOfRange("write does not fit; call ensure_free_space");
-  }
-  SION_ASSIGN_OR_RETURN(
-      const std::uint64_t n,
-      file_of(rank_).pwrite(data, chunk_file_offset(rank_, block_) + pos_));
-  pos_ += n;
-  auto& chunks = locations_.bytes_written[static_cast<std::size_t>(rank_)];
-  chunks[block_] = std::max(chunks[block_], pos_);
-  if (locations_.chunk_frames) {
-    SION_RETURN_IF_ERROR(patch_frame(rank_, block_));
-  }
-  return n;
-}
-
-Result<std::uint64_t> SionSerialFile::write(fs::DataView data) {
-  if (!writable_) return FailedPrecondition("file opened for reading");
-  if (closed_) return FailedPrecondition("file already closed");
-  std::uint64_t done = 0;
-  while (done < data.size()) {
-    if (pos_ == capacity(rank_)) SION_RETURN_IF_ERROR(advance_chunk_write());
-    const std::uint64_t take =
-        std::min(capacity(rank_) - pos_, data.size() - done);
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t n,
-        file_of(rank_).pwrite(data.subview(done, take),
-                              chunk_file_offset(rank_, block_) + pos_));
-    pos_ += n;
-    auto& chunks = locations_.bytes_written[static_cast<std::size_t>(rank_)];
-    chunks[block_] = std::max(chunks[block_], pos_);
-    done += n;
-    if (locations_.chunk_frames) {
-      SION_RETURN_IF_ERROR(patch_frame(rank_, block_));
-    }
-  }
-  return done;
-}
-
-// ---------------------------------------------------------------------------
-// read path
-// ---------------------------------------------------------------------------
-
-bool SionSerialFile::eof() const {
-  const auto& chunks =
-      locations_.bytes_written[static_cast<std::size_t>(rank_)];
-  std::uint64_t b = block_;
-  std::uint64_t p = pos_;
-  while (b < chunks.size()) {
-    if (p < chunks[b]) return false;
-    ++b;
-    p = 0;
-  }
-  return true;
-}
-
-std::uint64_t SionSerialFile::bytes_avail_in_chunk() const {
-  const auto& chunks =
-      locations_.bytes_written[static_cast<std::size_t>(rank_)];
-  if (block_ >= chunks.size()) return 0;
-  return chunks[block_] - pos_;
-}
-
-Result<std::uint64_t> SionSerialFile::read_raw(std::span<std::byte> out) {
-  if (writable_) return FailedPrecondition("file opened for writing");
-  const std::uint64_t want =
-      std::min<std::uint64_t>(out.size(), bytes_avail_in_chunk());
-  if (want == 0) return static_cast<std::uint64_t>(0);
-  SION_ASSIGN_OR_RETURN(
-      const std::uint64_t n,
-      file_of(rank_).pread(out.subspan(0, want),
-                           chunk_file_offset(rank_, block_) + pos_));
-  pos_ += n;
-  return n;
-}
-
-Result<std::uint64_t> SionSerialFile::read(std::span<std::byte> out) {
-  if (writable_) return FailedPrecondition("file opened for writing");
-  std::uint64_t done = 0;
-  while (done < out.size() && !eof()) {
-    if (bytes_avail_in_chunk() == 0) {
-      ++block_;
-      pos_ = 0;
-      continue;
-    }
-    SION_ASSIGN_OR_RETURN(const std::uint64_t n, read_raw(out.subspan(done)));
-    done += n;
-  }
-  return done;
-}
-
-// ---------------------------------------------------------------------------
-// positioned logical-stream access
-// ---------------------------------------------------------------------------
 
 std::uint64_t SionSerialFile::logical_bytes(int rank) const {
   if (rank < 0 || rank >= locations_.nranks) return 0;
-  std::uint64_t total = 0;
-  for (const std::uint64_t b :
-       locations_.bytes_written[static_cast<std::size_t>(rank)]) {
-    total += b;
-  }
-  return total;
+  const auto& chunks = locations_.bytes_written[static_cast<std::size_t>(rank)];
+  return std::accumulate(chunks.begin(), chunks.end(), std::uint64_t{0});
 }
 
 Result<std::uint64_t> SionSerialFile::read_at(int rank, std::uint64_t offset,
                                               std::span<std::byte> out) {
-  if (writable_) return FailedPrecondition("file opened for writing");
-  if (closed_) return FailedPrecondition("file already closed");
-  if (rank < 0 || rank >= locations_.nranks) {
-    return InvalidArgument(strformat("rank %d out of range", rank));
-  }
-  if (pinned_rank_ >= 0 && rank != pinned_rank_) {
-    return InvalidArgument(
-        strformat("task-local view is pinned to rank %d", pinned_rank_));
-  }
-  const auto& chunks = locations_.bytes_written[static_cast<std::size_t>(rank)];
-  std::uint64_t done = 0;
-  std::uint64_t skip = offset;
-  for (std::uint64_t b = 0; b < chunks.size() && done < out.size(); ++b) {
-    if (skip >= chunks[b]) {
-      skip -= chunks[b];
-      continue;
-    }
-    const std::uint64_t take =
-        std::min<std::uint64_t>(chunks[b] - skip, out.size() - done);
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t n,
-        file_of(rank).pread(out.subspan(done, take),
-                            chunk_file_offset(rank, b) + skip));
-    if (n < take) return Corrupt("short read inside a recorded chunk");
-    done += n;
-    skip = 0;
-  }
-  return done;
+  SION_RETURN_IF_ERROR(check_rank(rank));
+  return stream_of(rank).read_at(offset, out);
 }
 
 Result<std::vector<std::byte>> SionSerialFile::read_logical(int rank) {
-  const std::uint64_t total = logical_bytes(rank);
-  std::vector<std::byte> out(static_cast<std::size_t>(total));
-  SION_ASSIGN_OR_RETURN(const std::uint64_t got, read_at(rank, 0, out));
-  if (got != total) {
-    return Corrupt(strformat("logical stream of rank %d delivered %llu of "
-                             "%llu recorded bytes",
-                             rank, static_cast<unsigned long long>(got),
-                             static_cast<unsigned long long>(total)));
-  }
-  return out;
+  SION_RETURN_IF_ERROR(check_rank(rank));
+  return stream_of(rank).read_remaining();
 }
 
 // ---------------------------------------------------------------------------
@@ -470,27 +251,21 @@ Result<std::vector<std::byte>> SionSerialFile::read_logical(int rank) {
 // ---------------------------------------------------------------------------
 
 Status SionSerialFile::close() {
-  if (closed_) return FailedPrecondition("file already closed");
+  if (file_ == nullptr) return FailedPrecondition("file already closed");
   if (writable_) {
     for (auto& pf : physical_) {
       FileMeta2 meta2;
       for (std::uint32_t slot = 0; slot < pf.header.ntasks; ++slot) {
         const std::uint64_t r = pf.header.global_ranks[slot];
         meta2.bytes_written.push_back(locations_.bytes_written[r]);
-        if (locations_.chunk_frames) {
-          for (std::uint64_t b = 0; b < locations_.bytes_written[r].size();
-               ++b) {
-            SION_RETURN_IF_ERROR(
-                patch_frame(static_cast<int>(r), b));
-          }
-        }
+        SION_RETURN_IF_ERROR(stream_of(static_cast<int>(r)).patch_frames());
       }
       SION_RETURN_IF_ERROR(write_meta2_and_trailer(
           *pf.file, pf.layout.data_start(), pf.layout.block_span(), meta2));
     }
   }
   for (auto& pf : physical_) pf.file.reset();
-  closed_ = true;
+  ChunkStream::operator=(stream_of(rank_));  // no file: closed
   return Status::Ok();
 }
 

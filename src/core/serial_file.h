@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/chunk_stream.h"
 #include "core/filemap.h"
 #include "core/layout.h"
 #include "core/metadata.h"
@@ -30,7 +31,10 @@ struct SerialWriteSpec {
   bool chunk_frames = false;
 };
 
-class SionSerialFile {
+// The cursor is the stream itself (ChunkStream: ensure_free_space,
+// write_raw, write, eof, read_raw, read, ...), pointed at one logical file
+// at a time by seek().
+class SionSerialFile : public ChunkStream {
  public:
   // Create a multifile set from a serial program (paper Listing 3): the
   // whole array of chunk sizes is supplied because there are no tasks to
@@ -72,18 +76,6 @@ class SionSerialFile {
   Status seek(int rank, std::uint64_t block, std::uint64_t pos);
 
   [[nodiscard]] int current_rank() const { return rank_; }
-  [[nodiscard]] std::uint64_t current_block() const { return block_; }
-  [[nodiscard]] std::uint64_t position_in_chunk() const { return pos_; }
-
-  // ---- I/O at the cursor ------------------------------------------------------
-  Status ensure_free_space(std::uint64_t nbytes);
-  Result<std::uint64_t> write_raw(fs::DataView data);
-  Result<std::uint64_t> write(fs::DataView data);
-
-  [[nodiscard]] bool eof() const;
-  [[nodiscard]] std::uint64_t bytes_avail_in_chunk() const;
-  Result<std::uint64_t> read_raw(std::span<std::byte> out);
-  Result<std::uint64_t> read(std::span<std::byte> out);
 
   // ---- positioned logical-stream access ------------------------------------
   // Total payload bytes of logical file `rank` (sum over its chunks).
@@ -118,28 +110,17 @@ class SionSerialFile {
   static Result<std::unique_ptr<SionSerialFile>> open_existing(
       fs::FileSystem& fs, const std::string& name, int pinned_rank);
 
-  [[nodiscard]] std::uint64_t capacity(int rank) const;
-  [[nodiscard]] std::uint64_t chunk_file_offset(int rank,
-                                                std::uint64_t block) const;
-  [[nodiscard]] fs::File& file_of(int rank) const;
-  [[nodiscard]] ChunkFrame frame(int rank, std::uint64_t block,
-                                 std::uint64_t bytes_written) const;
-  Status write_frame(int rank, std::uint64_t block);
-  Status patch_frame(int rank, std::uint64_t block);
-  Status advance_chunk_write();
+  // Checks that `rank` exists and that this view may access it.
+  [[nodiscard]] Status check_rank(int rank) const;
+  // Rank `rank`'s stream, its cursor at the stream's start.
+  [[nodiscard]] ChunkStream stream_of(int rank);
 
-  fs::FileSystem* fs_ = nullptr;
   bool writable_ = false;
-  bool closed_ = false;
   int pinned_rank_ = -1;  // >= 0: task-local view
+  int rank_ = 0;          // the rank the cursor streams
   Locations locations_;
   std::vector<PhysicalFile> physical_;
   std::vector<int> local_index_;  // per rank, index within its file
-
-  // Cursor.
-  int rank_ = 0;
-  std::uint64_t block_ = 0;
-  std::uint64_t pos_ = 0;
 };
 
 }  // namespace sion::core

@@ -6,6 +6,7 @@
 #include "common/codec.h"
 #include "common/log.h"
 #include "common/strings.h"
+#include "core/chunk_stream.h"
 #include "core/metadata.h"
 #include "par/engine.h"
 
@@ -143,27 +144,16 @@ Status mirror_write(fs::FileSystem& fs, par::Comm& gcom, par::Comm& dcom,
   }
   SION_RETURN_IF_ERROR(par::share_status_global(dcom, gcom, st, 0, kBuddyFailed));
 
-  // Write the mirrored stream, filling each chunk to capacity before moving
-  // to the same-positioned chunk of the next block (the SionParFile walk).
+  // Write the mirrored stream through the same chunk walk a SionParFile
+  // writer uses.
   const fs::DataView mirrored =
       src_is_fill != 0
           ? fs::DataView::fill(static_cast<std::byte>(src_fill), src_size)
           : fs::DataView(src_bytes);
-  std::vector<std::uint64_t> chunk_bytes;
-  std::uint64_t done = 0;
-  while (done < src_size && st.ok()) {
-    const std::uint64_t take = std::min(my_capacity, src_size - done);
-    const std::uint64_t offset =
-        data_start + chunk_bytes.size() * block_span + my_offset;
-    auto wrote = file->pwrite(mirrored.subview(done, take), offset);
-    if (!wrote.ok()) {
-      st = wrote.status();
-      break;
-    }
-    chunk_bytes.push_back(take);
-    done += take;
-  }
-  if (chunk_bytes.empty()) chunk_bytes.assign(1, 0);
+  std::vector<std::uint64_t> chunk_bytes{0};
+  core::ChunkStream stream(file.get(), &chunk_bytes, data_start + my_offset,
+                           block_span, my_capacity, /*writable=*/true);
+  st = stream.write(mirrored).status();
 
   // Per-chunk usage to the master, which writes metablock 2 and the
   // trailer exactly like a parallel close.

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "common/units.h"
 #include "core/metadata.h"
 #include "fs/path.h"
 #include "fs/sim/simfs.h"
@@ -16,6 +17,9 @@ namespace {
 // Directory on the fast tier holding the staged slot files.
 constexpr char kFastDir[] = "bb";
 
+// Copy granule of the lazy materialisation pass.
+constexpr std::uint64_t kCopyBufferBytes = 4 * kMiB;
+
 }  // namespace
 
 Result<std::unique_ptr<Staging>> Staging::open(
@@ -24,12 +28,6 @@ Result<std::unique_ptr<Staging>> Staging::open(
     std::optional<BuddyConfig> buddy, std::optional<EccConfig> ecc) {
   if (config.fast_tier == nullptr) {
     return InvalidArgument("staging: a fast_tier file system is required");
-  }
-  if (config.buffers < 1) {
-    return InvalidArgument("staging: buffers must be >= 1");
-  }
-  if (config.copy_buffer_bytes == 0) {
-    return InvalidArgument("staging: copy_buffer_bytes must be > 0");
   }
   if (sion_spec.nfiles < 1) sion_spec.nfiles = 1;
   if (sion_spec.chunk_frames) {
@@ -108,8 +106,7 @@ Result<std::unique_ptr<Staging>> Staging::open(
 
 std::string Staging::slot_base(std::uint64_t index) const {
   return std::string(kFastDir) + "/" + fs::basename(sion_spec_.filename) +
-         ".slot" +
-         std::to_string(index % static_cast<std::uint64_t>(config_.buffers));
+         ".slot" + std::to_string(index % kBuffers);
 }
 
 Result<double> Staging::write(std::uint64_t index, fs::DataView payload,
@@ -125,10 +122,7 @@ Result<double> Staging::write(std::uint64_t index, fs::DataView payload,
   // and materialised before its staged files are overwritten. A failure
   // here (the previous checkpoint was lost on the fast tier) fails this
   // write — the application must recover before checkpointing again.
-  if (index >= static_cast<std::uint64_t>(config_.buffers)) {
-    SION_RETURN_IF_ERROR(
-        wait(index - static_cast<std::uint64_t>(config_.buffers)));
-  }
+  if (index >= kBuffers) SION_RETURN_IF_ERROR(wait(index - kBuffers));
 
   // Footprint of this checkpoint per burst-buffer node. Identical on every
   // rank (allgathered), so the capacity verdict needs no extra collective.
@@ -141,12 +135,9 @@ Result<double> Staging::write(std::uint64_t index, fs::DataView payload,
   }
   if (config_.node_capacity != 0) {
     // Staged files stay on the device until their slot is overwritten, so
-    // the occupancy to check is the last `buffers` checkpoints, this one
-    // included (index - buffers is being replaced right now).
-    const std::uint64_t lo =
-        index + 1 >= static_cast<std::uint64_t>(config_.buffers)
-            ? index + 1 - static_cast<std::uint64_t>(config_.buffers)
-            : 0;
+    // the occupancy to check is the last kBuffers checkpoints, this one
+    // included (index - kBuffers is being replaced right now).
+    const std::uint64_t lo = index + 1 >= kBuffers ? index + 1 - kBuffers : 0;
     for (int n = 0; n < nnodes_; ++n) {
       std::uint64_t occupied = node_bytes[static_cast<std::size_t>(n)];
       for (std::uint64_t k = lo; k < index; ++k) {
@@ -319,11 +310,9 @@ Status Staging::copy_file(const std::string& src_name,
     return Corrupt(strformat("staged file '%s' was never closed",
                              src_name.c_str()));
   }
-  SION_ASSIGN_OR_RETURN(const core::FileMeta2 meta2,
-                        core::read_meta2(*src, header));
-  (void)meta2;
+  SION_RETURN_IF_ERROR(core::read_meta2(*src, header).status());
   return core::copy_physical_file(*src, std::move(header), *pfs_, dst_name,
-                                  patch_filenum, config_.copy_buffer_bytes)
+                                  patch_filenum, kCopyBufferBytes)
       .status();
 }
 

@@ -18,7 +18,7 @@
 // kTruncate) armed before that point makes the materialisation genuinely
 // fail — recovery then falls back to the last fully drained checkpoint.
 //
-// Double buffering: checkpoint k occupies fast-tier slot k % buffers; the
+// Double buffering: checkpoint k occupies fast-tier slot k % 2; the
 // slot's previous occupant is always drained and materialised before the
 // slot is rewritten, so an undrained buffer is never overwritten. With
 // buddy protection, the burst buffer holds one copy and the drain fans out
@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/units.h"
 #include "core/par_file.h"
 #include "ext/buddy.h"
 #include "ext/collective.h"
@@ -58,12 +57,6 @@ struct StagingConfig {
   // over fs::BurstBufferTierConfig(machine, ntasks).
   fs::FileSystem* fast_tier = nullptr;
 
-  // In-flight staged checkpoints per node (2 = classic double buffering).
-  int buffers = 2;
-
-  // Copy granule of the lazy materialisation pass.
-  std::uint64_t copy_buffer_bytes = 4 * kMiB;
-
   // Drain model knobs; 0 derives each from the parallel tier's
   // SimConfig::burst_buffer (required for non-Sim parallel tiers).
   int tasks_per_node = 0;
@@ -74,6 +67,10 @@ struct StagingConfig {
 class Staging {
  public:
   enum class SlotState : std::uint8_t { kInFlight, kDrained, kFailed };
+
+  // Fast-tier slots, i.e. staged checkpoints in flight per node: classic
+  // double buffering.
+  static constexpr std::uint64_t kBuffers = 2;
 
   // One staged checkpoint's drain, in submission order (index == position).
   struct DrainInfo {

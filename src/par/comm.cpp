@@ -382,37 +382,6 @@ std::uint64_t Comm::allreduce_u64(std::uint64_t value, ReduceOp op) {
   return slot.out;
 }
 
-Comm::GatheredBytes Comm::gatherv_bytes(std::span<const std::byte> contribution,
-                                        int root) {
-  SION_CHECK(root >= 0 && root < size()) << "gatherv root out of range";
-  struct Slot {
-    std::span<const std::byte> in;
-    GatheredBytes* out;
-  };
-  GatheredBytes result;
-  Slot slot{contribution, &result};
-  const int nranks = size();
-  const NetworkModel net = net_;
-  rendezvous(&slot, [root, nranks, net](std::vector<void*>& slots,
-                                        double tmax) {
-    auto& root_slot = *static_cast<Slot*>(slots[static_cast<std::size_t>(root)]);
-    std::uint64_t total = 0;
-    for (int i = 0; i < nranks; ++i) {
-      total += static_cast<Slot*>(slots[static_cast<std::size_t>(i)])->in.size();
-    }
-    root_slot.out->data.reserve(total);
-    root_slot.out->sizes.resize(static_cast<std::size_t>(nranks));
-    for (int i = 0; i < nranks; ++i) {
-      auto& s = *static_cast<Slot*>(slots[static_cast<std::size_t>(i)]);
-      root_slot.out->data.insert(root_slot.out->data.end(), s.in.begin(),
-                                 s.in.end());
-      root_slot.out->sizes[static_cast<std::size_t>(i)] = s.in.size();
-    }
-    return tmax + net.rooted_cost(nranks, total);
-  });
-  return result;
-}
-
 std::vector<std::byte> Comm::scatterv_bytes_flat(
     std::span<const std::byte> data, std::span<const std::uint64_t> sizes,
     int root) {
@@ -652,16 +621,6 @@ std::vector<std::byte> Comm::rotate_bytes(std::span<const std::byte> data,
   // waiting for its receiver, so the ring never deadlocks.
   send_bytes(data, (me + s) % n, kRotateTag);
   return recv_bytes((me - s + n) % n, kRotateTag);
-}
-
-std::span<const std::byte> Comm::rotate_view(std::span<const std::byte> data,
-                                             int shift) {
-  const int n = size();
-  const int s = ((shift % n) + n) % n;
-  if (s == 0) return data;
-  const int me = rank();
-  send_view(data, (me + s) % n, kRotateTag);
-  return recv_view((me - s + n) % n, kRotateTag);
 }
 
 // ---------------------------------------------------------------------------

@@ -101,14 +101,6 @@ class Comm {
   std::vector<std::uint64_t> allgather_u64(std::uint64_t value);
   std::uint64_t allreduce_u64(std::uint64_t value, ReduceOp op);
 
-  struct GatheredBytes {
-    std::vector<std::byte> data;              // concatenated in rank order
-    std::vector<std::uint64_t> sizes;         // contribution per rank
-  };
-  // Root receives all contributions, others an empty result.
-  GatheredBytes gatherv_bytes(std::span<const std::byte> contribution,
-                              int root);
-
   // Root supplies one flat buffer sliced by `sizes` (size() entries, rank
   // order); each task receives its own piece.
   std::vector<std::byte> scatterv_bytes_flat(std::span<const std::byte> data,
@@ -142,23 +134,17 @@ class Comm {
   void send_view(std::span<const std::byte> data, int dst, int tag);
   std::span<const std::byte> recv_view(int src, int tag);
 
-  // Group-to-group copy collectives (MPI_Sendrecv around the ring): every
+  // Group-to-group copy collective (MPI_Sendrecv around the ring): every
   // task ships `data` to the task `shift` comm ranks ahead (mod size) and
   // receives the matching buffer from the task `shift` ranks behind. With
   // shift = k * group_size this moves every group's payloads to its k-th
   // neighbour group in one step — the buddy-replication ship pattern
   // (ext::Buddy mirrors checkpoint chunks to another failure domain with
   // it). Collective: every member must call it with the same shift. A
-  // shift that is a multiple of size() degenerates to a local copy (or the
-  // span itself for the view variant) with no network cost.
-  //
-  // rotate_view extends the send_view contract around the ring: every
-  // sender's buffer must stay alive and unmodified until the collective
-  // that consumes the received span completes.
+  // shift that is a multiple of size() degenerates to a local copy with no
+  // network cost.
   std::vector<std::byte> rotate_bytes(std::span<const std::byte> data,
                                       int shift);
-  std::span<const std::byte> rotate_view(std::span<const std::byte> data,
-                                         int shift);
 
  private:
   Comm(Engine& engine, std::vector<TaskState*> members, NetworkModel net);

@@ -24,12 +24,8 @@ Status defrag_multifile(fs::FileSystem& fs, const std::string& input,
   spec.fsblksize = options.fsblksize > 0 ? options.fsblksize : loc.fsblksize;
   spec.chunksizes.reserve(static_cast<std::size_t>(loc.nranks));
   for (int r = 0; r < loc.nranks; ++r) {
-    std::uint64_t total = 0;
-    for (const std::uint64_t b :
-         loc.bytes_written[static_cast<std::size_t>(r)]) {
-      total += b;
-    }
-    spec.chunksizes.push_back(std::max<std::uint64_t>(1, total));
+    spec.chunksizes.push_back(
+        std::max<std::uint64_t>(1, in->logical_bytes(r)));
   }
   SION_ASSIGN_OR_RETURN(auto out, core::SionSerialFile::open_write(fs, spec));
 

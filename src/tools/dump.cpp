@@ -36,8 +36,7 @@ Result<std::string> dump_multifile(fs::FileSystem& fs, const std::string& name,
   std::uint64_t max_blocks = 0;
   for (int r = 0; r < loc.nranks; ++r) {
     const auto& chunks = loc.bytes_written[static_cast<std::size_t>(r)];
-    std::uint64_t rank_total = 0;
-    for (const std::uint64_t b : chunks) rank_total += b;
+    const std::uint64_t rank_total = sion->logical_bytes(r);
     total_payload += rank_total;
     max_blocks = std::max(max_blocks,
                           static_cast<std::uint64_t>(chunks.size()));

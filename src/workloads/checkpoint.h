@@ -85,7 +85,6 @@ struct CheckpointSpec {
   // precedence over `collective` when reading. 0 keeps the classic
   // same-task-count read path.
   int restart_ntasks = 0;
-  ext::RemapConfig remap_config;
 
   [[nodiscard]] const ext::BuddyConfig* buddy_protection() const {
     return std::get_if<ext::BuddyConfig>(&protection);

@@ -46,11 +46,11 @@ std::vector<std::byte> flatten_view(fs::DataView v) {
   return out;
 }
 
-// The remap config the read side actually uses: spec.compression turns on
+// The remap config the read side uses: spec.compression turns on
 // transparent frame decoding for N->M and buddy restores.
 ext::RemapConfig remap_config_of(const CheckpointSpec& spec) {
-  ext::RemapConfig config = spec.remap_config;
-  if (spec.compression.has_value()) config.transparent_decompress = true;
+  ext::RemapConfig config;
+  config.transparent_decompress = spec.compression.has_value();
   return config;
 }
 
@@ -166,13 +166,10 @@ Result<std::unique_ptr<CheckpointSession>> CheckpointSession::open(
 std::string CheckpointSession::checkpoint_name(const CheckpointSpec& spec,
                                                std::uint64_t index) {
   if (index == 0) return spec.path;  // the legacy single-checkpoint name
-  // Alternate over enough names that an in-flight drain never lands on the
-  // newest durable checkpoint's files.
-  const std::uint64_t keep =
-      spec.staging.has_value()
-          ? static_cast<std::uint64_t>(std::max(2, spec.staging->buffers))
-          : 2;
-  return spec.path + ".v" + std::to_string(1 + (index - 1) % keep);
+  // Alternate over as many names as staging has slots, so an in-flight
+  // drain never lands on the newest durable checkpoint's files.
+  return spec.path + ".v" +
+         std::to_string(1 + (index - 1) % ext::Staging::kBuffers);
 }
 
 Result<CheckpointSession::Ticket> CheckpointSession::write_async(

@@ -81,7 +81,7 @@ class CheckpointSession {
 
   // Parallel-tier name of checkpoint `index` under `spec`: index 0 is
   // spec.path itself (the legacy single-checkpoint contract); later indices
-  // alternate over max(2, staging buffers) ".v<n>" suffixed names.
+  // alternate over the two ".v<n>" suffixed names.
   static std::string checkpoint_name(const CheckpointSpec& spec,
                                      std::uint64_t index);
 

@@ -146,6 +146,18 @@ TEST(MetadataTest, ParseRejectsBadVersion) {
   EXPECT_FALSE(FileHeader::parse(bytes).ok());
 }
 
+TEST(MetadataTest, ParseRejectsBlockSizeNotAPowerOfTwo) {
+  // Every writer aligns to a power-of-two block size; readers rely on it.
+  FileHeader h;
+  h.fsblksize = 3000;
+  h.ntasks = 1;
+  h.global_ranks = {0};
+  h.chunksizes_req = {1};
+  auto parsed = FileHeader::parse(h.serialize());
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), ErrorCode::kCorrupt);
+}
+
 TEST(MetadataTest, Meta2Roundtrip) {
   FileMeta2 m;
   m.bytes_written = {{100, 200, 0}, {50}, {}};
@@ -741,6 +753,227 @@ TEST_F(SerialFileTest, LocationsExposeBytesWritten) {
     EXPECT_GE(loc.bytes_written[static_cast<std::size_t>(r)].size(), 3u);
   }
   ASSERT_TRUE(open.value()->close().ok());
+}
+
+// ---------------------------------------------------------------------------
+// Metablock 2 is checked before any reader trusts it
+// ---------------------------------------------------------------------------
+
+class Meta2CheckTest : public ::testing::Test {
+ protected:
+  Meta2CheckTest() : fs_(fs::TestbedConfig()) {}
+
+  // One task writes `bytes` into a single 4 KiB chunk.
+  void write_one_chunk(const std::string& name, std::size_t bytes) {
+    par::Engine engine;
+    engine.run(1, [&](par::Comm& world) {
+      ParOpenSpec spec;
+      spec.filename = name;
+      spec.chunksize = 4 * kKiB;
+      spec.fsblksize = 4 * kKiB;
+      auto open = SionParFile::open_write(fs_, world, spec);
+      ASSERT_TRUE(open.ok()) << open.status().to_string();
+      ASSERT_TRUE(open.value()->write(DataView(rank_pattern(0, bytes))).ok());
+      ASSERT_TRUE(open.value()->close().ok());
+    });
+  }
+
+  // Overwrite metablock 2 of `name` with `forged`; the trailer stays.
+  void forge_meta2(const std::string& name, const FileMeta2& forged) {
+    auto file = fs_.open_rw(name);
+    ASSERT_TRUE(file.ok());
+    auto header = read_header(*file.value());
+    ASSERT_TRUE(header.ok());
+    ASSERT_TRUE(file.value()
+                    ->pwrite(DataView(forged.serialize()),
+                             header.value().meta2_offset)
+                    .ok());
+  }
+
+  void expect_both_opens_corrupt(const std::string& name) {
+    auto serial = SionSerialFile::open_read(fs_, name);
+    ASSERT_FALSE(serial.ok());
+    EXPECT_EQ(serial.status().code(), ErrorCode::kCorrupt)
+        << serial.status().to_string();
+    par::Engine engine;
+    engine.run(1, [&](par::Comm& world) {
+      auto par = SionParFile::open_read(fs_, world, name);
+      ASSERT_FALSE(par.ok());
+      EXPECT_EQ(par.status().code(), ErrorCode::kCorrupt)
+          << par.status().to_string();
+    });
+  }
+
+  fs::SimFs fs_;
+};
+
+TEST_F(Meta2CheckTest, ChunkCountOverCapacityIsCorrupt) {
+  write_one_chunk("over.sion", 3000);
+  FileMeta2 forged;
+  forged.bytes_written = {{1 * kMiB}};  // the chunk holds 4 KiB
+  forge_meta2("over.sion", forged);
+  expect_both_opens_corrupt("over.sion");
+}
+
+TEST_F(Meta2CheckTest, BlockCountBeyondTheTrailerIsCorrupt) {
+  write_one_chunk("blocks.sion", 3000);
+  FileMeta2 forged;
+  forged.bytes_written = {{3000, 100}};  // the trailer lists one block
+  forge_meta2("blocks.sion", forged);
+  expect_both_opens_corrupt("blocks.sion");
+}
+
+TEST_F(Meta2CheckTest, ChunkTruncatedUnderAnOpenReaderIsCorrupt) {
+  write_one_chunk("serial.sion", 3000);
+  write_one_chunk("par.sion", 3000);
+  auto header = read_header(*fs_.open_read("par.sion").value());
+  ASSERT_TRUE(header.ok());
+  const std::uint64_t chunk = layout_of(header.value()).value().data_start();
+  auto serial = SionSerialFile::open_read(fs_, "serial.sion");
+  ASSERT_TRUE(serial.ok());
+  par::Engine engine;
+  engine.run(1, [&](par::Comm& world) {
+    auto par = SionParFile::open_read(fs_, world, "par.sion");
+    ASSERT_TRUE(par.ok());
+    // Both files lose all but 1000 of the chunk's 3000 recorded bytes.
+    fs_.arm_faults(fs::FaultPlan().truncate("*.sion", chunk + 1000));
+    std::vector<std::byte> buf(3000);
+    auto serial_got = serial.value()->read_raw(buf);
+    ASSERT_FALSE(serial_got.ok());
+    EXPECT_EQ(serial_got.status().code(), ErrorCode::kCorrupt);
+    auto par_got = par.value()->read_raw(buf);
+    ASSERT_FALSE(par_got.ok());
+    EXPECT_EQ(par_got.status().code(), ErrorCode::kCorrupt);
+    ASSERT_TRUE(par.value()->close().ok());
+  });
+}
+
+// Records the shape of every pwrite to the files it creates: one (fill,
+// size) entry per part of the view.
+class RecordingFs final : public fs::FileSystem {
+ public:
+  struct Part {
+    bool zero_fill = false;
+    std::uint64_t size = 0;
+  };
+
+  explicit RecordingFs(fs::FileSystem& inner) : inner_(inner) {}
+
+  std::vector<std::vector<Part>> writes;
+
+  Result<std::unique_ptr<fs::File>> create(const std::string& path) override {
+    SION_ASSIGN_OR_RETURN(auto file, inner_.create(path));
+    return std::unique_ptr<fs::File>(
+        std::make_unique<RecordingFile>(std::move(file), writes));
+  }
+  Result<std::unique_ptr<fs::File>> open_read(const std::string& p) override {
+    return inner_.open_read(p);
+  }
+  Result<std::unique_ptr<fs::File>> open_rw(const std::string& p) override {
+    return inner_.open_rw(p);
+  }
+  Status mkdir(const std::string& p) override { return inner_.mkdir(p); }
+  Status remove(const std::string& p) override { return inner_.remove(p); }
+  Result<std::vector<std::string>> list_dir(const std::string& p) override {
+    return inner_.list_dir(p);
+  }
+  Result<fs::FileStat> stat_path(const std::string& p) override {
+    return inner_.stat_path(p);
+  }
+  bool exists(const std::string& p) override { return inner_.exists(p); }
+  Result<std::uint64_t> block_size(const std::string& p) override {
+    return inner_.block_size(p);
+  }
+
+ private:
+  class RecordingFile final : public fs::File {
+   public:
+    RecordingFile(std::unique_ptr<fs::File> inner,
+                  std::vector<std::vector<Part>>& writes)
+        : inner_(std::move(inner)), writes_(writes) {}
+
+    Result<std::uint64_t> pwrite(DataView data,
+                                 std::uint64_t offset) override {
+      std::vector<Part>& parts = writes_.emplace_back();
+      const auto record = [&](const DataView& part) {
+        parts.push_back(
+            {part.is_fill() && part.fill_byte() == std::byte{0}, part.size()});
+      };
+      if (data.is_gather()) {
+        for (const DataView& part : data.parts()) record(part);
+      } else {
+        record(data);
+      }
+      return inner_->pwrite(data, offset);
+    }
+    Result<std::uint64_t> pread(std::span<std::byte> out,
+                                std::uint64_t offset) override {
+      return inner_->pread(out, offset);
+    }
+    Result<fs::FileStat> stat() override { return inner_->stat(); }
+    Status truncate(std::uint64_t size) override {
+      return inner_->truncate(size);
+    }
+    Status sync() override { return inner_->sync(); }
+
+   private:
+    std::unique_ptr<fs::File> inner_;
+    std::vector<std::vector<Part>>& writes_;
+  };
+
+  fs::FileSystem& inner_;
+};
+
+std::vector<std::byte> whole_file(fs::FileSystem& fs, const std::string& path) {
+  auto file = fs.open_read(path).value();
+  std::vector<std::byte> out(file->stat().value().size);
+  EXPECT_TRUE(file->pread(out, 0).ok());
+  return out;
+}
+
+TEST(CopyPhysicalFileTest, ZeroRunsTravelAsFillParts) {
+  // Four tasks write 1000 bytes each into 16 KiB chunks: most of every
+  // chunk is an unwritten hole that reads back as zeros.
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  engine.run(4, [&](par::Comm& world) {
+    ParOpenSpec spec;
+    spec.filename = "sparse.sion";
+    spec.chunksize = 16 * kKiB;
+    spec.fsblksize = 4 * kKiB;
+    auto open = SionParFile::open_write(fs, world, spec);
+    ASSERT_TRUE(open.ok());
+    ASSERT_TRUE(
+        open.value()->write(DataView(rank_pattern(world.rank(), 1000))).ok());
+    ASSERT_TRUE(open.value()->close().ok());
+  });
+  const std::vector<std::byte> original = whole_file(fs, "sparse.sion");
+
+  for (const std::uint64_t buffer : {1 * kMiB, 8 * kKiB}) {
+    RecordingFs recording(fs);
+    auto src = fs.open_read("sparse.sion");
+    ASSERT_TRUE(src.ok());
+    auto header = read_header(*src.value());
+    ASSERT_TRUE(header.ok());
+    auto copied = copy_physical_file(*src.value(), header.value(), recording,
+                                     "copy.sion", -1, buffer);
+    ASSERT_TRUE(copied.ok()) << copied.status().to_string();
+    EXPECT_EQ(copied.value(), original.size());
+
+    // One pwrite per buffer-sized piece, each covering the piece exactly.
+    ASSERT_EQ(recording.writes.size(), ceil_div(original.size(), buffer));
+    std::uint64_t zero_bytes = 0;
+    for (const auto& parts : recording.writes) {
+      for (const RecordingFs::Part& part : parts) {
+        if (!part.zero_fill) continue;
+        EXPECT_EQ(part.size % (4 * kKiB), 0u);
+        zero_bytes += part.size;
+      }
+    }
+    // At least the three whole zero pages of every task's chunk.
+    EXPECT_GE(zero_bytes, 4 * 12 * kKiB) << "buffer " << buffer;
+    EXPECT_EQ(whole_file(fs, "copy.sion"), original) << "buffer " << buffer;
+  }
 }
 
 }  // namespace

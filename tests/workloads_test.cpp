@@ -264,12 +264,6 @@ TEST(CheckpointSessionApiTest, SessionIndicesMapToVersionedNames) {
   EXPECT_EQ(CheckpointSession::checkpoint_name(spec, 1), "ck.sion.v1");
   EXPECT_EQ(CheckpointSession::checkpoint_name(spec, 2), "ck.sion.v2");
   EXPECT_EQ(CheckpointSession::checkpoint_name(spec, 3), "ck.sion.v1");
-  // More staging buffers widen the rotation so an in-flight drain can never
-  // land on the newest durable checkpoint's files.
-  ext::StagingConfig staging;
-  staging.buffers = 3;
-  spec.staging = staging;
-  EXPECT_EQ(CheckpointSession::checkpoint_name(spec, 4), "ck.sion.v1");
 }
 
 TEST(TracerTest, EventStreamsAreBalancedAndDeterministic) {
