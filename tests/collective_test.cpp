@@ -14,6 +14,7 @@
 #include "ext/collective.h"
 #include "fs/sim/machine.h"
 #include "fs/sim/simfs.h"
+#include "fs_wrappers.h"
 #include "par/comm.h"
 #include "par/engine.h"
 #include "workloads/checkpoint.h"
@@ -341,6 +342,221 @@ TEST(CollectiveTest, RejectsChunkFramesAndZeroChunksize) {
     EXPECT_FALSE(coll.ok());
     (void)world;
   });
+}
+
+// ---------------------------------------------------------------------------
+// Pins: the collector's file-system traffic and the members' counters.
+// The golden suite sees these only through virtual time, so a change to how
+// the collector walks its members' chunks must leave them exactly as they
+// are.
+// ---------------------------------------------------------------------------
+
+// Metablock 2 of `path`: every task's bytes per chunk.
+std::vector<std::vector<std::uint64_t>> chunk_counts(fs::FileSystem& fs,
+                                                     const std::string& path) {
+  auto file = fs.open_read(path);
+  EXPECT_TRUE(file.ok());
+  auto header = core::read_header(*file.value());
+  EXPECT_TRUE(header.ok());
+  auto meta2 = core::read_meta2(*file.value(), header.value());
+  EXPECT_TRUE(meta2.ok());
+  return meta2.value().bytes_written;
+}
+
+// Seven tasks in three groups ({0,1,2}, {3,4,5}, {6}), a wave buffer below
+// every payload, payloads spanning two or three 4 KiB chunks, real bytes on
+// even ranks and fills on odd ones, and two write() calls.
+TEST(CollectivePinTest, CollectorPwriteSequence) {
+  fs::SimFs sim(fs::TestbedConfig());
+  testfs::RecordingFs fs(sim);
+  par::Engine engine;
+  CollectiveConfig cfg;
+  cfg.group_size = 3;
+  cfg.buffer_bytes = 3000;
+  const std::uint64_t sizes[2][7] = {{5000, 9000, 100, 6000, 0, 8192, 3000},
+                                     {4000, 1, 7000, 2500, 4096, 100, 9000}};
+
+  engine.run(7, [&](par::Comm& world) {
+    const int r = world.rank();
+    core::ParOpenSpec spec;
+    spec.filename = "pin.sion";
+    spec.chunksize = 4 * kKiB;
+    auto coll = Collective::open_write(fs, world, spec, cfg);
+    ASSERT_TRUE(coll.ok()) << coll.status().to_string();
+    for (int call = 0; call < 2; ++call) {
+      const std::uint64_t n = sizes[call][r];
+      const auto bytes = pattern(r + 10 * call, n);
+      const fs::DataView payload =
+          r % 2 == 1 ? fs::DataView::fill(static_cast<std::byte>(0x40 + r), n)
+                     : fs::DataView(bytes);
+      ASSERT_TRUE(coll.value()->write(payload).ok());
+    }
+    EXPECT_EQ(coll.value()->bytes_written_total(), sizes[0][r] + sizes[1][r]);
+    ASSERT_TRUE(coll.value()->close().ok());
+  });
+
+  std::vector<std::string> got;
+  for (const testfs::RecordingFs::Write& w : fs.writes) got.push_back(w.str());
+  const std::vector<std::string> expect = {
+      "0: b184",
+      "131072: b3000",
+      "4096: b3000",
+      "65536: f67x4096",
+      "134072: b3000",
+      "258048: f67x1904",
+      "7096: b1096",
+      "137072: b3000",
+      "73728: f69x8192",
+      "196608: b904",
+      "140072: b3000",
+      "259952: f67x2192",
+      "8192: f65x4096",
+      "200704: f65x4096",
+      "450560: f67x308",
+      "69632: b3000",
+      "393216: f65x808",
+      "72632: b1096",
+      "81920: f69x100",
+      "12288: b100",
+      "197512: b3000",
+      "200512: b192",
+      "389120: b808",
+      "394024: f65x1",
+      "12388: b3000",
+      "15388: b3000",
+      "18388: b1000",
+      "581632: b172",
+      "16: b16",
+  };
+  EXPECT_EQ(got, expect);
+  EXPECT_EQ(fs.opens, (std::vector<std::string>{
+                          "create:pin.sion", "rw:pin.sion", "rw:pin.sion"}));
+  EXPECT_EQ(chunk_counts(sim, "pin.sion"),
+            (std::vector<std::vector<std::uint64_t>>{
+                {4096, 4096, 808},
+                {4096, 4096, 809},
+                {7100},
+                {4096, 4096, 308},
+                {4096},
+                {8292},
+                {12000}}));
+}
+
+TEST(CollectivePinTest, ZeroByteWriteLeavesOneEmptyChunk) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  CollectiveConfig cfg;
+  cfg.group_size = 3;
+  engine.run(5, [&](par::Comm& world) {
+    core::ParOpenSpec spec;
+    spec.filename = "zero.sion";
+    spec.chunksize = 4 * kKiB;
+    auto coll = Collective::open_write(fs, world, spec, cfg);
+    ASSERT_TRUE(coll.ok()) << coll.status().to_string();
+    ASSERT_TRUE(coll.value()->write(fs::DataView(std::span<const std::byte>())).ok());
+    EXPECT_EQ(coll.value()->bytes_written_total(), 0u);
+    EXPECT_EQ(coll.value()->bytes_remaining_total(), 0u);
+    ASSERT_TRUE(coll.value()->close().ok());
+  });
+  EXPECT_EQ(chunk_counts(fs, "zero.sion"),
+            (std::vector<std::vector<std::uint64_t>>(5, {0})));
+  engine.run(5, [&](par::Comm& world) {
+    auto coll = Collective::open_read(fs, world, "zero.sion", cfg);
+    ASSERT_TRUE(coll.ok()) << coll.status().to_string();
+    EXPECT_EQ(coll.value()->bytes_remaining_total(), 0u);
+    std::vector<std::byte> back(10);
+    auto got = coll.value()->read(back);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value(), 0u);
+    ASSERT_TRUE(coll.value()->close().ok());
+  });
+}
+
+// Rank r writes exactly 1 + r % 3 full chunks: metablock 2 lists that many
+// full chunks and no empty one behind them.
+TEST(CollectivePinTest, WholeChunksLeaveNoEmptyTrailingChunk) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  CollectiveConfig cfg;
+  cfg.group_size = 3;
+  cfg.buffer_bytes = 3000;
+  std::vector<std::uint64_t> capacity(5);
+  engine.run(5, [&](par::Comm& world) {
+    const int r = world.rank();
+    core::ParOpenSpec spec;
+    spec.filename = "whole.sion";
+    spec.chunksize = 4 * kKiB;
+    auto coll = Collective::open_write(fs, world, spec, cfg);
+    ASSERT_TRUE(coll.ok()) << coll.status().to_string();
+    const std::uint64_t cap = coll.value()->chunk_capacity();
+    capacity[static_cast<std::size_t>(r)] = cap;
+    const std::uint64_t n = (1 + static_cast<std::uint64_t>(r) % 3) * cap;
+    ASSERT_TRUE(
+        coll.value()->write(fs::DataView(pattern(r, n))).ok());
+    EXPECT_EQ(coll.value()->bytes_written_total(), n);
+    ASSERT_TRUE(coll.value()->close().ok());
+  });
+  EXPECT_EQ(capacity, (std::vector<std::uint64_t>{4096, 4096, 53248, 4096, 61440}));
+  std::vector<std::vector<std::uint64_t>> expect;
+  for (int r = 0; r < 5; ++r) {
+    expect.emplace_back(1 + r % 3, capacity[static_cast<std::size_t>(r)]);
+  }
+  EXPECT_EQ(chunk_counts(fs, "whole.sion"), expect);
+}
+
+// Interleaved read and read_skip calls, with wants that cross chunks and
+// run past the end: bytes_remaining_total after every call, and the bytes.
+TEST(CollectivePinTest, InterleavedReadsTrackRemainingBytes) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  CollectiveConfig cfg;
+  cfg.group_size = 3;
+  cfg.buffer_bytes = 3000;
+  const auto total = [](int r) {
+    return 6000 + 1500 * static_cast<std::uint64_t>(r);
+  };
+  engine.run(5, [&](par::Comm& world) {
+    core::ParOpenSpec spec;
+    spec.filename = "reads.sion";
+    spec.chunksize = 4 * kKiB;
+    auto coll = Collective::open_write(fs, world, spec, cfg);
+    ASSERT_TRUE(coll.ok()) << coll.status().to_string();
+    const auto bytes = pattern(world.rank(), total(world.rank()));
+    ASSERT_TRUE(coll.value()->write(fs::DataView(bytes)).ok());
+    ASSERT_TRUE(coll.value()->close().ok());
+  });
+  const fs::SimFs::Counters before = fs.counters();
+  engine.run(5, [&](par::Comm& world) {
+    const int r = world.rank();
+    const auto expect = pattern(r, total(r));
+    auto coll = Collective::open_read(fs, world, "reads.sion", cfg);
+    ASSERT_TRUE(coll.ok()) << coll.status().to_string();
+    std::uint64_t at = 0;
+    EXPECT_EQ(coll.value()->bytes_remaining_total(), total(r));
+    // read 2500, skip 3000, read 1000, skip 1, read the rest and more.
+    const std::uint64_t steps[] = {2500, 3000, 1000, 1, 20000};
+    for (std::size_t i = 0; i < std::size(steps); ++i) {
+      const std::uint64_t want = steps[i];
+      const std::uint64_t deliver = std::min(want, total(r) - at);
+      if (i % 2 == 1) {
+        ASSERT_TRUE(coll.value()->read_skip(want).ok());
+      } else {
+        std::vector<std::byte> back(want);
+        auto got = coll.value()->read(back);
+        ASSERT_TRUE(got.ok());
+        ASSERT_EQ(got.value(), deliver);
+        EXPECT_TRUE(std::equal(back.begin(),
+                               back.begin() + static_cast<std::ptrdiff_t>(deliver),
+                               expect.begin() + static_cast<std::ptrdiff_t>(at)));
+      }
+      at += deliver;
+      EXPECT_EQ(coll.value()->bytes_remaining_total(), total(r) - at)
+          << "after call " << i;
+    }
+    ASSERT_TRUE(coll.value()->close().ok());
+  });
+  EXPECT_EQ(fs.counters().reads - before.reads, 32u);
+  EXPECT_EQ(fs.counters().bytes_read - before.bytes_read, 176196u);
 }
 
 TEST(CollectiveTest, SplitGroupsHelper) {

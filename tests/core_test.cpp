@@ -13,6 +13,7 @@
 #include "common/units.h"
 #include "core/api.h"
 #include "fs/posix_fs.h"
+#include "fs_wrappers.h"
 #include "fs/sim/machine.h"
 #include "fs/sim/simfs.h"
 #include "par/comm.h"
@@ -848,82 +849,6 @@ TEST_F(Meta2CheckTest, ChunkTruncatedUnderAnOpenReaderIsCorrupt) {
   });
 }
 
-// Records the shape of every pwrite to the files it creates: one (fill,
-// size) entry per part of the view.
-class RecordingFs final : public fs::FileSystem {
- public:
-  struct Part {
-    bool zero_fill = false;
-    std::uint64_t size = 0;
-  };
-
-  explicit RecordingFs(fs::FileSystem& inner) : inner_(inner) {}
-
-  std::vector<std::vector<Part>> writes;
-
-  Result<std::unique_ptr<fs::File>> create(const std::string& path) override {
-    SION_ASSIGN_OR_RETURN(auto file, inner_.create(path));
-    return std::unique_ptr<fs::File>(
-        std::make_unique<RecordingFile>(std::move(file), writes));
-  }
-  Result<std::unique_ptr<fs::File>> open_read(const std::string& p) override {
-    return inner_.open_read(p);
-  }
-  Result<std::unique_ptr<fs::File>> open_rw(const std::string& p) override {
-    return inner_.open_rw(p);
-  }
-  Status mkdir(const std::string& p) override { return inner_.mkdir(p); }
-  Status remove(const std::string& p) override { return inner_.remove(p); }
-  Result<std::vector<std::string>> list_dir(const std::string& p) override {
-    return inner_.list_dir(p);
-  }
-  Result<fs::FileStat> stat_path(const std::string& p) override {
-    return inner_.stat_path(p);
-  }
-  bool exists(const std::string& p) override { return inner_.exists(p); }
-  Result<std::uint64_t> block_size(const std::string& p) override {
-    return inner_.block_size(p);
-  }
-
- private:
-  class RecordingFile final : public fs::File {
-   public:
-    RecordingFile(std::unique_ptr<fs::File> inner,
-                  std::vector<std::vector<Part>>& writes)
-        : inner_(std::move(inner)), writes_(writes) {}
-
-    Result<std::uint64_t> pwrite(DataView data,
-                                 std::uint64_t offset) override {
-      std::vector<Part>& parts = writes_.emplace_back();
-      const auto record = [&](const DataView& part) {
-        parts.push_back(
-            {part.is_fill() && part.fill_byte() == std::byte{0}, part.size()});
-      };
-      if (data.is_gather()) {
-        for (const DataView& part : data.parts()) record(part);
-      } else {
-        record(data);
-      }
-      return inner_->pwrite(data, offset);
-    }
-    Result<std::uint64_t> pread(std::span<std::byte> out,
-                                std::uint64_t offset) override {
-      return inner_->pread(out, offset);
-    }
-    Result<fs::FileStat> stat() override { return inner_->stat(); }
-    Status truncate(std::uint64_t size) override {
-      return inner_->truncate(size);
-    }
-    Status sync() override { return inner_->sync(); }
-
-   private:
-    std::unique_ptr<fs::File> inner_;
-    std::vector<std::vector<Part>>& writes_;
-  };
-
-  fs::FileSystem& inner_;
-};
-
 std::vector<std::byte> whole_file(fs::FileSystem& fs, const std::string& path) {
   auto file = fs.open_read(path).value();
   std::vector<std::byte> out(file->stat().value().size);
@@ -950,7 +875,7 @@ TEST(CopyPhysicalFileTest, ZeroRunsTravelAsFillParts) {
   const std::vector<std::byte> original = whole_file(fs, "sparse.sion");
 
   for (const std::uint64_t buffer : {1 * kMiB, 8 * kKiB}) {
-    RecordingFs recording(fs);
+    testfs::RecordingFs recording(fs);
     auto src = fs.open_read("sparse.sion");
     ASSERT_TRUE(src.ok());
     auto header = read_header(*src.value());
@@ -963,9 +888,9 @@ TEST(CopyPhysicalFileTest, ZeroRunsTravelAsFillParts) {
     // One pwrite per buffer-sized piece, each covering the piece exactly.
     ASSERT_EQ(recording.writes.size(), ceil_div(original.size(), buffer));
     std::uint64_t zero_bytes = 0;
-    for (const auto& parts : recording.writes) {
-      for (const RecordingFs::Part& part : parts) {
-        if (!part.zero_fill) continue;
+    for (const testfs::RecordingFs::Write& write : recording.writes) {
+      for (const testfs::RecordingFs::Part& part : write.parts) {
+        if (!part.zero_fill()) continue;
         EXPECT_EQ(part.size % (4 * kKiB), 0u);
         zero_bytes += part.size;
       }
