@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/strings.h"
+#include "common/units.h"
 #include "core/metadata.h"
 
 namespace sion::core {
@@ -266,6 +267,14 @@ std::uint64_t ChunkStream::bytes_remaining_total() const {
     total += (*chunks_)[b] - (b == block_ ? pos_ : 0);
   }
   return total;
+}
+
+std::vector<std::uint64_t> appended_chunks(std::uint64_t total,
+                                           std::uint64_t capacity) {
+  std::vector<std::uint64_t> chunks(
+      std::max<std::uint64_t>(1, ceil_div(total, capacity)), capacity);
+  chunks.back() = total - (chunks.size() - 1) * capacity;
+  return chunks;
 }
 
 }  // namespace sion::core

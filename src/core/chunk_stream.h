@@ -141,4 +141,10 @@ class ChunkStream {
   bool writable_ = false;
 };
 
+// The per-chunk byte counts of a stream that only appended: `total` bytes
+// in chunks of `capacity` leave every chunk full except the last, and an
+// empty stream one empty chunk.
+std::vector<std::uint64_t> appended_chunks(std::uint64_t total,
+                                           std::uint64_t capacity);
+
 }  // namespace sion::core

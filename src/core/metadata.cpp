@@ -409,10 +409,9 @@ bool physical_file_usable(fs::FileSystem& fs, const std::string& path,
   return read_meta2(*file.value(), header.value()).ok();
 }
 
-Result<std::uint64_t> copy_physical_file(fs::File& src, FileHeader header,
+Result<std::uint64_t> copy_physical_file(fs::File& src, const FileHeader* meta1,
                                          fs::FileSystem& dst_fs,
                                          const std::string& dst_path,
-                                         int filenum,
                                          std::uint64_t buffer_bytes) {
   SION_ASSIGN_OR_RETURN(const fs::FileStat st, src.stat());
   SION_ASSIGN_OR_RETURN(auto dst, dst_fs.create(dst_path));
@@ -440,12 +439,11 @@ Result<std::uint64_t> copy_physical_file(fs::File& src, FileHeader header,
     }
     done += got;
   }
-  if (filenum >= 0) {
-    header.filenum = static_cast<std::uint32_t>(filenum);
-    const std::vector<std::byte> meta1 = header.serialize();
+  if (meta1 != nullptr) {
+    const std::vector<std::byte> bytes = meta1->serialize();
     SION_ASSIGN_OR_RETURN(const std::uint64_t put,
-                          dst->pwrite(fs::DataView(meta1), 0));
-    if (put != meta1.size()) {
+                          dst->pwrite(fs::DataView(bytes), 0));
+    if (put != bytes.size()) {
       return IoError(strformat("short header patch on '%s'",
                                dst_path.c_str()));
     }

@@ -195,17 +195,16 @@ Result<MultifileMap> discover_multifile(fs::FileSystem& fs,
 bool physical_file_usable(fs::FileSystem& fs, const std::string& path,
                           int nfiles = 0);
 
-// Copy the physical file `src` (whose metablock 1 is `header`) byte for
-// byte into a new file `dst_path` on `dst_fs`, then patch the copy's
-// filenum to `filenum` so it takes that place in its set (< 0 keeps it).
+// Copy the file `src` byte for byte into a new file `dst_path` on
+// `dst_fs`, then, given `meta1`, rewrite the copy's metablock 1 from it: a
+// copy whose header carries another filenum takes that place in its set.
 // Each piece of up to `buffer_bytes` is one pwrite whose all-zero 4 KiB
 // runs (chunk padding, unwritten chunks) travel as fills, so a simulated
 // destination keeps them as constant extents instead of real bytes.
 // Returns the bytes copied.
-Result<std::uint64_t> copy_physical_file(fs::File& src, FileHeader header,
+Result<std::uint64_t> copy_physical_file(fs::File& src, const FileHeader* meta1,
                                          fs::FileSystem& dst_fs,
                                          const std::string& dst_path,
-                                         int filenum,
                                          std::uint64_t buffer_bytes);
 
 }  // namespace sion::core

@@ -112,14 +112,13 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
   block_span = geom[1];
   const std::uint64_t my_offset = lcom.scatter_u64(chunk_offsets, 0);
   const std::uint64_t aligned = round_up(spec.chunksize, fsblksize);
-  if (spec.chunk_frames && aligned <= kChunkFrameSize) {
-    return InvalidArgument("chunk too small for recovery frame");
-  }
 
   // Non-masters open the (hot) physical file — the cheap path that makes
   // SIONlib creation orders of magnitude faster than task-local files.
   st = Status::Ok();
-  if (!master) {
+  if (spec.chunk_frames && aligned <= kChunkFrameSize) {
+    st = InvalidArgument("chunk too small for recovery frame");
+  } else if (!master) {
     auto opened = fs.open_rw(out->path_);
     if (!opened.ok()) {
       st = opened.status();

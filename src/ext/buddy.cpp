@@ -175,8 +175,8 @@ Result<std::uint64_t> heal_one(fs::FileSystem& fs, const std::string& src_path,
                                std::uint64_t buffer_bytes) {
   SION_ASSIGN_OR_RETURN(auto src, fs.open_read(src_path));
   SION_ASSIGN_OR_RETURN(core::FileHeader header, core::read_header(*src));
-  return core::copy_physical_file(*src, std::move(header), fs, dst_path,
-                                  filenum, buffer_bytes);
+  header.filenum = static_cast<std::uint32_t>(filenum);
+  return core::copy_physical_file(*src, &header, fs, dst_path, buffer_bytes);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <numeric>
+#include <utility>
 
 #include "common/codec.h"
 #include "common/log.h"
@@ -71,23 +73,27 @@ par::Comm* split_groups(par::Comm& lcom, const CollectiveConfig& config) {
   return group;
 }
 
-// Collector-side write coalescer: segments are appended in file order and
-// merged into maximal contiguous ranges; flush() issues one pwrite per
-// merged range — the "large, chunk-aligned writes on the members' behalf".
-//
-// Real-byte segments are NOT copied: they stay as spans into the shipping
-// members' buffers (alive until the collective write returns, per the Comm
-// view contract) and reach the file system as one gather DataView per
-// range. Fills stay O(1). The flush threshold counts staged real bytes, so
-// the flush points — and therefore the simulated pwrite sequence — are
-// identical to the old copying aggregator's.
-class WriteAggregator {
- public:
-  WriteAggregator(fs::File& file, std::uint64_t cap)
-      : file_(&file), cap_(std::max<std::uint64_t>(1, cap)) {}
+}  // namespace
 
-  Status add(std::uint64_t offset, fs::DataView data) {
-    if (data.size() == 0) return Status::Ok();
+// The collector's physical file as its members' streams see it. Writes
+// coalesce: segments arrive in file order, merge into maximal contiguous
+// ranges, and flush as one pwrite per range once `cap` real bytes are
+// staged — the "large, chunk-aligned writes on the members' behalf".
+// Real-byte segments are not copied: they stay views into the shipping
+// members' buffers, alive until the collective write returns (the Comm view
+// contract), and reach the file system as one gather view per range. Fills
+// stay O(1). Reads pass through.
+//
+// The first failure sticks until finish(): later calls are dropped but
+// report success, so every member stream still advances as far as its
+// member counts and every wave still ships.
+class Collective::CollectorFile final : public fs::File {
+ public:
+  CollectorFile(fs::File& file, std::uint64_t cap) : file_(&file), cap_(cap) {}
+
+  Result<std::uint64_t> pwrite(fs::DataView data,
+                               std::uint64_t offset) override {
+    if (!failed_.ok() || data.size() == 0) return data.size();
     Range* last = ranges_.empty() ? nullptr : &ranges_.back();
     const bool mergeable =
         last != nullptr && last->offset + last->len == offset &&
@@ -100,7 +106,7 @@ class WriteAggregator {
         ranges_.push_back(
             Range{offset, data.size(), true, data.fill_byte(), segs_.size(), 0});
       }
-      return Status::Ok();
+      return data.size();
     }
     if (mergeable) {
       segs_.push_back(data);
@@ -112,27 +118,37 @@ class WriteAggregator {
       segs_.push_back(data);
     }
     staged_ += data.size();
-    if (staged_ >= cap_) return flush();
+    if (staged_ >= cap_) flush();
+    return data.size();
+  }
+
+  Result<std::uint64_t> pread(std::span<std::byte> out,
+                              std::uint64_t offset) override {
+    if (failed_.ok()) {
+      auto got = file_->pread(out, offset);
+      if (!got.ok()) {
+        failed_ = got.status();
+      } else if (got.value() != out.size()) {
+        failed_ = Corrupt("short read in collective scatter");
+      }
+    }
+    return out.size();
+  }
+
+  Status pread_discard(std::uint64_t len, std::uint64_t offset) override {
+    if (failed_.ok()) failed_ = file_->pread_discard(len, offset);
     return Status::Ok();
   }
 
-  Status flush() {
-    for (const Range& r : ranges_) {
-      fs::DataView view = fs::DataView::fill(r.fill, r.len);
-      if (!r.is_fill) {
-        view = r.seg_count == 1
-                   ? segs_[r.seg_begin]
-                   : fs::DataView::gather(std::span<const fs::DataView>(
-                         segs_.data() + r.seg_begin, r.seg_count));
-      }
-      SION_ASSIGN_OR_RETURN(const std::uint64_t n,
-                            file_->pwrite(view, r.offset));
-      (void)n;
-    }
-    ranges_.clear();
-    segs_.clear();
-    staged_ = 0;
-    return Status::Ok();
+  Result<fs::FileStat> stat() override { return file_->stat(); }
+  Status truncate(std::uint64_t size) override { return file_->truncate(size); }
+  Status sync() override { return file_->sync(); }
+
+  // Flush what is staged, unless a call failed (then it is dropped), and
+  // return the first failure since the last finish().
+  Status finish() {
+    flush();
+    return std::exchange(failed_, Status::Ok());
   }
 
  private:
@@ -145,14 +161,30 @@ class WriteAggregator {
     std::size_t seg_count;
   };
 
+  void flush() {
+    for (const Range& r : ranges_) {
+      if (!failed_.ok()) break;
+      fs::DataView view = fs::DataView::fill(r.fill, r.len);
+      if (!r.is_fill) {
+        view = r.seg_count == 1
+                   ? segs_[r.seg_begin]
+                   : fs::DataView::gather(std::span<const fs::DataView>(
+                         segs_.data() + r.seg_begin, r.seg_count));
+      }
+      failed_ = file_->pwrite(view, r.offset).status();
+    }
+    ranges_.clear();
+    segs_.clear();
+    staged_ = 0;
+  }
+
   fs::File* file_;
   std::uint64_t cap_;
+  Status failed_;
   std::uint64_t staged_ = 0;          // real bytes staged since last flush
   std::vector<fs::DataView> segs_;    // zero-copy source segments
   std::vector<Range> ranges_;
 };
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // open for writing
@@ -173,7 +205,6 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
                                             spec.custom_file_of_rank));
 
   auto out = std::unique_ptr<Collective>(new Collective());
-  out->fs_ = &fs;
   out->gcom_ = &gcom;
   out->writable_ = true;
   out->nfiles_ = map.nfiles();
@@ -289,8 +320,7 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
       lcom.scatter2_u64(chunk_offsets, requested, 0);
   out->data_start_ = data_start;
   out->block_span_ = block_span;
-  out->self_.chunk_start0 = data_start + my_offset;
-  out->self_.capacity = round_up(my_request, granule);
+  out->capacity_ = round_up(my_request, granule);
 
   // Only collectors open the physical file — this is where the aggregated
   // path sheds the per-task metadata/open pressure (SimFs accounts for it
@@ -307,19 +337,10 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
   SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kAggregationFailed));
 
   // The collector learns its members' chunk geometry once; every later
-  // chunk address is computed locally (paper 3.1, lifted to groups).
-  const auto starts = out->group_->gather_u64(out->self_.chunk_start0, 0);
-  const auto caps = out->group_->gather_u64(out->self_.capacity, 0);
-  if (collector) {
-    out->members_.resize(static_cast<std::size_t>(group_size));
-    for (int m = 0; m < group_size; ++m) {
-      const auto i = static_cast<std::size_t>(m);
-      out->members_[i].chunk_start0 = starts[i];
-      out->members_[i].capacity = caps[i];
-    }
-  }
-
-  out->chunk_bytes_.assign(1, 0);
+  // chunk address comes from their streams (paper 3.1, lifted to groups).
+  const auto starts = out->group_->gather_u64(data_start + my_offset, 0);
+  const auto caps = out->group_->gather_u64(out->capacity_, 0);
+  if (collector) out->attach_members(starts, caps, nullptr);
   gcom.barrier();
   return out;
 }
@@ -353,7 +374,6 @@ Result<std::unique_ptr<Collective>> Collective::open_read(
   found = {};
 
   auto out = std::unique_ptr<Collective>(new Collective());
-  out->fs_ = &fs;
   out->gcom_ = &gcom;
   out->writable_ = false;
   out->nfiles_ = static_cast<int>(nfiles);
@@ -369,7 +389,6 @@ Result<std::unique_ptr<Collective>> Collective::open_read(
   const bool master = out->lrank_ == 0;
 
   out->group_ = split_groups(lcom, config);
-  const int group_size = out->group_->size();  // last group may be smaller
   const bool collector = out->group_->rank() == 0;
 
   // The file-local master parses both metablocks and scatters every task's
@@ -400,13 +419,14 @@ Result<std::unique_ptr<Collective>> Collective::open_read(
   ByteReader blob_reader(my_blob);
   SION_ASSIGN_OR_RETURN(auto chunk_bytes, blob_reader.get_u64_array());
 
+  if (chunk_bytes.empty()) chunk_bytes.assign(1, 0);
   out->granule_ = geom[0];
   out->data_start_ = geom[1];
   out->block_span_ = geom[2];
-  out->self_.chunk_start0 = out->data_start_ + my_offset;
-  out->self_.capacity = round_up(my_request, out->granule_);
-  out->chunk_bytes_ = std::move(chunk_bytes);
-  if (out->chunk_bytes_.empty()) out->chunk_bytes_.assign(1, 0);
+  out->capacity_ = round_up(my_request, out->granule_);
+  out->written_ = std::accumulate(chunk_bytes.begin(), chunk_bytes.end(),
+                                  std::uint64_t{0});
+  out->unread_ = out->written_;
 
   st = Status::Ok();
   if (collector && !master) {
@@ -419,18 +439,11 @@ Result<std::unique_ptr<Collective>> Collective::open_read(
   }
   SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kAggregationFailed));
 
-  const auto starts = out->group_->gather_u64(out->self_.chunk_start0, 0);
-  const auto caps = out->group_->gather_u64(out->self_.capacity, 0);
-  auto usage = out->group_->gatherv_u64_flat(out->chunk_bytes_, 0);
-  if (collector) {
-    out->members_.resize(static_cast<std::size_t>(group_size));
-    for (int m = 0; m < group_size; ++m) {
-      const auto i = static_cast<std::size_t>(m);
-      out->members_[i].chunk_start0 = starts[i];
-      out->members_[i].capacity = caps[i];
-    }
-    out->member_chunk_bytes_ = std::move(usage);
-  }
+  const auto starts =
+      out->group_->gather_u64(out->data_start_ + my_offset, 0);
+  const auto caps = out->group_->gather_u64(out->capacity_, 0);
+  const auto usage = out->group_->gatherv_u64_flat(chunk_bytes, 0);
+  if (collector) out->attach_members(starts, caps, &usage);
 
   gcom.barrier();
   return out;
@@ -444,35 +457,34 @@ Collective::~Collective() {
   }
 }
 
+void Collective::attach_members(std::span<const std::uint64_t> starts,
+                                std::span<const std::uint64_t> caps,
+                                const par::Comm::FlatGatherU64* usage) {
+  io_ = std::make_unique<CollectorFile>(*file_, buffer_bytes_);
+  member_chunks_.resize(starts.size());
+  for (std::size_t m = 0; m < starts.size(); ++m) {
+    if (usage != nullptr) {
+      const auto counts = usage->of(static_cast<int>(m));
+      member_chunks_[m].assign(counts.begin(), counts.end());
+    } else {
+      member_chunks_[m].assign(1, 0);
+    }
+    streams_.emplace_back(io_.get(), &member_chunks_[m], starts[m],
+                          block_span_, caps[m], writable_);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // write path
 // ---------------------------------------------------------------------------
 
-void Collective::record_written(std::uint64_t n) {
-  std::uint64_t done = 0;
-  while (done < n) {
-    if (self_.pos == self_.capacity) {
-      ++self_.block;
-      self_.pos = 0;
-      chunk_bytes_.push_back(0);
-    }
-    const std::uint64_t take = std::min(self_.capacity - self_.pos, n - done);
-    self_.pos += take;
-    chunk_bytes_[self_.block] += take;
-    done += take;
-  }
-}
-
 Status Collective::write_as_collector(fs::DataView own,
                                       const std::vector<std::uint64_t>& sizes) {
-  WriteAggregator agg(*file_, buffer_bytes_);
   Status st;
   for (int m = 0; m < group_->size(); ++m) {
-    Cursor& c = members_[static_cast<std::size_t>(m)];
-    std::uint64_t remaining = sizes[static_cast<std::size_t>(m)];
-    std::uint64_t done = 0;
-    while (remaining > 0) {
-      const std::uint64_t wave = std::min(buffer_bytes_, remaining);
+    const auto i = static_cast<std::size_t>(m);
+    for (std::uint64_t done = 0; done < sizes[i];) {
+      const std::uint64_t wave = std::min(buffer_bytes_, sizes[i] - done);
       fs::DataView piece = fs::DataView::fill(std::byte{0}, 0);
       if (m == 0) {
         piece = own.subview(done, wave);
@@ -501,31 +513,16 @@ Status Collective::write_as_collector(fs::DataView own,
           piece = fs::DataView(wave_view);
         }
       }
-      // Segment the wave at the member's chunk boundaries and feed the
-      // coalescer; contiguous chunks of adjacent members merge into one
+      // The member's stream splits the wave at its chunk boundaries; the
+      // coalescer merges contiguous chunks of adjacent members into one
       // large write when the packing leaves no gaps.
-      std::uint64_t piece_done = 0;
-      while (piece_done < wave) {
-        if (c.pos == c.capacity) {
-          ++c.block;
-          c.pos = 0;
-        }
-        const std::uint64_t take =
-            std::min(c.capacity - c.pos, wave - piece_done);
-        if (st.ok()) {
-          const Status added =
-              agg.add(file_offset(c), piece.subview(piece_done, take));
-          if (!added.ok()) st = added;
-        }
-        c.pos += take;
-        piece_done += take;
-      }
-      remaining -= wave;
+      const auto wrote = streams_[i].write(piece);
+      if (st.ok() && !wrote.ok()) st = wrote.status();
       done += wave;
     }
   }
-  if (st.ok()) st = agg.flush();
-  return st;
+  const Status flushed = io_->finish();
+  return st.ok() ? flushed : st;
 }
 
 Status Collective::write_as_member(fs::DataView data) {
@@ -564,7 +561,7 @@ Status Collective::write(fs::DataView data) {
   } else {
     st = write_as_member(data);
   }
-  record_written(data.size());
+  written_ += data.size();
   return agree(*group_, st);
 }
 
@@ -572,61 +569,30 @@ Status Collective::write(fs::DataView data) {
 // read path
 // ---------------------------------------------------------------------------
 
-std::uint64_t Collective::remaining_from(
-    const Cursor& c, std::span<const std::uint64_t> chunk_bytes) const {
-  std::uint64_t total = 0;
-  for (std::uint64_t b = c.block; b < chunk_bytes.size(); ++b) {
-    total += chunk_bytes[b] - (b == c.block ? c.pos : 0);
-  }
-  return total;
-}
-
 Status Collective::read_as_collector(std::span<std::byte> own_out, bool skip,
                                      const std::vector<std::uint64_t>& wants) {
   Status st;
   std::vector<std::byte> wave_buf;
   for (int m = 0; m < group_->size(); ++m) {
-    Cursor& c = members_[static_cast<std::size_t>(m)];
-    const auto usage = member_chunk_bytes_.of(m);
-    std::uint64_t deliver =
-        std::min(wants[static_cast<std::size_t>(m)], remaining_from(c, usage));
-    std::uint64_t out_pos = 0;
-    while (deliver > 0) {
-      const std::uint64_t wave = std::min(buffer_bytes_, deliver);
+    const auto i = static_cast<std::size_t>(m);
+    core::ChunkStream& stream = streams_[i];
+    const std::uint64_t deliver =
+        std::min(wants[i], stream.bytes_remaining_total());
+    for (std::uint64_t done = 0; done < deliver;) {
+      const std::uint64_t wave = std::min(buffer_bytes_, deliver - done);
       if (m != 0) {
         (void)group_->recv_bytes(m, kTokenTag);
         // Only shipped waves stage in wave_buf; the collector's own data
         // reads straight into own_out.
         wave_buf.resize(static_cast<std::size_t>(skip ? 0 : wave));
       }
-      std::uint64_t got = 0;
-      while (got < wave) {
-        std::uint64_t avail = usage[c.block] - c.pos;
-        if (avail == 0) {
-          ++c.block;
-          c.pos = 0;
-          continue;
-        }
-        const std::uint64_t take = std::min(wave - got, avail);
-        if (st.ok()) {
-          if (skip) {
-            const Status read = file_->pread_discard(take, file_offset(c));
-            if (!read.ok()) st = read;
-          } else {
-            std::span<std::byte> dst =
-                m == 0 ? own_out.subspan(out_pos + got, take)
-                       : std::span<std::byte>(wave_buf).subspan(got, take);
-            auto read = file_->pread(dst, file_offset(c));
-            if (!read.ok()) {
-              st = read.status();
-            } else if (read.value() != take) {
-              st = Corrupt("short read in collective scatter");
-            }
-          }
-        }
-        c.pos += take;
-        got += take;
-      }
+      const Status read =
+          skip ? stream.read_skip(wave)
+               : stream
+                     .read(m == 0 ? own_out.subspan(done, wave)
+                                  : std::span<std::byte>(wave_buf))
+                     .status();
+      if (st.ok()) st = read;
       if (m != 0) {
         if (skip) {
           // Timing-only restore: charge the scatter link time and hand the
@@ -640,16 +606,15 @@ Status Collective::read_as_collector(std::span<std::byte> own_out, bool skip,
           group_->send_bytes(wave_buf, m, kDataTag);
         }
       }
-      out_pos += wave;
-      deliver -= wave;
+      done += wave;
     }
   }
-  return st;
+  const Status io = io_->finish();
+  return st.ok() ? io : st;
 }
 
 Status Collective::read_as_member(std::span<std::byte> out, bool skip,
-                                  std::uint64_t want) {
-  std::uint64_t deliver = std::min(want, remaining_from(self_, chunk_bytes_));
+                                  std::uint64_t deliver) {
   std::uint64_t out_pos = 0;
   Status st;
   while (deliver > 0) {
@@ -685,29 +650,15 @@ Result<std::uint64_t> Collective::read_impl(std::span<std::byte> out,
                                             bool skip, std::uint64_t want) {
   if (writable_) return FailedPrecondition("file opened for writing");
   if (closed_) return FailedPrecondition("file already closed");
-  const std::uint64_t deliver =
-      std::min(want, remaining_from(self_, chunk_bytes_));
+  const std::uint64_t deliver = std::min(want, unread_);
   const auto wants = group_->gather_u64(want, 0);
   Status st;
   if (is_collector()) {
     st = read_as_collector(out, skip, wants);
   } else {
-    st = read_as_member(out, skip, want);
+    st = read_as_member(out, skip, deliver);
   }
-  // Members advance their logical cursor in lockstep with the collector's
-  // walk of the same chunk_bytes book.
-  std::uint64_t done = 0;
-  while (done < deliver) {
-    const std::uint64_t avail = chunk_bytes_[self_.block] - self_.pos;
-    if (avail == 0) {
-      ++self_.block;
-      self_.pos = 0;
-      continue;
-    }
-    const std::uint64_t take = std::min(deliver - done, avail);
-    self_.pos += take;
-    done += take;
-  }
+  unread_ -= deliver;
   SION_RETURN_IF_ERROR(agree(*group_, st));
   return deliver;
 }
@@ -744,7 +695,8 @@ Status Collective::close() {
   if (closed_) return FailedPrecondition("file already closed");
   par::Comm& lcom = *lcom_;
   if (writable_) {
-    const auto all = lcom.gatherv_u64_flat(chunk_bytes_, 0);
+    const auto all =
+        lcom.gatherv_u64_flat(core::appended_chunks(written_, capacity_), 0);
     Status st;
     if (lrank_ == 0) {
       st = core::write_meta2_and_trailer(*file_, data_start_, block_span_,
@@ -752,24 +704,11 @@ Status Collective::close() {
     }
     SION_RETURN_IF_ERROR(par::share_status_global(lcom, *gcom_, st, 0, kAggregationFailed));
   }
+  io_.reset();
   file_.reset();
   closed_ = true;
   gcom_->barrier();
   return Status::Ok();
-}
-
-// ---------------------------------------------------------------------------
-// totals
-// ---------------------------------------------------------------------------
-
-std::uint64_t Collective::bytes_written_total() const {
-  std::uint64_t total = 0;
-  for (const std::uint64_t b : chunk_bytes_) total += b;
-  return total;
-}
-
-std::uint64_t Collective::bytes_remaining_total() const {
-  return remaining_from(self_, chunk_bytes_);
 }
 
 Status write_multifile(fs::FileSystem& fs, par::Comm& comm,

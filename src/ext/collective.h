@@ -6,11 +6,12 @@
 //
 // Ranks are grouped; rank 0 of each group is the *collector*. Members ship
 // their chunk payloads to the collector over the par::NetworkModel (gather
-// cost charged on the virtual clock), and the collector issues large,
-// coalesced, chunk-aligned writes on their behalf — members never touch the
-// file system at all, which removes both the per-task open/token pressure
-// and the one-write-per-task operation count. Reads run the same pipeline
-// in reverse (collector reads, scatters to members).
+// cost charged on the virtual clock), and the collector writes them through
+// one core::ChunkStream per member into a coalescer that issues large,
+// chunk-aligned writes on their behalf — members never touch the file
+// system at all, which removes both the per-task open/token pressure and
+// the one-write-per-task operation count. Reads run the same pipeline in
+// reverse (the member streams read, the collector scatters).
 //
 // The on-disk format is the ordinary SION multifile: one logical chunk per
 // member rank, so a file written collectively reads back per-rank through
@@ -34,6 +35,7 @@
 
 #include "common/status.h"
 #include "common/units.h"
+#include "core/chunk_stream.h"
 #include "core/par_file.h"
 #include "fs/filesystem.h"
 #include "par/comm.h"
@@ -120,32 +122,21 @@ class Collective {
   // Packing granule the chunks were laid out with (the header's fsblksize).
   [[nodiscard]] std::uint64_t granule() const { return granule_; }
   // Usable payload capacity of one chunk of this rank.
-  [[nodiscard]] std::uint64_t chunk_capacity() const { return self_.capacity; }
-  [[nodiscard]] std::uint64_t bytes_written_total() const;
-  [[nodiscard]] std::uint64_t bytes_remaining_total() const;
+  [[nodiscard]] std::uint64_t chunk_capacity() const { return capacity_; }
+  [[nodiscard]] std::uint64_t bytes_written_total() const { return written_; }
+  [[nodiscard]] std::uint64_t bytes_remaining_total() const { return unread_; }
 
  private:
-  // Per-member chunk-walk state; offsets are absolute in the physical file.
-  struct Cursor {
-    std::uint64_t chunk_start0 = 0;  // this rank's chunk offset in block 0
-    std::uint64_t capacity = 0;      // aligned chunk capacity
-    std::uint64_t block = 0;
-    std::uint64_t pos = 0;
-  };
+  class CollectorFile;
 
   Collective() = default;
 
-  [[nodiscard]] std::uint64_t file_offset(const Cursor& c) const {
-    return c.chunk_start0 + c.block * block_span_ + c.pos;
-  }
-
-  // Advance the logical write cursor by `n` payload bytes, growing
-  // chunk_bytes_; members mirror exactly what the collector writes.
-  void record_written(std::uint64_t n);
-
-  // How many payload bytes this rank can still read (member-side book).
-  [[nodiscard]] std::uint64_t remaining_from(
-      const Cursor& c, std::span<const std::uint64_t> chunk_bytes) const;
+  // Collector only: one stream per group member, whose chunks start at
+  // `starts` with capacities `caps`, through io_; `usage` holds their
+  // metablock-2 counts when reading.
+  void attach_members(std::span<const std::uint64_t> starts,
+                      std::span<const std::uint64_t> caps,
+                      const par::Comm::FlatGatherU64* usage);
 
   Status write_as_collector(fs::DataView own,
                             const std::vector<std::uint64_t>& sizes);
@@ -153,11 +144,10 @@ class Collective {
   Status read_as_collector(std::span<std::byte> own_out, bool skip,
                            const std::vector<std::uint64_t>& wants);
   Status read_as_member(std::span<std::byte> out, bool skip,
-                        std::uint64_t want);
+                        std::uint64_t deliver);
   Result<std::uint64_t> read_impl(std::span<std::byte> out, bool skip,
                                   std::uint64_t want);
 
-  fs::FileSystem* fs_ = nullptr;
   par::Comm* gcom_ = nullptr;
   par::Comm* lcom_ = nullptr;   // per physical file
   par::Comm* group_ = nullptr;  // aggregation group within the file
@@ -173,16 +163,19 @@ class Collective {
   std::uint64_t data_start_ = 0;
   std::uint64_t block_span_ = 0;
 
-  Cursor self_;
-  // Write mode: payload bytes per own chunk so far. Read mode: payload
-  // bytes per own chunk as recorded in metablock 2.
-  std::vector<std::uint64_t> chunk_bytes_;
+  // This rank's stream, which only the collector touches, as counters: the
+  // payload capacity of a chunk, the bytes in the stream (appended so far
+  // when writing; core::appended_chunks gives the chunk counts) and the
+  // bytes not yet read.
+  std::uint64_t capacity_ = 0;
+  std::uint64_t written_ = 0;
+  std::uint64_t unread_ = 0;
 
-  // Collector only: member geometry and read-side chunk usage (one flat
-  // gather, sliced per group rank). Entry 0 mirrors self_ (both cursors
-  // advance identically).
-  std::vector<Cursor> members_;
-  par::Comm::FlatGatherU64 member_chunk_bytes_;
+  // Collector only: the file as its members' streams see it, and one stream
+  // per group member (entry 0 is the collector) with its chunk counts.
+  std::unique_ptr<CollectorFile> io_;
+  std::vector<std::vector<std::uint64_t>> member_chunks_;
+  std::vector<core::ChunkStream> streams_;
 };
 
 // Collective write of one multifile in which every rank of `comm` stores

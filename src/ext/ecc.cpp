@@ -276,40 +276,6 @@ std::vector<GfMulTable> make_tables(std::span<const std::uint8_t> coeffs) {
   return tables;
 }
 
-// Reconstruct lost data file `d` on disk, byte-identically: decode
-// [0, len_d) from the k survivors in bounded waves.
-Result<std::uint64_t> heal_data_file(fs::FileSystem& fs,
-                                     const std::string& name,
-                                     const EccProbe& probe, int d,
-                                     std::span<const int> survivor_ids,
-                                     std::span<const std::uint8_t> row,
-                                     std::uint64_t buffer_bytes) {
-  SION_ASSIGN_OR_RETURN(SurvivorSet set,
-                        SurvivorSet::open(fs, name, probe, survivor_ids));
-  const std::vector<GfMulTable> tables = make_tables(row);
-  SION_ASSIGN_OR_RETURN(
-      auto dst, fs.create(core::physical_file_name(name, d, probe.k)));
-  const std::uint64_t len = probe.data_bytes[static_cast<std::size_t>(d)];
-  std::vector<std::byte> out(
-      static_cast<std::size_t>(std::max<std::uint64_t>(1, buffer_bytes)));
-  std::vector<std::byte> scratch;
-  std::uint64_t done = 0;
-  while (done < len) {
-    const std::uint64_t take = std::min<std::uint64_t>(out.size(), len - done);
-    SION_RETURN_IF_ERROR(set.decode_range(
-        std::span<std::byte>(out).first(static_cast<std::size_t>(take)), done,
-        tables, scratch));
-    SION_ASSIGN_OR_RETURN(
-        const std::uint64_t put,
-        dst->pwrite(fs::DataView(std::span<const std::byte>(out).first(
-                        static_cast<std::size_t>(take))),
-                    done));
-    if (put != take) return IoError("short write healing an ECC data file");
-    done += take;
-  }
-  return done;
-}
-
 // The degraded decode stream: a read-only fs::File whose pread()
 // reconstructs any byte range of one lost data file from the k survivors.
 class EccStreamReader final : public fs::File {
@@ -720,8 +686,20 @@ Result<EccHealReport> Ecc::heal(fs::FileSystem& fs, par::Comm& mcom,
       if (static_cast<int>(i % static_cast<std::size_t>(msize)) != me) {
         continue;
       }
-      auto healed = heal_data_file(fs, name, p, lost_data[i], survivor_ids,
-                                   rows[i], buffer_bytes);
+      // Decode the lost file through the degraded stream and write it back
+      // like any copy of a physical file: in bounded pieces, zero runs as
+      // fills.
+      const int d = lost_data[i];
+      auto healed = [&]() -> Result<std::uint64_t> {
+        SION_ASSIGN_OR_RETURN(
+            auto decoded,
+            EccStreamReader::open(fs, name, p, survivor_ids, rows[i],
+                                  p.data_bytes[static_cast<std::size_t>(d)],
+                                  /*block_size=*/0));
+        return core::copy_physical_file(*decoded, nullptr, fs,
+                                        core::physical_file_name(name, d, p.k),
+                                        buffer_bytes);
+      }();
       if (healed.ok()) {
         my_bytes += healed.value();
         ++my_healed;

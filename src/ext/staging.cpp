@@ -34,28 +34,12 @@ Result<std::unique_ptr<Staging>> Staging::open(
     return InvalidArgument("staging: chunk recovery frames are not supported");
   }
 
-  // Derive the drain-model knobs left at 0 from the parallel tier's machine
-  // description (SimConfig::burst_buffer).
-  double global_bw = 0.0;
-  if (const auto* sim = dynamic_cast<const fs::SimFs*>(&parallel_tier);
-      sim != nullptr) {
-    const fs::SimConfig::BurstBuffer& bb = sim->config().burst_buffer;
-    if (config.tasks_per_node == 0) config.tasks_per_node = bb.tasks_per_node;
-    if (config.drain_bandwidth == 0.0) {
-      config.drain_bandwidth = bb.drain_bandwidth;
-    }
-    if (config.node_capacity == 0) config.node_capacity = bb.node_capacity;
-    global_bw = sim->config().global_bandwidth;
-  }
-  if (config.tasks_per_node <= 0) {
+  const auto* sim = dynamic_cast<const fs::SimFs*>(&parallel_tier);
+  if (sim == nullptr || sim->config().burst_buffer.tasks_per_node <= 0 ||
+      sim->config().burst_buffer.drain_bandwidth <= 0.0) {
     return InvalidArgument(
-        "staging: tasks_per_node not set and not derivable from the parallel "
-        "tier's burst_buffer model");
-  }
-  if (config.drain_bandwidth <= 0.0) {
-    return InvalidArgument(
-        "staging: drain_bandwidth not set and not derivable from the "
-        "parallel tier's burst_buffer model");
+        "staging: the parallel tier must be a SimFs whose burst_buffer model "
+        "sets tasks_per_node and drain_bandwidth");
   }
 
   if (buddy.has_value() && ecc.has_value()) {
@@ -77,7 +61,7 @@ Result<std::unique_ptr<Staging>> Staging::open(
   s->pfs_ = &parallel_tier;
   s->fast_ = config.fast_tier;
   s->comm_ = &comm;
-  s->config_ = std::move(config);
+  s->drain_ = sim->config().burst_buffer;
   s->sion_spec_ = std::move(sion_spec);
   s->collective_ = collective;
   s->buddy_ = buddy;
@@ -89,8 +73,8 @@ Result<std::unique_ptr<Staging>> Staging::open(
                                  static_cast<double>(s->sion_spec_.nfiles);
   }
   s->nnodes_ =
-      (comm.size() + s->config_.tasks_per_node - 1) / s->config_.tasks_per_node;
-  s->global_drain_bandwidth_ = global_bw;
+      (comm.size() + s->drain_.tasks_per_node - 1) / s->drain_.tasks_per_node;
+  s->global_drain_bandwidth_ = sim->config().global_bandwidth;
   s->node_drain_.resize(static_cast<std::size_t>(s->nnodes_));
   s->node_bytes_scratch_.resize(static_cast<std::size_t>(s->nnodes_));
 
@@ -130,10 +114,10 @@ Result<double> Staging::write(std::uint64_t index, fs::DataView payload,
   std::vector<std::uint64_t>& node_bytes = node_bytes_scratch_;
   std::fill(node_bytes.begin(), node_bytes.end(), 0);
   for (int r = 0; r < comm_->size(); ++r) {
-    node_bytes[static_cast<std::size_t>(r / config_.tasks_per_node)] +=
+    node_bytes[static_cast<std::size_t>(r / drain_.tasks_per_node)] +=
         sizes[static_cast<std::size_t>(r)];
   }
-  if (config_.node_capacity != 0) {
+  if (drain_.node_capacity != 0) {
     // Staged files stay on the device until their slot is overwritten, so
     // the occupancy to check is the last kBuffers checkpoints, this one
     // included (index - kBuffers is being replaced right now).
@@ -143,12 +127,12 @@ Result<double> Staging::write(std::uint64_t index, fs::DataView payload,
       for (std::uint64_t k = lo; k < index; ++k) {
         occupied += booked_node_bytes_[k][static_cast<std::size_t>(n)];
       }
-      if (occupied > config_.node_capacity) {
+      if (occupied > drain_.node_capacity) {
         return QuotaExceeded(strformat(
             "staging: node %d needs %llu bytes of burst buffer "
             "(capacity %llu)",
             n, static_cast<unsigned long long>(occupied),
-            static_cast<unsigned long long>(config_.node_capacity)));
+            static_cast<unsigned long long>(drain_.node_capacity)));
       }
     }
   }
@@ -173,7 +157,7 @@ Result<double> Staging::write(std::uint64_t index, fs::DataView payload,
     total += bytes;
     if (bytes == 0) continue;
     const double duration =
-        static_cast<double>(bytes) * drain_copies_ / config_.drain_bandwidth;
+        static_cast<double>(bytes) * drain_copies_ / drain_.drain_bandwidth;
     finish = std::max(
         finish, node_drain_[static_cast<std::size_t>(n)].schedule(start,
                                                                   duration));
@@ -311,8 +295,10 @@ Status Staging::copy_file(const std::string& src_name,
                              src_name.c_str()));
   }
   SION_RETURN_IF_ERROR(core::read_meta2(*src, header).status());
-  return core::copy_physical_file(*src, std::move(header), *pfs_, dst_name,
-                                  patch_filenum, kCopyBufferBytes)
+  const bool verbatim = patch_filenum < 0;
+  if (!verbatim) header.filenum = static_cast<std::uint32_t>(patch_filenum);
+  return core::copy_physical_file(*src, verbatim ? nullptr : &header, *pfs_,
+                                  dst_name, kCopyBufferBytes)
       .status();
 }
 

@@ -47,21 +47,18 @@
 #include "ext/collective.h"
 #include "ext/ecc.h"
 #include "fs/filesystem.h"
+#include "fs/sim/machine.h"
 #include "par/background.h"
 #include "par/comm.h"
 
 namespace sion::ext {
 
+// The drain model (nodes, drain bandwidth, node capacity) is the parallel
+// tier's SimConfig::burst_buffer, so the parallel tier must be a SimFs.
 struct StagingConfig {
   // The node-local fast tier (required). For simulated machines, a SimFs
   // over fs::BurstBufferTierConfig(machine, ntasks).
   fs::FileSystem* fast_tier = nullptr;
-
-  // Drain model knobs; 0 derives each from the parallel tier's
-  // SimConfig::burst_buffer (required for non-Sim parallel tiers).
-  int tasks_per_node = 0;
-  double drain_bandwidth = 0.0;     // bytes/s per node
-  std::uint64_t node_capacity = 0;  // bytes per node; 0 = unlimited
 };
 
 class Staging {
@@ -129,7 +126,7 @@ class Staging {
   fs::FileSystem* pfs_ = nullptr;
   fs::FileSystem* fast_ = nullptr;
   par::Comm* comm_ = nullptr;
-  StagingConfig config_;
+  fs::SimConfig::BurstBuffer drain_;  // the parallel tier's drain model
   core::ParOpenSpec sion_spec_;
   std::optional<CollectiveConfig> collective_;
   std::optional<BuddyConfig> buddy_;

@@ -646,7 +646,8 @@ Status agree_status(Comm& comm, const Status& mine, const char* what) {
 
 Status share_status_global(Comm& lcom, Comm& gcom, const Status& mine,
                            int root, const char* what) {
-  return agree_status(gcom, share_status(lcom, mine, root, what), what);
+  const Status shared = share_status(lcom, mine, root, what);
+  return agree_status(gcom, shared.ok() ? mine : shared, what);
 }
 
 }  // namespace sion::par

@@ -236,9 +236,10 @@ Status share_status(Comm& comm, const Status& mine, int root,
 Status agree_status(Comm& comm, const Status& mine, const char* what);
 
 // Share the file-local master's status within the file (`lcom`), then agree
-// across the whole multifile (`gcom`): a metadata failure on one physical
-// file must become an error on every task, not a deadlock of the intact
-// files' tasks at the next global collective.
+// across the whole multifile (`gcom`) on the shared status or, where that
+// is OK, on the task's own: a failure on one physical file's master or on
+// any single task must become an error on every task, not a deadlock of
+// the others at the next collective.
 Status share_status_global(Comm& lcom, Comm& gcom, const Status& mine,
                            int root, const char* what);
 

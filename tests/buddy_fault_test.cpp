@@ -16,6 +16,7 @@
 #include "fs/sim/fault.h"
 #include "fs/sim/machine.h"
 #include "fs/sim/simfs.h"
+#include "fs_wrappers.h"
 #include "par/comm.h"
 #include "par/engine.h"
 #include "workloads/checkpoint.h"
@@ -437,6 +438,30 @@ TEST_P(BuddyFaultTest, HealReportsWhatItRepaired) {
     ASSERT_TRUE(report.ok()) << report.status().to_string();
     EXPECT_EQ(report.value().damaged_files, 0);
     EXPECT_EQ(report.value().healed_files, 0);
+  });
+}
+
+// The mirror writer's open of a replica file fails on a task that is not
+// that file's master: the write fails on every task, and the failing task
+// reports the open's own error.
+TEST(BuddyOpenFailureTest, ReplicaOpenFailureFailsEveryTask) {
+  fs::SimFs sim(fs::TestbedConfig());
+  // Domains of two ranks: rank 3 is slot 1 of the file domain 1 hosts.
+  testfs::FailOpenFs fs(sim, /*rank=*/3, Buddy::replica_name("m.ckpt", 1));
+  BuddyConfig config;
+  config.replicas = 2;
+  config.num_domains = 4;
+  par::Engine engine;
+  engine.run(8, [&](par::Comm& world) {
+    core::ParOpenSpec spec;
+    spec.filename = "m.ckpt";
+    spec.chunksize = 4 * kKiB;
+    const auto mine = rank_payload(world.rank());
+    const Status st = Buddy::write(fs, world, spec, config, DataView(mine));
+    ASSERT_FALSE(st.ok());
+    if (world.rank() == 3) {
+      EXPECT_EQ(st.code(), ErrorCode::kIoError);
+    }
   });
 }
 

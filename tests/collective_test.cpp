@@ -12,6 +12,7 @@
 #include "common/units.h"
 #include "core/api.h"
 #include "ext/collective.h"
+#include "fs/sim/fault.h"
 #include "fs/sim/machine.h"
 #include "fs/sim/simfs.h"
 #include "fs_wrappers.h"
@@ -344,6 +345,52 @@ TEST(CollectiveTest, RejectsChunkFramesAndZeroChunksize) {
   });
 }
 
+// A collector that is not the file master fails to open the physical file:
+// every task's open fails, writing and reading alike, instead of that
+// collector carrying on without a file.
+TEST(CollectiveTest, CollectorOpenFailureFailsEveryTask) {
+  fs::SimFs sim(fs::TestbedConfig());
+  par::Engine engine;
+  CollectiveConfig cfg;
+  cfg.group_size = 2;  // collectors at ranks 0, 2, 4 and 6
+  core::ParOpenSpec spec;
+  spec.filename = "c.sion";
+  spec.chunksize = 4 * kKiB;
+  const fs::DataView payload = fs::DataView::fill(std::byte{9}, 1000);
+  testfs::FailOpenFs fs(sim, /*rank=*/2);
+
+  engine.run(8, [&](par::Comm& world) {
+    auto coll = Collective::open_write(fs, world, spec, cfg);
+    if (coll.ok()) {
+      EXPECT_TRUE(coll.value()->write(payload).ok());
+      EXPECT_TRUE(coll.value()->close().ok());
+    }
+    ASSERT_FALSE(coll.ok());
+    if (world.rank() == 2) {
+      EXPECT_EQ(coll.status().code(), ErrorCode::kIoError);
+    }
+  });
+
+  engine.run(8, [&](par::Comm& world) {
+    auto coll = Collective::open_write(sim, world, spec, cfg);
+    ASSERT_TRUE(coll.ok()) << coll.status().to_string();
+    ASSERT_TRUE(coll.value()->write(payload).ok());
+    ASSERT_TRUE(coll.value()->close().ok());
+  });
+  engine.run(8, [&](par::Comm& world) {
+    auto coll = Collective::open_read(fs, world, "c.sion", cfg);
+    if (coll.ok()) {
+      std::vector<std::byte> back(1000);
+      EXPECT_TRUE(coll.value()->read(back).ok());
+      EXPECT_TRUE(coll.value()->close().ok());
+    }
+    ASSERT_FALSE(coll.ok());
+    if (world.rank() == 2) {
+      EXPECT_EQ(coll.status().code(), ErrorCode::kIoError);
+    }
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Pins: the collector's file-system traffic and the members' counters.
 // The golden suite sees these only through virtual time, so a change to how
@@ -453,7 +500,8 @@ TEST(CollectivePinTest, ZeroByteWriteLeavesOneEmptyChunk) {
     spec.chunksize = 4 * kKiB;
     auto coll = Collective::open_write(fs, world, spec, cfg);
     ASSERT_TRUE(coll.ok()) << coll.status().to_string();
-    ASSERT_TRUE(coll.value()->write(fs::DataView(std::span<const std::byte>())).ok());
+    const fs::DataView empty{std::span<const std::byte>()};
+    ASSERT_TRUE(coll.value()->write(empty).ok());
     EXPECT_EQ(coll.value()->bytes_written_total(), 0u);
     EXPECT_EQ(coll.value()->bytes_remaining_total(), 0u);
     ASSERT_TRUE(coll.value()->close().ok());
@@ -491,12 +539,12 @@ TEST(CollectivePinTest, WholeChunksLeaveNoEmptyTrailingChunk) {
     const std::uint64_t cap = coll.value()->chunk_capacity();
     capacity[static_cast<std::size_t>(r)] = cap;
     const std::uint64_t n = (1 + static_cast<std::uint64_t>(r) % 3) * cap;
-    ASSERT_TRUE(
-        coll.value()->write(fs::DataView(pattern(r, n))).ok());
+    ASSERT_TRUE(coll.value()->write(fs::DataView(pattern(r, n))).ok());
     EXPECT_EQ(coll.value()->bytes_written_total(), n);
     ASSERT_TRUE(coll.value()->close().ok());
   });
-  EXPECT_EQ(capacity, (std::vector<std::uint64_t>{4096, 4096, 53248, 4096, 61440}));
+  EXPECT_EQ(capacity,
+            (std::vector<std::uint64_t>{4096, 4096, 53248, 4096, 61440}));
   std::vector<std::vector<std::uint64_t>> expect;
   for (int r = 0; r < 5; ++r) {
     expect.emplace_back(1 + r % 3, capacity[static_cast<std::size_t>(r)]);
@@ -545,9 +593,9 @@ TEST(CollectivePinTest, InterleavedReadsTrackRemainingBytes) {
         auto got = coll.value()->read(back);
         ASSERT_TRUE(got.ok());
         ASSERT_EQ(got.value(), deliver);
-        EXPECT_TRUE(std::equal(back.begin(),
-                               back.begin() + static_cast<std::ptrdiff_t>(deliver),
-                               expect.begin() + static_cast<std::ptrdiff_t>(at)));
+        const auto from = expect.begin() + static_cast<std::ptrdiff_t>(at);
+        const auto to = from + static_cast<std::ptrdiff_t>(deliver);
+        EXPECT_TRUE(std::equal(from, to, back.begin()));
       }
       at += deliver;
       EXPECT_EQ(coll.value()->bytes_remaining_total(), total(r) - at)
@@ -557,6 +605,96 @@ TEST(CollectivePinTest, InterleavedReadsTrackRemainingBytes) {
   });
   EXPECT_EQ(fs.counters().reads - before.reads, 32u);
   EXPECT_EQ(fs.counters().bytes_read - before.bytes_read, 176196u);
+}
+
+// A write that fails at a flush leaves every member stream where its member
+// counts it: the next write lands behind the failed one, and the file reads
+// back the later payload at its offset in the stream.
+TEST(CollectivePinTest, FailedWriteLeavesStreamsInStep) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  CollectiveConfig cfg;
+  cfg.group_size = 3;
+  cfg.buffer_bytes = 3000;
+  const std::uint64_t first = 5000;
+  const std::uint64_t second = 6000;
+  engine.run(5, [&](par::Comm& world) {
+    const int r = world.rank();
+    core::ParOpenSpec spec;
+    spec.filename = "wfail.sion";
+    spec.chunksize = 4 * kKiB;
+    auto coll = Collective::open_write(fs, world, spec, cfg);
+    ASSERT_TRUE(coll.ok()) << coll.status().to_string();
+    world.barrier();
+    if (r == 0) fs.arm_faults(fs::FaultPlan().write_error("wfail.sion"));
+    world.barrier();
+    EXPECT_FALSE(coll.value()->write(fs::DataView(pattern(r, first))).ok());
+    world.barrier();
+    if (r == 0) fs.disarm_faults();
+    world.barrier();
+    ASSERT_TRUE(
+        coll.value()->write(fs::DataView(pattern(r + 100, second))).ok());
+    EXPECT_EQ(coll.value()->bytes_written_total(), first + second);
+    ASSERT_TRUE(coll.value()->close().ok());
+  });
+  engine.run(5, [&](par::Comm& world) {
+    const int r = world.rank();
+    auto coll = Collective::open_read(fs, world, "wfail.sion", cfg);
+    ASSERT_TRUE(coll.ok()) << coll.status().to_string();
+    EXPECT_EQ(coll.value()->bytes_remaining_total(), first + second);
+    ASSERT_TRUE(coll.value()->read_skip(first).ok());
+    std::vector<std::byte> back(second);
+    auto got = coll.value()->read(back);
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    EXPECT_EQ(got.value(), second);
+    EXPECT_EQ(back, pattern(r + 100, second));
+    ASSERT_TRUE(coll.value()->close().ok());
+  });
+}
+
+// A read that fails on the collectors still ships every wave, and leaves
+// every member stream where its member counts it: the next read delivers
+// the bytes behind the failed one.
+TEST(CollectivePinTest, FailedReadLeavesStreamsInStep) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  CollectiveConfig cfg;
+  cfg.group_size = 3;
+  cfg.buffer_bytes = 3000;
+  const std::uint64_t total = 11000;
+  const std::uint64_t first = 5000;
+  engine.run(5, [&](par::Comm& world) {
+    core::ParOpenSpec spec;
+    spec.filename = "rfail.sion";
+    spec.chunksize = 4 * kKiB;
+    auto coll = Collective::open_write(fs, world, spec, cfg);
+    ASSERT_TRUE(coll.ok()) << coll.status().to_string();
+    ASSERT_TRUE(
+        coll.value()->write(fs::DataView(pattern(world.rank(), total))).ok());
+    ASSERT_TRUE(coll.value()->close().ok());
+  });
+  engine.run(5, [&](par::Comm& world) {
+    const int r = world.rank();
+    auto coll = Collective::open_read(fs, world, "rfail.sion", cfg);
+    ASSERT_TRUE(coll.ok()) << coll.status().to_string();
+    world.barrier();
+    if (r == 0) fs.arm_faults(fs::FaultPlan().read_error("rfail.sion"));
+    world.barrier();
+    std::vector<std::byte> lost(first);
+    EXPECT_FALSE(coll.value()->read(lost).ok());
+    EXPECT_EQ(coll.value()->bytes_remaining_total(), total - first);
+    world.barrier();
+    if (r == 0) fs.disarm_faults();
+    world.barrier();
+    std::vector<std::byte> back(total - first);
+    auto got = coll.value()->read(back);
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    EXPECT_EQ(got.value(), total - first);
+    const auto expect = pattern(r, total);
+    const auto from = expect.begin() + static_cast<std::ptrdiff_t>(first);
+    EXPECT_TRUE(std::equal(back.begin(), back.end(), from));
+    ASSERT_TRUE(coll.value()->close().ok());
+  });
 }
 
 TEST(CollectiveTest, SplitGroupsHelper) {

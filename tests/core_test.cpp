@@ -514,6 +514,79 @@ TEST(ParFileTest, OpenMissingFileFailsEverywhere) {
   });
 }
 
+// A non-master task whose open of the physical file fails must fail the
+// open on every task. Were its failure lost, it would hold an open without
+// a file, whose close fails before the close collectives its peers block
+// in. Rank 6 is a non-master under either mapping.
+TEST(ParFileTest, NonMasterOpenWriteFailureFailsEveryTask) {
+  fs::SimFs sim(fs::TestbedConfig());
+  testfs::FailOpenFs fs(sim, /*rank=*/6);
+  par::Engine engine;
+  engine.run(8, [&](par::Comm& world) {
+    ParOpenSpec spec;
+    spec.filename = "f.sion";
+    spec.chunksize = 4 * kKiB;
+    spec.nfiles = 2;
+    auto open = SionParFile::open_write(fs, world, spec);
+    if (open.ok()) {
+      EXPECT_TRUE(open.value()->close().ok());
+    }
+    ASSERT_FALSE(open.ok());
+    if (world.rank() == 6) {
+      EXPECT_EQ(open.status().code(), ErrorCode::kIoError);
+    }
+  });
+}
+
+TEST(ParFileTest, NonMasterOpenReadFailureFailsEveryTask) {
+  fs::SimFs sim(fs::TestbedConfig());
+  par::Engine engine;
+  engine.run(8, [&](par::Comm& world) {
+    ParOpenSpec spec;
+    spec.filename = "f.sion";
+    spec.chunksize = 4 * kKiB;
+    spec.nfiles = 2;
+    auto open = SionParFile::open_write(sim, world, spec);
+    ASSERT_TRUE(open.ok()) << open.status().to_string();
+    ASSERT_TRUE(open.value()->write(DataView::fill(std::byte{3}, 100)).ok());
+    ASSERT_TRUE(open.value()->close().ok());
+  });
+  testfs::FailOpenFs fs(sim, /*rank=*/6);
+  engine.run(8, [&](par::Comm& world) {
+    auto open = SionParFile::open_read(fs, world, "f.sion");
+    if (open.ok()) {
+      EXPECT_TRUE(open.value()->close().ok());
+    }
+    ASSERT_FALSE(open.ok());
+    if (world.rank() == 6) {
+      EXPECT_EQ(open.status().code(), ErrorCode::kIoError);
+    }
+  });
+}
+
+// The master's chunk is too small for its recovery frame: the check sits in
+// the open step's status, so every task fails instead of the others
+// blocking in the open agreement the master skipped.
+TEST(ParFileTest, ChunkTooSmallForFrameOnTheMasterFailsEveryTask) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  engine.run(4, [&](par::Comm& world) {
+    ParOpenSpec spec;
+    spec.filename = "tiny.sion";
+    spec.fsblksize = 64;
+    spec.chunk_frames = true;
+    spec.chunksize = world.rank() == 0 ? 8 : 1000;
+    auto open = SionParFile::open_write(fs, world, spec);
+    if (open.ok()) {
+      EXPECT_TRUE(open.value()->close().ok());
+    }
+    ASSERT_FALSE(open.ok());
+    if (world.rank() == 0) {
+      EXPECT_EQ(open.status().code(), ErrorCode::kInvalidArgument);
+    }
+  });
+}
+
 TEST(ParFileTest, CustomMappingRoundtrip) {
   fs::SimFs fs(fs::TestbedConfig());
   par::Engine engine;
@@ -878,10 +951,8 @@ TEST(CopyPhysicalFileTest, ZeroRunsTravelAsFillParts) {
     testfs::RecordingFs recording(fs);
     auto src = fs.open_read("sparse.sion");
     ASSERT_TRUE(src.ok());
-    auto header = read_header(*src.value());
-    ASSERT_TRUE(header.ok());
-    auto copied = copy_physical_file(*src.value(), header.value(), recording,
-                                     "copy.sion", -1, buffer);
+    auto copied = copy_physical_file(*src.value(), nullptr, recording,
+                                     "copy.sion", buffer);
     ASSERT_TRUE(copied.ok()) << copied.status().to_string();
     EXPECT_EQ(copied.value(), original.size());
 

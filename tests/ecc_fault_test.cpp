@@ -20,6 +20,7 @@
 #include "fs/sim/fault.h"
 #include "fs/sim/machine.h"
 #include "fs/sim/simfs.h"
+#include "fs_wrappers.h"
 #include "par/comm.h"
 #include "par/engine.h"
 #include "workloads/checkpoint.h"
@@ -697,6 +698,59 @@ TEST_P(EccFaultTest, DrainFabricatedParitySurvivesPrimaryLoss) {
   // Degraded restore: the lost primaries were never recreated.
   EXPECT_FALSE(pfs.exists(core::physical_file_name("sq.sion", 1, k)));
   EXPECT_FALSE(pfs.exists(core::physical_file_name("sq.sion", 2, k)));
+}
+
+// The heal writes each decoded piece as one pwrite whose all-zero 4 KiB
+// runs are fill parts, like every other copy of a physical file, so a
+// simulated file system keeps a healed file's chunk padding as holes.
+TEST(EccHealTest, HealWritesZeroRunsAsFillParts) {
+  fs::SimFs sim(fs::TestbedConfig());  // 64 KiB blocks: mostly padding
+  const int k = 4;
+  const std::uint64_t buffer = 64 * kKiB;
+  workloads::CheckpointSpec spec;
+  spec.path = "z.ckpt";
+  EccConfig ecc;
+  ecc.data_domains = k;
+  ecc.parity_domains = 2;
+  spec.protection = ecc;
+  par::Engine engine;
+  engine.run(16, [&](par::Comm& world) {
+    const auto mine = rank_payload(world.rank());
+    ASSERT_TRUE(
+        workloads::write_checkpoint(sim, world, spec, DataView(mine)).ok());
+  });
+  const std::string lost = core::physical_file_name("z.ckpt", 1, k);
+  const auto whole = [&](const std::string& path) {
+    auto file = sim.open_read(path);
+    EXPECT_TRUE(file.ok()) << path;
+    std::vector<std::byte> bytes(file.value()->stat().value().size);
+    EXPECT_TRUE(file.value()->pread(bytes, 0).ok());
+    return bytes;
+  };
+  const std::vector<std::byte> pristine = whole(lost);
+  ASSERT_TRUE(sim.remove(lost).ok());
+
+  testfs::RecordingFs fs(sim);
+  engine.run(2, [&](par::Comm& world) {
+    auto report = Ecc::heal(fs, world, "z.ckpt", ecc, buffer);
+    ASSERT_TRUE(report.ok()) << report.status().to_string();
+    EXPECT_EQ(report.value().healed_files, 1);
+  });
+  // One pwrite per buffer-sized piece, covering the file exactly.
+  ASSERT_EQ(fs.writes.size(), ceil_div(pristine.size(), buffer));
+  std::uint64_t at = 0;
+  std::uint64_t zero_bytes = 0;
+  for (const testfs::RecordingFs::Write& w : fs.writes) {
+    EXPECT_EQ(w.path, lost);
+    EXPECT_EQ(w.offset, at);
+    for (const testfs::RecordingFs::Part& part : w.parts) {
+      at += part.size;
+      if (part.zero_fill()) zero_bytes += part.size;
+    }
+  }
+  EXPECT_EQ(at, pristine.size());
+  EXPECT_GT(zero_bytes, pristine.size() / 2);
+  EXPECT_EQ(whole(lost), pristine);
 }
 
 INSTANTIATE_TEST_SUITE_P(PlainAndCollective, EccFaultTest,
