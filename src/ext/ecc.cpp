@@ -85,16 +85,20 @@ Result<ParityHeader> parse_parity_header(fs::File& file) {
   SION_ASSIGN_OR_RETURN(const std::uint32_t k, r.get_u32());
   SION_ASSIGN_OR_RETURN(const std::uint32_t m, r.get_u32());
   SION_ASSIGN_OR_RETURN(const std::uint32_t index, r.get_u32());
-  h.k = static_cast<int>(k);
-  h.m = static_cast<int>(m);
-  h.index = static_cast<int>(index);
   SION_ASSIGN_OR_RETURN(h.stripe_bytes, r.get_u64());
   SION_ASSIGN_OR_RETURN(h.data_start, r.get_u64());
   SION_ASSIGN_OR_RETURN(h.payload_bytes, r.get_u64());
-  if (h.k < 1 || h.k > 255 || h.m < 1 || h.k + h.m > 255 ||
-      h.index >= h.m) {
+  // Checked as stored, before the casts: an index of 2^31 or more would
+  // otherwise become negative and pass `index < m`. The end marker's offset
+  // data_start + payload_bytes + 8 must not wrap round.
+  constexpr std::uint64_t kLastEnd = ~std::uint64_t{0} - 8;
+  if (k < 1 || k > 255 || m < 1 || m > 255 - k || index >= m ||
+      h.payload_bytes > kLastEnd || h.data_start > kLastEnd - h.payload_bytes) {
     return Corrupt("ECC parity header carries impossible geometry");
   }
+  h.k = static_cast<int>(k);
+  h.m = static_cast<int>(m);
+  h.index = static_cast<int>(index);
   SION_ASSIGN_OR_RETURN(h.data_bytes, r.get_u64_array());
   if (h.data_bytes.size() != static_cast<std::size_t>(h.k)) {
     return Corrupt("ECC parity header data-length table truncated");

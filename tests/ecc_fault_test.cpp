@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/api.h"
 #include "ext/buddy.h"
+#include "ext/compress.h"
 #include "ext/ecc.h"
 #include "ext/recovery.h"
 #include "fs/sim/fault.h"
@@ -751,6 +754,276 @@ TEST(EccHealTest, HealWritesZeroRunsAsFillParts) {
   EXPECT_EQ(at, pristine.size());
   EXPECT_GT(zero_bytes, pristine.size() / 2);
   EXPECT_EQ(whole(lost), pristine);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation of a real parity header, read back through
+// Ecc::inspect_parity (parse_parity_header and the completeness check).
+// Damage must read as Corrupt or as an incomplete file (intact = false),
+// never as a usable header, and must not crash, over-allocate or hang the
+// parser.
+// ---------------------------------------------------------------------------
+
+// The parity header fields in file order, for rewriting behind a valid CRC.
+// `count` is the stored length of the data-length table.
+struct ParityFields {
+  std::uint32_t version = 0;
+  std::uint32_t k = 0;
+  std::uint32_t m = 0;
+  std::uint32_t index = 0;
+  std::uint64_t stripe_bytes = 0;
+  std::uint64_t data_start = 0;
+  std::uint64_t payload_bytes = 0;
+  std::uint64_t count = 0;
+  std::vector<std::uint64_t> data_bytes;
+};
+
+ParityFields read_fields(std::span<const std::byte> file) {
+  ByteReader r(file.subspan(8));
+  ParityFields f;
+  f.version = r.get_u32().value();
+  f.k = r.get_u32().value();
+  f.m = r.get_u32().value();
+  f.index = r.get_u32().value();
+  f.stripe_bytes = r.get_u64().value();
+  f.data_start = r.get_u64().value();
+  f.payload_bytes = r.get_u64().value();
+  f.data_bytes = r.get_u64_array().value();
+  f.count = f.data_bytes.size();
+  return f;
+}
+
+// `file` with its header replaced by `f`'s, CRC recomputed.
+std::vector<std::byte> with_header(std::span<const std::byte> file,
+                                   const ParityFields& f) {
+  ByteWriter w;
+  w.put_bytes(file.first(8));  // magic
+  w.put_u32(f.version);
+  w.put_u32(f.k);
+  w.put_u32(f.m);
+  w.put_u32(f.index);
+  w.put_u64(f.stripe_bytes);
+  w.put_u64(f.data_start);
+  w.put_u64(f.payload_bytes);
+  w.put_u64(f.count);
+  for (const std::uint64_t v : f.data_bytes) w.put_u64(v);
+  w.put_u32(crc32c(w.bytes()));
+  std::vector<std::byte> out(file.begin(), file.end());
+  std::copy(w.bytes().begin(), w.bytes().end(), out.begin());
+  return out;
+}
+
+class EccHeaderFuzzTest : public ::testing::Test {
+ protected:
+  static constexpr int kWriters = 16;
+  static constexpr int kK = 4;
+  // Header bytes through the CRC: magic, 4 u32, 3 u64, the table, the CRC.
+  static constexpr std::size_t kHeaderBytes =
+      8 + 4 * 4 + 3 * 8 + 8 + kK * 8 + 4;
+
+  EccHeaderFuzzTest() : fs_(fs::TestbedConfig()) {
+    spec_.path = "fz.ckpt";
+    EccConfig ecc;
+    ecc.data_domains = kK;
+    ecc.parity_domains = 2;
+    spec_.protection = ecc;
+    par::Engine engine;
+    engine.run(kWriters, [&](par::Comm& world) {
+      const auto mine = rank_payload(world.rank());
+      ASSERT_TRUE(
+          workloads::write_checkpoint(fs_, world, spec_, DataView(mine)).ok());
+    });
+    clean_ = whole(Ecc::parity_name("fz.ckpt", 0));
+  }
+
+  std::vector<std::byte> whole(const std::string& path) {
+    auto file = fs_.open_read(path);
+    EXPECT_TRUE(file.ok()) << path;
+    if (!file.ok()) return {};
+    std::vector<std::byte> bytes(file.value()->stat().value().size);
+    EXPECT_TRUE(file.value()->pread(bytes, 0).ok());
+    return bytes;
+  }
+
+  void store(const std::string& path, std::span<const std::byte> bytes) {
+    auto file = fs_.create(path);
+    ASSERT_TRUE(file.ok()) << path;
+    if (!bytes.empty()) {
+      ASSERT_TRUE(file.value()->pwrite(DataView(bytes), 0).ok()) << path;
+    }
+  }
+
+  // Ecc::inspect_parity of `bytes` stored as a file of their own.
+  Result<EccParityInfo> inspect(std::span<const std::byte> bytes) {
+    store("fuzz.p0", bytes);
+    return Ecc::inspect_parity(fs_, "fuzz.p0");
+  }
+
+  static void expect_rejected(const Result<EccParityInfo>& info,
+                              const std::string& what) {
+    if (info.ok()) {
+      EXPECT_FALSE(info.value().intact) << what;
+    } else {
+      EXPECT_EQ(info.status().code(), ErrorCode::kCorrupt)
+          << what << ": " << info.status().to_string();
+    }
+  }
+
+  fs::SimFs fs_;
+  workloads::CheckpointSpec spec_;
+  std::vector<std::byte> clean_;
+};
+
+TEST_F(EccHeaderFuzzTest, SeededMutationFuzzNeverPassesADamagedHeader) {
+  const auto pristine = inspect(clean_);
+  ASSERT_TRUE(pristine.ok()) << pristine.status().to_string();
+  ASSERT_TRUE(pristine.value().intact);
+  ASSERT_EQ(pristine.value().k, kK);
+  ASSERT_EQ(read_fields(clean_).data_start % 512, 0u);
+  ASSERT_GT(clean_.size(), kHeaderBytes + 8);
+
+  // Up to 8 bit flips in the header or the end marker (the parser checks
+  // neither the alignment gap nor the payload).
+  Rng rng(0xECC5EED);
+  int flipped = 0;
+  for (int round = 0; round < 500; ++round) {
+    std::vector<std::byte> bytes = clean_;
+    const int flips = 1 + static_cast<int>(rng.next_below(8));
+    for (int f = 0; f < flips; ++f) {
+      const auto at =
+          static_cast<std::size_t>(rng.next_below(kHeaderBytes + 8));
+      const std::size_t pos =
+          at < kHeaderBytes ? at : bytes.size() - 8 + (at - kHeaderBytes);
+      bytes[pos] ^= static_cast<std::byte>(1u << rng.next_below(8));
+    }
+    if (bytes == clean_) continue;  // the flips cancelled out
+    ++flipped;
+    expect_rejected(inspect(bytes), "flip round " + std::to_string(round));
+  }
+  EXPECT_GT(flipped, 450);
+
+  // Every truncation through the end of the header, then a sample of the
+  // longer ones.
+  for (std::size_t len = 0; len <= kHeaderBytes; ++len) {
+    expect_rejected(
+        inspect(std::span<const std::byte>(clean_).first(len)),
+        "truncated to " + std::to_string(len));
+  }
+  for (int round = 0; round < 50; ++round) {
+    const auto len = static_cast<std::size_t>(
+        kHeaderBytes + rng.next_below(clean_.size() - kHeaderBytes));
+    expect_rejected(
+        inspect(std::span<const std::byte>(clean_).first(len)),
+        "truncated to " + std::to_string(len));
+  }
+}
+
+TEST_F(EccHeaderFuzzTest, ForgedFieldsBehindAValidCrcAreCorrupt) {
+  // Each rewrite recomputes the CRC, so the parse reaches the checks
+  // behind it.
+  const ParityFields clean = read_fields(clean_);
+  ASSERT_EQ(clean.k, static_cast<std::uint32_t>(kK));
+  const std::pair<const char*, std::function<void(ParityFields&)>> cases[] = {
+      {"version 2", [](ParityFields& f) { f.version = 2; }},
+      {"k = 0", [](ParityFields& f) { f.k = 0; }},
+      {"k = 256", [](ParityFields& f) { f.k = 256; }},
+      {"k = 2^32 - 1", [](ParityFields& f) { f.k = 0xFFFFFFFFu; }},
+      {"m = 0", [](ParityFields& f) { f.m = 0; }},
+      {"m = 2^32 - 1", [](ParityFields& f) { f.m = 0xFFFFFFFFu; }},
+      {"k + m = 256", [](ParityFields& f) { f.m = 252; }},
+      {"k + m = 256, k = 250", [](ParityFields& f) { f.k = 250; f.m = 6; }},
+      {"index = m", [](ParityFields& f) { f.index = f.m; }},
+      {"index = 2^31", [](ParityFields& f) { f.index = 0x80000000u; }},
+      {"index = 2^32 - 1", [](ParityFields& f) { f.index = 0xFFFFFFFFu; }},
+      {"count = k - 1",
+       [](ParityFields& f) {
+         f.data_bytes.pop_back();
+         f.count = f.data_bytes.size();
+       }},
+      {"count = k + 1",
+       [](ParityFields& f) {
+         f.data_bytes.push_back(0);
+         f.count = f.data_bytes.size();
+       }},
+      {"count = k + 1, table of k", [](ParityFields& f) { f.count += 1; }},
+      {"count = 2^61", [](ParityFields& f) { f.count = 1ULL << 61; }},
+      {"count = 2^64 - 1", [](ParityFields& f) { f.count = ~0ULL; }},
+      {"data_start + payload_bytes wraps round to the file's",
+       [](ParityFields& f) {
+         f.data_start += 1ULL << 63;
+         f.payload_bytes += 1ULL << 63;
+       }},
+  };
+  for (const auto& [what, edit] : cases) {
+    ParityFields f = clean;
+    edit(f);
+    const auto info = inspect(with_header(clean_, f));
+    ASSERT_FALSE(info.ok()) << what << " parsed as k=" << info.value().k
+                            << " m=" << info.value().m
+                            << " index=" << info.value().index;
+    EXPECT_EQ(info.status().code(), ErrorCode::kCorrupt)
+        << what << ": " << info.status().to_string();
+  }
+  // Geometry that parses but does not match the file is incomplete.
+  for (const auto& [what, edit] :
+       {std::pair<const char*, std::function<void(ParityFields&)>>{
+            "payload_bytes + 1", [](ParityFields& f) { ++f.payload_bytes; }},
+        {"data_start + 512", [](ParityFields& f) { f.data_start += 512; }}}) {
+    ParityFields f = clean;
+    edit(f);
+    const auto info = inspect(with_header(clean_, f));
+    ASSERT_TRUE(info.ok()) << what << ": " << info.status().to_string();
+    EXPECT_FALSE(info.value().intact) << what;
+  }
+}
+
+// A forged header the probe cannot tell from a good one: data_start 64 bytes
+// early and payload_bytes 64 bytes longer, behind a valid CRC, keep the end
+// marker where the header says it is. Parity is byte-positional, so the
+// shifted parity decodes the lost data file wrongly; the restore must then
+// fail on every task rather than return wrong bytes.
+TEST_F(EccHeaderFuzzTest, ShiftedDataStartFailsTheRestoreOnEveryTask) {
+  ParityFields f = read_fields(clean_);
+  f.data_start -= 64;
+  f.payload_bytes += 64;
+  const std::string parity0 = Ecc::parity_name("fz.ckpt", 0);
+  store(parity0, with_header(clean_, f));
+  const auto info = Ecc::inspect_parity(fs_, parity0);
+  ASSERT_TRUE(info.ok()) << info.status().to_string();
+  EXPECT_TRUE(info.value().intact);
+
+  ASSERT_TRUE(fs_.remove(core::physical_file_name("fz.ckpt", 1, kK)).ok());
+  auto probe =
+      Ecc::probe(fs_, "fz.ckpt", std::get<EccConfig>(spec_.protection));
+  ASSERT_TRUE(probe.ok()) << probe.status().to_string();
+  EXPECT_EQ(probe.value().parity_ok[0], 1);
+  EXPECT_EQ(probe.value().data_ok[1], 0);
+
+  const std::vector<std::byte> expect = concatenated_payload(kWriters);
+  constexpr int kTasks = 8;
+  workloads::CheckpointSpec spec = spec_;
+  spec.restart_ntasks = kTasks;
+  int failures = 0;
+  par::Engine engine;
+  engine.run(kTasks, [&](par::Comm& world) {
+    const std::uint64_t lo = share_offset(expect.size(), kTasks, world.rank());
+    const std::uint64_t hi =
+        share_offset(expect.size(), kTasks, world.rank() + 1);
+    std::vector<std::byte> mine(hi - lo);
+    const Status st =
+        workloads::read_checkpoint(fs_, world, spec, mine.size(), mine);
+    if (!st.ok()) {
+      // The decoded file's metablock 1 fails its magic on the task that
+      // opens it, and the agreement carries that to the others.
+      EXPECT_EQ(st.code(), ErrorCode::kCorrupt) << st.to_string();
+      ++failures;
+      return;
+    }
+    EXPECT_TRUE(std::equal(mine.begin(), mine.end(),
+                           expect.begin() + static_cast<std::ptrdiff_t>(lo)))
+        << "task " << world.rank() << " restored wrong bytes";
+  });
+  EXPECT_EQ(failures, kTasks);
 }
 
 INSTANTIATE_TEST_SUITE_P(PlainAndCollective, EccFaultTest,

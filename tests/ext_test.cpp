@@ -1,16 +1,19 @@
 // Tests for the paper's "future work" extensions: the slz compression codec
-// (property roundtrips on adversarial inputs), metablock-2 recovery from
-// chunk frames.
+// (property roundtrips on adversarial inputs), the CRC32C and GF(256)
+// kernels, metablock-2 recovery from chunk frames.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <utility>
 
 #include "common/codec.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/api.h"
 #include "ext/compress.h"
+#include "ext/gf256.h"
 #include "ext/recovery.h"
 #include "ext/slz.h"
 #include "fs/sim/machine.h"
@@ -392,6 +395,204 @@ TEST(CompressTest, Crc32cPathsAgreeAtEveryLengthAndAlignment) {
       ASSERT_EQ(crc32c(data), want) << off << "+" << len;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// GF(256) arithmetic (ext/gf256.h)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// GF(2^8) product from its definition: shift-and-add, reduced modulo the
+// field polynomial 0x11D.
+std::uint8_t gf_mul_shift_add(std::uint8_t a, std::uint8_t b) {
+  unsigned x = a;
+  unsigned product = 0;
+  for (unsigned y = b; y != 0; y >>= 1) {
+    if ((y & 1u) != 0u) product ^= x;
+    x <<= 1;
+    if ((x & 0x100u) != 0u) x ^= 0x11Du;
+  }
+  return static_cast<std::uint8_t>(product);
+}
+
+// (a * b) for k x k row-major matrices over GF(256).
+std::vector<std::uint8_t> gf_matmul(std::span<const std::uint8_t> a,
+                                    std::span<const std::uint8_t> b, int k) {
+  const auto n = static_cast<std::size_t>(k);
+  std::vector<std::uint8_t> out(n * n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      std::uint8_t sum = 0;
+      for (std::size_t l = 0; l < n; ++l) {
+        sum = static_cast<std::uint8_t>(sum ^
+                                        gf_mul(a[i * n + l], b[l * n + j]));
+      }
+      out[i * n + j] = sum;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(Gf256Test, MulMatchesShiftAndAddOverTheWholeField) {
+  for (unsigned a = 0; a < 256; ++a) {
+    for (unsigned b = 0; b < 256; ++b) {
+      const auto x = static_cast<std::uint8_t>(a);
+      const auto y = static_cast<std::uint8_t>(b);
+      ASSERT_EQ(gf_mul(x, y), gf_mul_shift_add(x, y)) << a << "*" << b;
+    }
+  }
+}
+
+TEST(Gf256Test, FieldIdentities) {
+  const auto& t = gf_internal::kTables;
+  // exp walks the 255 nonzero elements once (0x02 generates the group),
+  // log is its inverse, and the doubled half repeats the first.
+  for (std::size_t i = 0; i < 255; ++i) {
+    ASSERT_NE(t.exp[i], 0) << i;
+    ASSERT_EQ(t.log[t.exp[i]], i) << i;
+    ASSERT_EQ(t.exp[i + 255], t.exp[i]) << i;
+  }
+  for (unsigned a = 1; a < 256; ++a) {
+    const auto x = static_cast<std::uint8_t>(a);
+    ASSERT_EQ(t.exp[t.log[x]], x) << a;
+    ASSERT_EQ(gf_mul(x, gf_inv(x)), 1) << a;
+    ASSERT_EQ(gf_mul(x, 1), x) << a;
+    ASSERT_EQ(gf_mul(x, 0), 0) << a;
+  }
+}
+
+TEST(Gf256Test, MulAddPathsAgreeWithTheBytewiseReference) {
+  // Every coefficient (0 and 1 are special cases of the byte loop) at every
+  // length 0..100 and at 64 KiB + 7: whole vector steps, tails of 0..31
+  // bytes, and ranges shorter than one step. Each (coefficient, length)
+  // case takes the next of the 32 x 32 (dst, src) start offsets in turn, so
+  // every offset pair runs about 25 times. The AVX2 path (when the CPU has
+  // it), the byte loop and the dispatched mul_add must all equal
+  // dst ^ gf_mul(c, src).
+  constexpr std::size_t kLong = 64 * kKiB + 7;
+  std::vector<std::byte> src(kLong + 32);
+  std::vector<std::byte> dst0(kLong + 64);
+  Rng rng(0x6F256);
+  rng.fill_bytes(src);
+  rng.fill_bytes(dst0);
+  std::vector<std::size_t> lengths(101);
+  for (std::size_t len = 0; len <= 100; ++len) lengths[len] = len;
+  lengths.push_back(kLong);
+  const bool avx2 = detail::gf_mul_add_avx2_available();
+  std::size_t pair = 0;
+  std::vector<std::byte> want;
+  std::vector<std::byte> got;
+  for (unsigned c = 0; c < 256; ++c) {
+    const GfMulTable table(static_cast<std::uint8_t>(c));
+    ASSERT_EQ(table.coefficient(), c);
+    for (const std::size_t len : lengths) {
+      const std::size_t doff = pair % 32;
+      const std::size_t soff = (pair / 32) % 32;
+      ++pair;
+      const auto in = std::span<const std::byte>(src).subspan(soff, len);
+      // The destination range, the bytes before it and 32 bytes after it:
+      // none but the range may change.
+      const auto base =
+          std::span<const std::byte>(dst0).first(doff + len + 32);
+      want.assign(base.begin(), base.end());
+      for (std::size_t i = 0; i < len; ++i) {
+        want[doff + i] ^= static_cast<std::byte>(
+            gf_mul(static_cast<std::uint8_t>(c),
+                   std::to_integer<std::uint8_t>(in[i])));
+      }
+      // The bytes the kernel leaves equal `want`.
+      const auto agrees = [&](auto&& kernel) {
+        got.assign(base.begin(), base.end());
+        kernel(std::span<std::byte>(got).subspan(doff, len), in);
+        return got == want;
+      };
+      const auto where = [&] {
+        return testing::Message() << " c=" << c << " len=" << len << " dst+"
+                                  << doff << " src+" << soff;
+      };
+      ASSERT_TRUE(agrees([&](std::span<std::byte> d,
+                             std::span<const std::byte> s) {
+        detail::gf_mul_add_portable(table, d, s);
+      })) << "portable" << where();
+      if (avx2) {
+        ASSERT_TRUE(agrees([&](std::span<std::byte> d,
+                               std::span<const std::byte> s) {
+          detail::gf_mul_add_avx2(table, d, s);
+        })) << "avx2" << where();
+      }
+      ASSERT_TRUE(agrees([&](std::span<std::byte> d,
+                             std::span<const std::byte> s) {
+        table.mul_add(d, s);
+      })) << "mul_add" << where();
+    }
+  }
+}
+
+TEST(Gf256Test, MulAddStopsAtTheShorterRange) {
+  // mul_add runs over min(dst.size(), src.size()) bytes and leaves the rest
+  // of dst alone, with dst shorter than src and then src shorter than dst.
+  const GfMulTable table(0x8E);
+  const std::vector<std::byte> src(70, std::byte{0xFF});
+  for (const auto& [dlen, slen] :
+       {std::pair<std::size_t, std::size_t>{33, 70}, {70, 45}}) {
+    std::vector<std::byte> dst(80, std::byte{0});
+    table.mul_add(std::span<std::byte>(dst).first(dlen),
+                  std::span<const std::byte>(src).first(slen));
+    const std::size_t n = std::min(dlen, slen);
+    for (std::size_t i = 0; i < dst.size(); ++i) {
+      ASSERT_EQ(std::to_integer<std::uint8_t>(dst[i]),
+                i < n ? gf_mul(0x8E, 0xFF) : 0)
+          << dlen << "/" << slen << " at " << i;
+    }
+  }
+}
+
+TEST(Gf256Test, EverySurvivorChoiceOfTheCauchyCodeInverts) {
+  // The MDS property decode relies on: for every (k, m) with k <= 8 and
+  // m <= 3, any k of the k + m rows [identity; Cauchy] form an invertible
+  // matrix, and gf_invert_matrix returns its inverse.
+  int inverted = 0;
+  for (int k = 1; k <= 8; ++k) {
+    for (int m = 1; m <= 3; ++m) {
+      const int rows = k + m;
+      for (unsigned pick = 0; pick < (1u << rows); ++pick) {
+        if (std::popcount(pick) != k) continue;
+        const auto n = static_cast<std::size_t>(k);
+        std::vector<std::uint8_t> a;
+        for (int r = 0; r < rows; ++r) {
+          if ((pick & (1u << r)) == 0) continue;
+          for (int d = 0; d < k; ++d) {
+            a.push_back(r < k ? (r == d ? 1 : 0) : gf_cauchy(k, r - k, d));
+          }
+        }
+        ASSERT_EQ(a.size(), n * n);
+        std::vector<std::uint8_t> inv = a;
+        const Status st = gf_invert_matrix(inv, k);
+        ASSERT_TRUE(st.ok()) << "k=" << k << " m=" << m << " rows=" << pick
+                             << ": " << st.to_string();
+        std::vector<std::uint8_t> identity(n * n, 0);
+        for (std::size_t i = 0; i < n; ++i) identity[i * n + i] = 1;
+        ASSERT_EQ(gf_matmul(a, inv, k), identity)
+            << "k=" << k << " m=" << m << " rows=" << pick;
+        ASSERT_EQ(gf_matmul(inv, a, k), identity)
+            << "k=" << k << " m=" << m << " rows=" << pick;
+        ++inverted;
+      }
+    }
+  }
+  // The sum over k <= 8 and m <= 3 of C(k + m, k).
+  EXPECT_EQ(inverted, 702);
+}
+
+TEST(Gf256Test, SingularMatrixIsInternal) {
+  // A zero column leaves no pivot: corrupt geometry, reported as Internal.
+  std::vector<std::uint8_t> m = {1, 0, 7,  //
+                                 5, 0, 9,  //
+                                 2, 0, 3};
+  EXPECT_EQ(gf_invert_matrix(m, 3).code(), ErrorCode::kInternal);
 }
 
 TEST(CompressTest, EmptyStreamRoundtrip) {
