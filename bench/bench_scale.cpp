@@ -1,12 +1,10 @@
 // Host-performance scaling sweep: the fig3 SION open/close path from 1Ki up
 // to 16Mi tasks, reporting BOTH clocks per point — the virtual makespan (the
-// paper's number, bit-stable across commits and shard counts) and the host
+// paper's number, bit-stable across commits) and the host
 // wall seconds the simulation itself took (the number the engine work moves,
 // and the one CI budgets along with peak RSS).
 //
 // Flags beyond the usual --scale/--json:
-//   --shards=N      partition the fiber engine over N host threads
-//                   (virtual results are bit-identical for every N)
 //   --max-tasks=N   extend the sweep past 64Ki up to N tasks (the ROADMAP
 //                   million-task points: 128Ki..16Mi, doubling)
 //   --min-tasks=N   skip sweep points below N tasks, so CI can run a single
@@ -38,14 +36,14 @@ struct PointResult {
 };
 
 PointResult run_point(const fs::SimConfig& machine, int ntasks,
-                      int sion_nfiles, int shards, std::size_t stack_bytes) {
+                      int sion_nfiles, std::size_t stack_bytes) {
   const WallTimer wall;
   fs::SimFs fs(machine);
   if (stack_bytes == 0) {
     stack_bytes = ntasks <= kCompactStackThreshold ? 48 * 1024
                                                    : kCompactStackBytes;
   }
-  par::Engine engine(engine_config_for(machine, stack_bytes, shards));
+  par::Engine engine(engine_config_for(machine, stack_bytes));
 
   PointResult r;
   r.create_virtual_s = timed_run(engine, ntasks, [&](par::Comm& world) {
@@ -73,7 +71,6 @@ int main(int argc, char** argv) {
   const Options opts(argc, argv);
   const double scale = opts.get_double("scale", 1.0);
   const int nfiles = checked_narrow<int>(opts.get_u64("nfiles", 32));
-  const int shards = checked_narrow<int>(opts.get_u64("shards", 1));
   const std::uint64_t max_tasks = opts.get_u64("max-tasks", 65536);
   const std::uint64_t min_tasks = opts.get_u64("min-tasks", 0);
   const auto stack_bytes =
@@ -86,7 +83,6 @@ int main(int argc, char** argv) {
   Report report("scale", "Host wall-clock scaling of the fig3 open/close path");
   report.set_param("scale", scale);
   report.set_param("nfiles", nfiles);
-  report.set_param("shards", shards);
   report.set_param("max_tasks", max_tasks);
   report.set_param("min_tasks", min_tasks);
   Table& table = report.table(
@@ -107,8 +103,8 @@ int main(int argc, char** argv) {
     if (raw_n < min_tasks) continue;
     const int n = std::max(
         1, checked_trunc<int>(static_cast<double>(raw_n) * scale));
-    const PointResult r = run_point(machine, n, std::min(nfiles, n), shards,
-                                    stack_bytes);
+    const PointResult r =
+        run_point(machine, n, std::min(nfiles, n), stack_bytes);
     std::printf("%8s %24.2f %22.3f %10.3f\n",
                 format_tasks(raw_n).c_str(), r.create_virtual_s / scale,
                 r.sion_virtual_s / scale, r.wall_s);

@@ -30,13 +30,15 @@
 
 namespace sion::bench {
 
+// `shards` is ignored: the engine runs every fiber on the calling thread.
+// sionbench still passes its --shards value here; the parameter goes when
+// the benchmark drops that flag.
 inline par::EngineConfig engine_config_for(const fs::SimConfig& machine,
                                            std::size_t stack_bytes = 48 * 1024,
-                                           int shards = 1) {
+                                           [[maybe_unused]] int shards = 1) {
   par::EngineConfig config;
   config.stack_bytes = stack_bytes;
   config.network = machine.network;
-  config.shards = shards;
   return config;
 }
 

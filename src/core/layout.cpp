@@ -21,6 +21,9 @@ Result<FileLayout> FileLayout::create(
     // "not to waste any space without necessity, the chunk size is chosen to
     // be a multiple of the file-system block size" (paper 3.1).
     const std::uint64_t aligned = round_up(req, fsblksize);
+    if (aligned < req || running + aligned < running) {
+      return InvalidArgument("chunk sizes overflow a 64-bit file offset");
+    }
     layout.aligned_.push_back(aligned);
     layout.prefix_.push_back(running);
     running += aligned;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <limits>
 
 #include "common/codec.h"
 #include "common/strings.h"
@@ -153,6 +154,10 @@ Result<FileHeader> FileHeader::parse(std::span<const std::byte> bytes) {
     return Corrupt("per-task arrays do not match task count");
   }
   if (h.filenum >= h.nfiles) return Corrupt("filenum out of range");
+  // The openers count physical files in an int.
+  if (h.nfiles > static_cast<std::uint32_t>(std::numeric_limits<int>::max())) {
+    return Corrupt("file count out of range");
+  }
   return h;
 }
 
@@ -239,6 +244,20 @@ Result<FileMeta2> read_meta2(fs::File& file, const FileHeader& header) {
   if (header.meta2_offset >= st.size) {
     return Corrupt("metablock-2 offset beyond end of file");
   }
+  // Every chunk a reader may touch must lie between the metablocks: the
+  // layout may not wrap round, and nblocks blocks of it must end at or
+  // before metablock 2.
+  auto layout = layout_of(header);
+  if (!layout.ok()) {
+    return Corrupt("metablock 1 describes no layout: " +
+                   layout.status().message());
+  }
+  const std::uint64_t data_start = layout.value().data_start();
+  if (data_start > header.meta2_offset ||
+      header.nblocks >
+          (header.meta2_offset - data_start) / layout.value().block_span()) {
+    return Corrupt("metablock 1 lists more blocks than fit before metablock 2");
+  }
   std::vector<std::byte> buf(st.size - header.meta2_offset);
   SION_ASSIGN_OR_RETURN(const std::uint64_t got,
                         file.pread(buf, header.meta2_offset));
@@ -260,7 +279,7 @@ Result<FileMeta2> read_meta2(fs::File& file, const FileHeader& header) {
           chunks.size(), t, static_cast<unsigned long long>(header.nblocks)));
     }
     const std::uint64_t aligned =
-        round_up(header.chunksizes_req[t], header.fsblksize);
+        layout.value().chunksize(static_cast<int>(t));
     const std::uint64_t capacity = aligned > frame ? aligned - frame : 0;
     for (const std::uint64_t bytes : chunks) {
       if (bytes > capacity) {

@@ -117,8 +117,9 @@ struct FileMeta2 {
 Result<FileHeader> read_header(fs::File& file);
 
 // Read and parse metablock 2 (requires header.meta2_offset != 0). kCorrupt
-// unless it holds one array per task of `header`, no array is longer than
-// header.nblocks and no chunk records more bytes than its capacity.
+// unless header.nblocks blocks of the layout `header` describes end before
+// metablock 2, it holds one array per task of `header`, no array is longer
+// than header.nblocks and no chunk records more bytes than its capacity.
 Result<FileMeta2> read_meta2(fs::File& file, const FileHeader& header);
 
 // The chunk geometry that metablock 1 describes.

@@ -90,10 +90,13 @@ Result<ParityHeader> parse_parity_header(fs::File& file) {
   SION_ASSIGN_OR_RETURN(h.payload_bytes, r.get_u64());
   // Checked as stored, before the casts: an index of 2^31 or more would
   // otherwise become negative and pass `index < m`. The end marker's offset
-  // data_start + payload_bytes + 8 must not wrap round.
+  // data_start + payload_bytes + 8 must not wrap round. The writer always
+  // starts the payload at parity_data_start(k); parity is byte-positional,
+  // so any other start would decode shifted bytes.
   constexpr std::uint64_t kLastEnd = ~std::uint64_t{0} - 8;
   if (k < 1 || k > 255 || m < 1 || m > 255 - k || index >= m ||
-      h.payload_bytes > kLastEnd || h.data_start > kLastEnd - h.payload_bytes) {
+      h.payload_bytes > kLastEnd || h.data_start > kLastEnd - h.payload_bytes ||
+      h.data_start != parity_data_start(static_cast<int>(k))) {
     return Corrupt("ECC parity header carries impossible geometry");
   }
   h.k = static_cast<int>(k);

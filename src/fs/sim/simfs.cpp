@@ -25,36 +25,26 @@ class SimFile final : public File {
     ++inode_->open_handles;
   }
 
-  // Every entry point (and the handle-dropping destructor) opens a
-  // par::FsOrderGate: simulator state is shared across engine shards, and
-  // the gate serializes operations in global (vtime, rank) order — see the
-  // "Threading model" comment in par/engine.h. The constructor needs no
-  // gate of its own; it only runs inside an already-gated create/open.
   ~SimFile() override {
-    par::FsOrderGate gate;
     --inode_->open_handles;
     fs_->advance(fs_->now() + fs_->service(fs_->config_.close_latency));
   }
 
   Result<std::uint64_t> pwrite(DataView data, std::uint64_t offset) override {
-    par::FsOrderGate gate;
     if (!writable_) return PermissionDenied("file opened read-only");
     return fs_->do_write(*inode_, data, offset);
   }
 
   Result<std::uint64_t> pread(std::span<std::byte> out,
                               std::uint64_t offset) override {
-    par::FsOrderGate gate;
     return fs_->do_read(*inode_, out, offset);
   }
 
   Status pread_discard(std::uint64_t len, std::uint64_t offset) override {
-    par::FsOrderGate gate;
     return fs_->do_read_timing(*inode_, len, offset);
   }
 
   Result<FileStat> stat() override {
-    par::FsOrderGate gate;
     fs_->advance(fs_->now() + fs_->service(fs_->config_.stat_service));
     FileStat st;
     st.size = inode_->size;
@@ -64,7 +54,6 @@ class SimFile final : public File {
   }
 
   Status truncate(std::uint64_t size) override {
-    par::FsOrderGate gate;
     if (!writable_) return PermissionDenied("file opened read-only");
     inode_->extents.truncate(size);
     inode_->size = size;
@@ -73,7 +62,6 @@ class SimFile final : public File {
   }
 
   Status sync() override {
-    par::FsOrderGate gate;
     fs_->advance(fs_->now() + fs_->service(fs_->config_.io_op_latency));
     return Status::Ok();
   }
@@ -161,7 +149,6 @@ Result<SimFs::DirState*> SimFs::parent_dir(const std::string& path) {
 }
 
 Result<std::unique_ptr<File>> SimFs::create(const std::string& raw_path) {
-  par::FsOrderGate gate;
   std::string norm;
   const std::string& path = normalize_into(raw_path, norm);
   if (dirs_.count(path) != 0) {
@@ -211,7 +198,6 @@ Result<std::unique_ptr<File>> SimFs::create(const std::string& raw_path) {
 }
 
 Result<std::unique_ptr<File>> SimFs::open_read(const std::string& raw_path) {
-  par::FsOrderGate gate;
   std::string norm;
   const std::string& path = normalize_into(raw_path, norm);
   const auto it = files_.find(path);
@@ -240,7 +226,6 @@ Result<std::unique_ptr<File>> SimFs::open_read(const std::string& raw_path) {
 }
 
 Result<std::unique_ptr<File>> SimFs::open_rw(const std::string& raw_path) {
-  par::FsOrderGate gate;
   std::string norm;
   const std::string& path = normalize_into(raw_path, norm);
   const auto it = files_.find(path);
@@ -266,7 +251,6 @@ Result<std::unique_ptr<File>> SimFs::open_rw(const std::string& raw_path) {
 }
 
 Status SimFs::mkdir(const std::string& raw_path) {
-  par::FsOrderGate gate;
   const std::string path = normalize(raw_path);
   if (dirs_.count(path) != 0 || files_.count(path) != 0) {
     return AlreadyExists(strformat("'%s' already exists", path.c_str()));
@@ -279,7 +263,6 @@ Status SimFs::mkdir(const std::string& raw_path) {
 }
 
 Status SimFs::remove(const std::string& raw_path) {
-  par::FsOrderGate gate;
   const std::string path = normalize(raw_path);
   SION_ASSIGN_OR_RETURN(DirState * dir, parent_dir(path));
   const auto fit = files_.find(path);
@@ -310,7 +293,6 @@ Status SimFs::remove(const std::string& raw_path) {
 }
 
 Result<std::vector<std::string>> SimFs::list_dir(const std::string& raw_path) {
-  par::FsOrderGate gate;
   const std::string path = normalize(raw_path);
   const auto it = dirs_.find(path);
   if (it == dirs_.end()) {
@@ -325,7 +307,6 @@ Result<std::vector<std::string>> SimFs::list_dir(const std::string& raw_path) {
 }
 
 Result<FileStat> SimFs::stat_path(const std::string& raw_path) {
-  par::FsOrderGate gate;
   const std::string path = normalize(raw_path);
   const auto fit = files_.find(path);
   if (fit != files_.end()) {
@@ -346,21 +327,18 @@ Result<FileStat> SimFs::stat_path(const std::string& raw_path) {
 }
 
 bool SimFs::exists(const std::string& raw_path) {
-  par::FsOrderGate gate;
   std::string norm;
   const std::string& path = normalize_into(raw_path, norm);
   return files_.count(path) != 0 || dirs_.count(path) != 0;
 }
 
 Result<std::uint64_t> SimFs::block_size(const std::string&) {
-  par::FsOrderGate gate;
   advance(now() + config_.stat_service);
   return config_.fs_block_size;
 }
 
 void SimFs::set_dir_stripe(const std::string& raw_dir, int stripe_factor,
                            std::uint64_t stripe_depth) {
-  par::FsOrderGate gate;
   const std::string dir = normalize(raw_dir);
   auto& state = dirs_[dir];
   state.stripe_factor = std::min(stripe_factor, config_.num_osts);
@@ -368,12 +346,10 @@ void SimFs::set_dir_stripe(const std::string& raw_dir, int stripe_factor,
 }
 
 std::uint64_t SimFs::allocated_bytes() const {
-  par::FsOrderGate gate;
   return allocated_total_;
 }
 
 void SimFs::drop_caches() {
-  par::FsOrderGate gate;
   // Order-independent per-inode state reset; nothing observable leaks.
   // sion-lint: allow(unordered-iteration)
   for (auto& [path, inode] : files_) {
@@ -573,7 +549,6 @@ Result<std::uint64_t> SimFs::do_write(Inode& inode, DataView data,
 // ---------------------------------------------------------------------------
 
 void SimFs::arm_faults(const FaultPlan& plan) {
-  par::FsOrderGate gate;
   fault_plan_ = plan;
   fault_rng_ = Rng(plan.seed);
   faults_armed_ = true;
@@ -585,7 +560,6 @@ void SimFs::arm_faults(const FaultPlan& plan) {
 }
 
 void SimFs::disarm_faults() {
-  par::FsOrderGate gate;
   faults_armed_ = false;
   fault_plan_ = FaultPlan{};
   // Order-independent per-inode state reset; nothing observable leaks.
@@ -778,17 +752,11 @@ Status SimFs::do_read_timing(Inode& inode, std::uint64_t len,
 SimFs::ScopedFreeIo::ScopedFreeIo(FileSystem& fs)
     : fs_(dynamic_cast<SimFs*>(&fs)) {
   if (fs_ == nullptr) return;  // posix or other backend: nothing to bypass
-  // Each depth-counter update is its own gated point operation — the scope
-  // must NOT hold an order gate across its whole extent, since the gated
-  // operations inside it need to interleave across tasks exactly as in the
-  // sequential engine.
-  par::FsOrderGate gate;
   ++fs_->free_io_;
 }
 
 SimFs::ScopedFreeIo::~ScopedFreeIo() {
   if (fs_ != nullptr) {
-    par::FsOrderGate gate;
     SION_CHECK(fs_->free_io_ > 0) << "ScopedFreeIo depth underflow";
     --fs_->free_io_;
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
 #include <tuple>
 
 #include "common/log.h"
@@ -25,15 +24,6 @@ Comm::Comm(Engine& engine, std::vector<TaskState*> members, NetworkModel net)
     if (g != static_cast<int>(i)) identity_ranks_ = false;
     if (!granks_.empty() && g <= granks_.back()) ascending_ranks_ = false;
     granks_.push_back(g);
-  }
-  if (engine_->sharded() && !granks_.empty()) {
-    const int shard0 = engine_->shard_of(granks_.front());
-    for (const int g : granks_) {
-      if (engine_->shard_of(g) != shard0) {
-        cross_shard_ = true;
-        break;
-      }
-    }
   }
   next_op_.assign(members_.size(), 0);
 }
@@ -76,13 +66,6 @@ void Comm::rendezvous(void* slot, F&& finalize) {
     return;
   }
 
-  // Members of a cross-shard comm arrive from several host threads; the
-  // rendezvous site is then shared state, guarded by the engine mutex.
-  std::unique_lock<std::mutex> lock;
-  if (cross_shard_) {
-    lock = std::unique_lock<std::mutex>(engine_->shard_mutex());
-  }
-
   if (site_arrived_ == 0) {
     // First arrival of a fresh collective claims the site. Slot entries are
     // not cleared between ops: every member overwrites its own entry before
@@ -101,11 +84,7 @@ void Comm::rendezvous(void* slot, F&& finalize) {
   ++site_arrived_;
 
   if (site_arrived_ < size()) {
-    if (cross_shard_) {
-      engine_->block_current_locked(lock);
-    } else {
-      engine_->block_current();
-    }
+    engine_->block_current();
     // Woken by the last arrival; our slot already holds the results and our
     // clock was advanced by the release.
     return;
@@ -115,26 +94,8 @@ void Comm::rendezvous(void* slot, F&& finalize) {
   // next collective starts a fresh operation.
   const double tmax = site_tmax_;
   site_arrived_ = 0;
-  if (cross_shard_) lock.unlock();
-  // finalize may split off child comms (Engine::adopt_comm) and must not run
-  // under the coordination mutex. Every other member is blocked at this
-  // point, so the site slots are stable without it; the wake below
-  // publishes finalize's writes before any member resumes.
   const double release = finalize(site_slots_, tmax);
-  if (cross_shard_) {
-    lock.lock();
-    if (ascending_ranks_) {
-      engine_->wake_members_locked(members_, static_cast<std::size_t>(my_rank),
-                                   release);
-    } else {
-      for (std::size_t i = 0; i < members_.size(); ++i) {
-        if (static_cast<int>(i) != my_rank) {
-          engine_->wake_locked(*members_[i], release);
-        }
-      }
-    }
-    lock.unlock();
-  } else if (ascending_ranks_) {
+  if (ascending_ranks_) {
     engine_->wake_members(members_, static_cast<std::size_t>(my_rank),
                           release);
   } else {
@@ -487,12 +448,6 @@ void Comm::deliver_or_enqueue(Message msg, int dst, int tag) {
   const double t_avail = msg.t_avail;
   const auto key = std::make_tuple(src, dst, tag);
 
-  // Mailboxes of a cross-shard comm are shared between shard threads.
-  std::unique_lock<std::mutex> lock;
-  if (cross_shard_) {
-    lock = std::unique_lock<std::mutex>(engine_->shard_mutex());
-  }
-
   const auto waiting = waiting_recv_.find(key);
   if (waiting != waiting_recv_.end()) {
     WaitingReceiver receiver = waiting->second;
@@ -505,16 +460,10 @@ void Comm::deliver_or_enqueue(Message msg, int dst, int tag) {
     } else {
       receiver.sink->assign(msg.view.begin(), msg.view.end());
     }
-    if (cross_shard_) {
-      engine_->wake_locked(*receiver.task,
-                           std::max(receiver.t_blocked, msg.t_avail));
-    } else {
-      engine_->wake(*receiver.task, std::max(receiver.t_blocked, msg.t_avail));
-    }
+    engine_->wake(*receiver.task, std::max(receiver.t_blocked, msg.t_avail));
   } else {
     mailbox_[key].q.push_back(std::move(msg));
   }
-  if (cross_shard_) lock.unlock();
   // Eager send: the sender only occupies its link, it does not wait for the
   // receiver (MPI small/eager protocol).
   task.advance_to(t_avail);
@@ -549,15 +498,9 @@ Comm::Message Comm::take_or_block(int src, int tag,
   SION_CHECK(src != dst) << "recv from self would deadlock";
   const auto key = std::make_tuple(src, dst, tag);
 
-  std::unique_lock<std::mutex> lock;
-  if (cross_shard_) {
-    lock = std::unique_lock<std::mutex>(engine_->shard_mutex());
-  }
-
   const auto queued = mailbox_.find(key);
   if (queued != mailbox_.end() && !queued->second.empty()) {
     Message msg = queued->second.take();
-    if (cross_shard_) lock.unlock();
     task.advance_to(std::max(task.now(), msg.t_avail));
     *blocked = false;
     return msg;
@@ -566,11 +509,7 @@ Comm::Message Comm::take_or_block(int src, int tag,
   SION_CHECK(waiting_recv_.find(key) == waiting_recv_.end())
       << "two receivers blocked on the same (src, tag)";
   waiting_recv_[key] = WaitingReceiver{&task, task.now(), sink, view_sink};
-  if (cross_shard_) {
-    engine_->block_current_locked(lock);
-  } else {
-    engine_->block_current();
-  }
+  engine_->block_current();
   *blocked = true;
   return {};
 }

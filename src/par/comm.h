@@ -198,11 +198,6 @@ class Comm {
   std::vector<int> granks_;  // global rank per comm rank (member order)
   bool identity_ranks_ = false;   // granks_[i] == i
   bool ascending_ranks_ = false;  // strictly increasing granks_
-  // Members span more than one engine shard: the rendezvous site and the
-  // mailboxes are then shared between shard threads and every synchronizing
-  // path below runs under Engine::shard_mutex(). Comms contained in a single
-  // shard (and every comm of a sequential run) keep the lock-free paths.
-  bool cross_shard_ = false;
   NetworkModel net_;
 
   std::vector<std::uint64_t> next_op_;  // per comm rank op counter

@@ -26,36 +26,21 @@
 // None of these change the schedule: the golden determinism suite pins the
 // resulting virtual times bit-for-bit.
 //
-// Threading model (EngineConfig::shards > 1): ranks are partitioned into
-// contiguous per-host-thread *shards*, each running its own fiber scheduler
-// over its own ready queue, release runs, and stack slab. Fibers never
-// migrate host threads. Compute, collectives, and point-to-point messages
-// run freely inside a shard and cross shard boundaries through mailbox-style
-// inboxes — their virtual-time math is order-independent, so host
-// interleaving cannot change results. Only `fs::SimFs` operations observe
-// shared mutable state whose outcome depends on order; those are serialized
-// exactly in global (vtime, rank) key order by a conservative protocol: each
-// shard exposes a *floor* (lower bound on any key it may still act at), an
-// fs-op parks in its shard's pending heap, and the globally minimal parked
-// op — strictly below every other shard's floor and fs front — runs alone.
-// All network costs are strictly positive, so work a running task triggers
-// elsewhere always lands strictly above its shard's floor (the lookahead of
-// the protocol). Results are bit-identical to the single-shard engine for
-// every shard count; the golden determinism suite pins this.
+// Every fiber of a run executes on the host thread that calls Engine::run.
+// SimFs calls are ordered globally by (vtime, rank), so the file-system-bound
+// phases this engine exists for are serial anyway; a second host thread
+// could only add handoffs (README, "Threading model").
 //
 // Invariant maintained by the engine: whenever a task's virtual clock
 // advances, the task yields, so resource requests are issued in globally
 // non-decreasing virtual-time order (a conservative DES).
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <queue>
 #include <vector>
 
@@ -120,11 +105,6 @@ struct EngineConfig {
   // below it.
   std::size_t stack_bytes = 128 * 1024;
   NetworkModel network;
-  // Host threads to partition the ranks across. 1 = the classic sequential
-  // engine. Results are bit-identical for every value (see "Threading
-  // model" above); more shards trade mutex coordination for parallelism in
-  // compute/collective-heavy phases.
-  int shards = 1;
 };
 
 // Per-task runtime state. User code interacts with it through `this_task()`.
@@ -146,47 +126,24 @@ class TaskState {
  private:
   friend class Engine;
   friend class Comm;
-  friend class FsOrderGate;
 
   Engine* engine_ = nullptr;
   int rank_ = -1;
   double vtime_ = 0.0;
   Run state_ = Run::kReady;
-  std::uint32_t shard_ = 0;       // home shard; fibers never migrate threads
-  std::uint16_t fs_depth_ = 0;    // FsOrderGate nesting depth
-  bool in_fs_op_ = false;         // inside a globally ordered SimFs op
 #ifdef SION_FAST_FIBERS
   void* fiber_sp_ = nullptr;  // suspended context (par/fiber.h frame)
 #else
   ucontext_t ctx_{};
   void* tsan_fiber_ = nullptr;  // TSan's handle for this stack (TSan builds)
 #endif
-  std::byte* stack_ = nullptr;  // slice of the shard's stack slab
+  std::byte* stack_ = nullptr;  // slice of the engine's stack slab
 };
 
 // The currently executing task, or nullptr outside Engine::run (e.g., in
 // serial command-line tools). fs::SimFs consults this to know whose clock to
 // charge.
 TaskState* this_task();
-
-// RAII marker placed at the top of every `fs::SimFs`/`SimFile` operation that
-// touches order-sensitive shared state. A no-op in serial code and in the
-// single-shard engine; in the sharded engine it parks the calling task until
-// its (vtime, rank) key is the global minimum, which serializes simulator
-// operations in exactly the sequential engine's order (see "Threading model"
-// in the header comment). Re-entrant per task: only the outermost gate on a
-// task orders; nested gates are free.
-class FsOrderGate {
- public:
-  FsOrderGate();
-  ~FsOrderGate();
-
-  FsOrderGate(const FsOrderGate&) = delete;
-  FsOrderGate& operator=(const FsOrderGate&) = delete;
-
- private:
-  TaskState* task_ = nullptr;
-};
 
 namespace testing {
 // Overwrites every stack slab parked in the global slab pool, as the kernel
@@ -211,7 +168,7 @@ class Engine {
   // engine's current epoch, so consecutive run() calls share one monotonic
   // virtual timeline (resource queues in SimFs stay consistent across runs).
   // The first exception thrown by any task — by (vtime, rank) of the throw
-  // point, so the choice is deterministic at every shard count — is rethrown
+  // point, so the choice does not depend on dispatch details — is rethrown
   // here after all fibers have been reaped.
   void run(int ntasks, const TaskFn& body);
 
@@ -223,50 +180,26 @@ class Engine {
 
   // --- runtime internals, used by TaskState/Comm -------------------------
 
-  // True when the current run executes on more than one host thread. Comm
-  // and FsOrderGate use the cross-shard code paths only in this case.
-  [[nodiscard]] bool sharded() const { return nshards_ > 1; }
-  // Home shard of a rank in the current run (contiguous block partition).
-  [[nodiscard]] int shard_of(int rank) const { return rank / ranks_per_shard_; }
-  // The engine-wide coordination mutex. Cross-shard Comm paths hold it
-  // around rendezvous/mailbox state and the *_locked calls below.
-  [[nodiscard]] std::mutex& shard_mutex() { return mu_; }
-
   // Put the current task back in the ready queue at its (possibly advanced)
   // clock and switch to the scheduler. If the task still holds the earliest
-  // (vtime, rank) key in its shard it simply keeps running.
+  // (vtime, rank) key it simply keeps running.
   void yield_current();
   // Suspend the current task indefinitely; a collective partner will wake it.
   void block_current();
-  // As block_current, but for cross-shard Comm paths: marks the task blocked
-  // while `lock` (on shard_mutex()) is held, releases the lock, then
-  // switches away. The lock is NOT reacquired on return.
-  void block_current_locked(std::unique_lock<std::mutex>& lock);
   // Make `task` runnable at virtual time `t`.
   void wake(TaskState& task, double t);
-  // As wake, but callable with shard_mutex() held for a task on any shard:
-  // same-shard targets are woken directly, remote targets are posted to
-  // their shard's inbox (drained deterministically by the owning thread).
-  void wake_locked(TaskState& task, double t);
   // Batch release of a collective: make every member except members[skip]
   // runnable at time `t`, as one O(1)-per-task release run. `members` must
   // be in ascending global-rank order and must outlive the run (Comm member
   // vectors satisfy both); the schedule is identical to per-task wake().
   void wake_members(const std::vector<TaskState*>& members, std::size_t skip,
                     double t);
-  // As wake_members, with shard_mutex() held: the member list is cut into
-  // per-shard contiguous slices; the local slice becomes a release run
-  // directly, remote slices are posted to their shards' inboxes.
-  void wake_members_locked(const std::vector<TaskState*>& members,
-                           std::size_t skip, double t);
 
   // Comm objects created during a run (world + splits) live here so that raw
   // Comm& handed to tasks stay valid for the whole run.
   Comm& adopt_comm(std::unique_ptr<Comm> comm);
 
  private:
-  friend class FsOrderGate;
-
   // Min-heap of (vtime, rank); deterministic tie-break by rank.
   using ReadyEntry = std::pair<double, int>;
 
@@ -282,8 +215,7 @@ class Engine {
 
   // One collective release: members[next..end) (minus the skipped waker)
   // become runnable at time t and are handed to the scheduler in rank order.
-  // The initial schedule of a run() is one such run per shard, over that
-  // shard's slice of init_members_.
+  // The initial schedule of a run() is one such run over init_members_.
   struct ReleaseRun {
     static constexpr std::uint32_t kNoSkip = ~std::uint32_t{0};
     const std::vector<TaskState*>* members = nullptr;
@@ -293,131 +225,64 @@ class Engine {
     std::uint32_t skip = kNoSkip;
   };
 
-  // A cross-shard wake in flight, parked in the target shard's inbox until
-  // its owning thread drains it (task state is only ever touched by the
-  // task's own shard thread). members == nullptr is a single-task wake;
-  // otherwise it is a wake_members slice [next, end) minus `skip`.
-  struct InboxMsg {
-    const std::vector<TaskState*>* members = nullptr;
-    TaskState* task = nullptr;
-    double t = 0.0;
-    std::uint32_t next = 0;
-    std::uint32_t end = 0;
-    std::uint32_t skip = ReleaseRun::kNoSkip;
-  };
-
-  // One host thread's scheduler. The first group of fields is touched only
-  // by the owning thread; the fields after mu-guarded comment only with
-  // Engine::mu_ held.
-  struct Shard {
-    ~Shard();
-
-    int index = 0;
-    int rank_begin = 0;
-    int rank_end = 0;  // exclusive
-    ReadyQueue ready;
-    std::vector<ReleaseRun> runs;
-    std::vector<TaskState*> init_members;  // this shard's initial release run
-#ifdef SION_FAST_FIBERS
-    void* sched_sp = nullptr;
-#else
-    ucontext_t sched_ctx{};
-    void* sched_tsan_fiber = nullptr;  // the shard loop's own stack
-#endif
-    TaskState* current = nullptr;
-    std::byte* slab = nullptr;
-    std::size_t slab_bytes = 0;
-    int done_count = 0;
-    double epoch = 0.0;  // local max completion time; merged after the run
-    // Deterministic error capture: smallest (vtime, rank) throw wins.
-    std::exception_ptr error;
-    double error_vt = 0.0;
-    int error_rank = 0;
-
-    // --- mu-guarded coordination state ---------------------------------
-    // Conservative lower bound on any (vtime, rank) key this shard may
-    // still act at (dispatch locally, post cross-shard, run an fs op).
-    double floor_vt = 0.0;
-    int floor_rank = 0;
-    ReadyQueue fs_pending;  // parked FsOrderGate ops, keyed (vtime, rank)
-    std::vector<InboxMsg> inbox;
-    bool published_done = false;
-    int published_done_count = 0;  // mirror of done_count for diagnostics
-  };
-
-  void fiber_main(int index);
+  void fiber_main(TaskState& task);
 #ifdef SION_FAST_FIBERS
   static void fiber_entry(void* arg);
 #else
   static void trampoline(unsigned int hi, unsigned int lo);
 #endif
-  void switch_to(Shard& sh, TaskState& task);
 
   [[nodiscard]] ReadyEntry run_front_key(const ReleaseRun& run) const {
     return {run.t, (*run.members)[run.next]->rank()};
   }
   // Pop the earliest member of the earliest release run.
-  TaskState* pop_run_front(Shard& sh);
-  void sift_runs(Shard& sh);
+  TaskState* pop_run_front();
+  void sift_runs();
 
-  // Earliest runnable task by (vtime, rank) across the shard's ready heap
-  // and release runs, or nullptr when nothing is locally runnable.
-  TaskState* next_task(Shard& sh);
+  // Earliest runnable task by (vtime, rank) across the ready heap and the
+  // release runs, or nullptr when nothing is runnable.
+  TaskState* next_task();
   // Transfer control from the (blocked/yielded/finished) current fiber
   // straight into `to` — fiber-to-fiber, no scheduler hop.
   void switch_from(TaskState& from, TaskState& to);
-  // Suspend the current fiber back into the shard loop (coordination).
-  void suspend_to_sched(Shard& sh, TaskState& from);
-  // Dispatch the next local task from `from`'s fiber, or fall back to the
-  // shard loop (sharded) / deadlock (sequential).
-  void dispatch_next_or_sched(Shard& sh, TaskState& from);
+  // Dispatch the next runnable task from `from`'s fiber. Every wake-up
+  // comes from a running task, so nothing runnable is a deadlock.
+  void dispatch_next(TaskState& from);
   // Mark the current fiber finished, account for it, and dispatch the next
-  // runnable task (or return to the shard loop when none is).
+  // runnable task (or return to Engine::run once the last one is done).
   [[noreturn]] void retire_and_dispatch(TaskState& task);
-
-  // --- sharded coordination (engine.cpp) --------------------------------
-  void shard_main(Shard& sh);
-  void shard_loop(Shard& sh);
-  // Earliest locally runnable key (ready front vs release-run front).
-  std::optional<ReadyEntry> local_front_key(Shard& sh);
-  // True when (vt, rank) is the strict global minimum: below every other
-  // shard's floor and fs front, and below everything locally runnable or
-  // parked in this shard.
-  bool fs_min_globally_locked(Shard& sh, double vt, int rank);
-  void drain_inbox_locked(Shard& sh);
-  // Drains the inbox, then publishes floor = min local runnable key (+inf
-  // when none). Never raises the floor above an undrained inbox key.
-  void refresh_floor_locked(Shard& sh);
-  // The shard's parked fs-op front, if it is the strict global minimum
-  // below every other shard's floor and fs front and this shard's own
-  // floor; nullptr otherwise.
-  TaskState* drainable_fs_op_locked(Shard& sh);
-  [[nodiscard]] bool all_shards_done_locked() const;
-  void enter_fs_order(TaskState& task);
-  void exit_fs_order(TaskState& task);
-  void park_fs_locked(Shard& sh, TaskState& task);
-
-  // The shard whose scheduler owns the calling host thread during a run.
-  static thread_local Shard* tls_shard_;
 
   EngineConfig config_;
   double epoch_ = 0.0;
 
   // Per-run state.
   std::vector<TaskState> tasks_;
-  std::vector<TaskState*> init_members_;  // rank order; backs the world comm
+  // Rank order: the world comm's members and the initial release run.
+  std::vector<TaskState*> init_members_;
   std::vector<std::unique_ptr<Comm>> comms_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  Comm* world_ = nullptr;  // comms_.front(), cached for lock-free reads
+  Comm* world_ = nullptr;  // comms_.front()
   const TaskFn* body_ = nullptr;
   int total_tasks_ = 0;
-  int nshards_ = 1;          // active shards this run
-  int ranks_per_shard_ = 1;  // contiguous block size of the partition
 
-  std::mutex mu_;                // coordination: floors, inboxes, cross Comm
-  std::condition_variable cv_;   // shard loops wait here for floor movement
-  std::mutex comms_mu_;          // adopt_comm from concurrent local splits
-  int waiting_ = 0;              // shards parked in cv_ (deadlock detection)
+  // Scheduler state.
+  ReadyQueue ready_;
+  std::vector<ReleaseRun> runs_;
+#ifdef SION_FAST_FIBERS
+  void* sched_sp_ = nullptr;
+#else
+  ucontext_t sched_ctx_{};
+  void* sched_tsan_fiber_ = nullptr;  // Engine::run's own stack
+#endif
+  TaskState* current_ = nullptr;
+  int done_count_ = 0;
+  // Deterministic error capture: smallest (vtime, rank) throw wins.
+  std::exception_ptr error_;
+  double error_vt_ = 0.0;
+  int error_rank_ = 0;
+
+  // One mapping for every fiber stack, kept across run() calls.
+  std::byte* slab_ = nullptr;
+  std::size_t slab_bytes_ = 0;
 };
 
 }  // namespace sion::par

@@ -61,16 +61,11 @@ std::vector<std::byte> pattern_payload(int rank, std::uint64_t n) {
 
 // --- Figure 3 miniature: task-local create / reopen / SION create ----------
 
-// Parameterized by engine shard count: the goldens below were snapshotted
-// from the sequential engine, and the sharded engine (PR 10) must reproduce
-// them bit-for-bit at every shard count — that is the tentpole determinism
-// guarantee of the conservative virtual-time protocol.
-void fig3_create_open_sion(int shards) {
+TEST(GoldenDeterminismTest, Fig3CreateOpenSionJugene) {
   fs::SimFs fs(fs::JugeneConfig());
   par::Engine engine(
       par::EngineConfig{.stack_bytes = 64 * 1024,
-                        .network = fs::JugeneConfig().network,
-                        .shards = shards});
+                        .network = fs::JugeneConfig().network});
   const int n = 96;  // not a power of two: exercises heap tie-breaks
   const double t_create = makespan(engine, n, [&](par::Comm& world) {
     auto f = fs.create(strformat("data.%06d", world.rank()));
@@ -93,18 +88,6 @@ void fig3_create_open_sion(int shards) {
   EXPECT_GOLDEN(0x1.0e631f8a0902ep-1, t_create);
   EXPECT_GOLDEN(0x1.624dd2f1aa01p-4, t_open);
   EXPECT_GOLDEN(0x1.3e9392de2d5acp-3, t_sion);
-}
-
-TEST(GoldenDeterminismTest, Fig3CreateOpenSionJugene) {
-  fig3_create_open_sion(1);
-}
-
-TEST(GoldenDeterminismTest, Fig3CreateOpenSionJugeneTwoShards) {
-  fig3_create_open_sion(2);
-}
-
-TEST(GoldenDeterminismTest, Fig3CreateOpenSionJugeneEightShards) {
-  fig3_create_open_sion(8);
 }
 
 // --- Figure 5 miniature: multifile bandwidth write + read ------------------
@@ -349,11 +332,9 @@ TEST(GoldenDeterminismTest, EccProtectedCheckpointTestbed) {
 
 // --- Pure-engine scheduler stress: uneven compute + collectives ------------
 
-// Parameterized by shard count like fig3_create_open_sion: splits, p2p, and
-// uneven compute skew must schedule identically on every shard partition.
-void scheduler_mixed_compute_collectives(int shards) {
-  par::Engine engine(par::EngineConfig{
-      .stack_bytes = 64 * 1024, .network = {}, .shards = shards});
+TEST(GoldenDeterminismTest, SchedulerMixedComputeCollectives) {
+  par::Engine engine(
+      par::EngineConfig{.stack_bytes = 64 * 1024, .network = {}});
   const int n = 257;  // prime-ish: no clean tree/group alignment anywhere
   const double t = makespan(engine, n, [&](par::Comm& world) {
     const int r = world.rank();
@@ -389,18 +370,6 @@ void scheduler_mixed_compute_collectives(int shards) {
     ASSERT_GT(acc, 0.0);
   });
   EXPECT_GOLDEN(0x1.5f4d2021e70ep-9, t);
-}
-
-TEST(GoldenDeterminismTest, SchedulerMixedComputeCollectives) {
-  scheduler_mixed_compute_collectives(1);
-}
-
-TEST(GoldenDeterminismTest, SchedulerMixedComputeCollectivesTwoShards) {
-  scheduler_mixed_compute_collectives(2);
-}
-
-TEST(GoldenDeterminismTest, SchedulerMixedComputeCollectivesEightShards) {
-  scheduler_mixed_compute_collectives(8);
 }
 
 }  // namespace

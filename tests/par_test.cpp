@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "par/comm.h"
@@ -118,6 +120,60 @@ TEST(EngineTest, ManyTasksLowStack) {
     count.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(count.load(), 4096);
+}
+
+TEST(EngineTest, ExceptionPropagatesAndEngineStaysUsable) {
+  Engine engine;
+  EXPECT_THROW(engine.run(32,
+                          [](Comm& world) {
+                            if (world.rank() == 13) {
+                              throw std::runtime_error("boom on 13");
+                            }
+                          }),
+               std::runtime_error);
+  // The failed run must not poison the engine or the thread (RAII reset of
+  // the run bindings): a fresh run on the same engine completes.
+  int completions = 0;
+  engine.run(32, [&completions](Comm& world) {
+    world.allreduce_u64(1, ReduceOp::kSum);
+    if (world.rank() == 0) ++completions;
+  });
+  EXPECT_EQ(completions, 1);
+}
+
+TEST(EngineTest, ErrorChoiceIsDeterministic) {
+  // Several ranks throw at distinct virtual times; the engine must surface
+  // the smallest (vtime, rank) throw: rank 60, which throws earliest.
+  Engine engine;
+  try {
+    engine.run(64, [](Comm& world) {
+      const int rank = world.rank();
+      if (rank >= 5 && rank % 5 == 0) {
+        this_task()->compute(1.0e-6 * static_cast<double>(64 - rank));
+        throw std::runtime_error("rank " + std::to_string(rank));
+      }
+    });
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 60");
+  }
+}
+
+// Regression for the MADV_FREE canary false positive: the kernel may reclaim
+// (zero) a pooled slab's pages at any moment, which used to trip the stack
+// overflow check on the next engine that reused the slab. The canary is now
+// re-armed on every acquisition, so a scribbled pool must be harmless.
+TEST(EngineTest, CanarySurvivesScribbledSlabPool) {
+  EngineConfig config;
+  config.stack_bytes = 64 * 1024;
+  {
+    Engine engine(config);
+    engine.run(64, [](Comm& world) { world.barrier(); });
+  }  // the slab returns to the pool here
+  par::testing::scribble_cached_stack_slabs();
+  Engine engine(config);
+  engine.run(64, [](Comm& world) { world.barrier(); });
+  SUCCEED();
 }
 
 // Recurses through `frames` frames of over 512 bytes each. Every frame fills
