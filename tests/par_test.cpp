@@ -122,7 +122,10 @@ TEST(EngineTest, ManyTasksLowStack) {
   EXPECT_EQ(count.load(), 4096);
 }
 
-TEST(EngineTest, ExceptionPropagatesAndEngineStaysUsable) {
+// ShardedEngine is the suite name this test and CanarySurvivesScribbledSlabPool
+// were recorded under while the engine could spread fibers over several host
+// threads; what they pin does not depend on the thread count, so the names stay.
+TEST(ShardedEngine, ExceptionPropagatesAndEngineStaysUsable) {
   Engine engine;
   EXPECT_THROW(engine.run(32,
                           [](Comm& world) {
@@ -163,7 +166,7 @@ TEST(EngineTest, ErrorChoiceIsDeterministic) {
 // (zero) a pooled slab's pages at any moment, which used to trip the stack
 // overflow check on the next engine that reused the slab. The canary is now
 // re-armed on every acquisition, so a scribbled pool must be harmless.
-TEST(EngineTest, CanarySurvivesScribbledSlabPool) {
+TEST(ShardedEngine, CanarySurvivesScribbledSlabPool) {
   EngineConfig config;
   config.stack_bytes = 64 * 1024;
   {
