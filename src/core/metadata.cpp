@@ -386,9 +386,7 @@ Result<MultifileMap> discover_multifile(fs::FileSystem& fs,
                                         int ntasks) {
   SION_ASSIGN_OR_RETURN(const FirstFile first, open_first_file(fs, name));
   const int nfiles = static_cast<int>(first.header.nfiles);
-  MultifileMap map;
-  map.nfiles = static_cast<std::uint64_t>(nfiles);
-  map.file_of_rank.assign(static_cast<std::size_t>(ntasks), 0);
+  std::vector<std::vector<std::uint64_t>> granks;
   std::uint64_t total_tasks = 0;
   for (int f = 0; f < nfiles; ++f) {
     FileHeader h = first.header;
@@ -398,20 +396,30 @@ Result<MultifileMap> discover_multifile(fs::FileSystem& fs,
       SION_ASSIGN_OR_RETURN(h, read_header(*file));
     }
     total_tasks += h.ntasks;
-    for (const std::uint64_t r : h.global_ranks) {
-      if (r >= static_cast<std::uint64_t>(ntasks)) {
-        return InvalidArgument(strformat(
-            "multifile was written by rank %llu but only %d tasks "
-            "opened it (task count must match the writer)",
-            static_cast<unsigned long long>(r), ntasks));
-      }
-      map.file_of_rank[r] = static_cast<std::uint64_t>(f);
-    }
+    granks.push_back(std::move(h.global_ranks));
   }
+  // A set of another size is the caller's mismatch; a rank outside the set,
+  // or one that two headers claim, is damage.
   if (total_tasks != static_cast<std::uint64_t>(ntasks)) {
     return InvalidArgument(strformat(
         "multifile holds %llu logical files but %d tasks opened it",
         static_cast<unsigned long long>(total_tasks), ntasks));
+  }
+  constexpr std::uint64_t kUnclaimed = ~std::uint64_t{0};
+  MultifileMap map;
+  map.nfiles = static_cast<std::uint64_t>(nfiles);
+  map.file_of_rank.assign(static_cast<std::size_t>(ntasks), kUnclaimed);
+  for (std::size_t f = 0; f < granks.size(); ++f) {
+    for (const std::uint64_t r : granks[f]) {
+      if (r >= total_tasks || map.file_of_rank[r] != kUnclaimed) {
+        return Corrupt(strformat(
+            "rank %llu is out of range or claimed twice: the multifile set "
+            "holds %llu logical files",
+            static_cast<unsigned long long>(r),
+            static_cast<unsigned long long>(total_tasks)));
+      }
+      map.file_of_rank[r] = f;
+    }
   }
   return map;
 }

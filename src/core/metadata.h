@@ -185,7 +185,9 @@ struct MultifileMap {
 
 // Rank 0's step of an open for reading by `ntasks` tasks: the file count
 // and every rank's physical file, from the headers of multifile `name`.
-// The set must have been written by exactly `ntasks` tasks.
+// The set must have been written by exactly `ntasks` tasks
+// (kInvalidArgument otherwise); a global rank outside the set, or one that
+// two headers claim, is kCorrupt.
 Result<MultifileMap> discover_multifile(fs::FileSystem& fs,
                                         const std::string& name, int ntasks);
 

@@ -73,9 +73,7 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
 
   // Collective metadata exchange: chunk sizes and global ranks to the
   // file-local master.
-  const auto chunksizes = lcom.gather_u64(spec.chunksize, 0);
-  const auto granks =
-      lcom.gather_u64(static_cast<std::uint64_t>(grank), 0);
+  ChunkRequests requests = gather_chunk_requests(lcom, spec.chunksize, grank);
 
   // Master creates the physical file and writes metablock 1.
   std::uint64_t data_start = 0;
@@ -89,8 +87,8 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
     header.ntasks = static_cast<std::uint32_t>(lcom.size());
     header.nfiles = static_cast<std::uint32_t>(map.nfiles());
     header.filenum = static_cast<std::uint32_t>(out->filenum_);
-    header.global_ranks = granks;
-    header.chunksizes_req = chunksizes;
+    header.global_ranks = std::move(requests.granks);
+    header.chunksizes_req = std::move(requests.chunksizes);
     auto created = create_physical_file(fs, out->path_, header);
     if (created.ok()) {
       data_start = created.value().layout.data_start();
@@ -104,13 +102,14 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
   SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kOpenFailed));
 
   // Everyone learns where its chunks live; no further communication is
-  // needed for any later chunk (paper 3.1). The two geometry broadcasts
-  // fuse into one suspension (bit-identical virtual cost, see bcast_u64_seq).
+  // needed for any later chunk (paper 3.1).
   std::uint64_t geom[2] = {data_start, block_span};
-  lcom.bcast_u64_seq(geom, 0);
+  const std::span<const std::uint64_t> offsets[] = {chunk_offsets};
+  std::uint64_t my_offset = 0;
+  lcom.steps({.bcast = geom, .scatter_in = offsets,
+              .scatter_out = {&my_offset, 1}}, 0);
   data_start = geom[0];
   block_span = geom[1];
-  const std::uint64_t my_offset = lcom.scatter_u64(chunk_offsets, 0);
   const std::uint64_t aligned = round_up(spec.chunksize, fsblksize);
 
   // Non-masters open the (hot) physical file — the cheap path that makes
@@ -150,32 +149,12 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
 Result<std::unique_ptr<SionParFile>> SionParFile::open_read(
     fs::FileSystem& fs, par::Comm& gcom, const std::string& name) {
   const int grank = gcom.rank();
-  const int gsize = gcom.size();
-
-  // The global master discovers the multifile set and the rank->file map
-  // from the per-file headers, then *scatters* it — each task learns only
-  // its own file index, keeping the collective O(ntasks) total instead of
-  // O(ntasks) per task.
-  Status st;
-  MultifileMap found;  // global master only
-  if (grank == 0) {
-    auto discovered = discover_multifile(fs, name, gsize);
-    if (discovered.ok()) {
-      found = std::move(discovered).value();
-    } else {
-      st = discovered.status();
-    }
-  }
-  SION_RETURN_IF_ERROR(par::share_status(gcom, st, 0, kOpenFailed));
-
-  const std::uint64_t nfiles = gcom.bcast_u64(found.nfiles, 0);
-  const std::uint64_t my_file = gcom.scatter_u64(found.file_of_rank, 0);
-  found = {};
-
+  SION_ASSIGN_OR_RETURN(const MultifileSlot slot,
+                        locate_in_multifile(fs, gcom, name, kOpenFailed));
   auto out = std::unique_ptr<SionParFile>(new SionParFile());
   out->gcom_ = &gcom;
-  out->nfiles_ = static_cast<int>(nfiles);
-  out->filenum_ = static_cast<int>(my_file);
+  out->nfiles_ = slot.nfiles;
+  out->filenum_ = slot.filenum;
   out->path_ = physical_file_name(name, out->filenum_, out->nfiles_);
 
   out->lcom_ = gcom.split(out->filenum_, grank);
@@ -185,7 +164,7 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_read(
 
   // The file-local master parses both metablocks and scatters each task's
   // view: geometry plus the bytes-actually-written array per chunk.
-  st = Status::Ok();
+  Status st;
   LoadedFile loaded;  // file-local master only
   if (master) {
     auto result = load_physical_file(fs, out->path_, lcom.size());
@@ -200,17 +179,10 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_read(
 
   std::uint64_t geom[4] = {loaded.header.fsblksize, loaded.header.flags,
                            loaded.data_start, loaded.block_span};
-  lcom.bcast_u64_seq(geom, 0);
-  const auto [my_offset, my_request] = lcom.scatter2_u64(
-      loaded.chunk_offsets, loaded.header.chunksizes_req, 0);
-  const std::vector<std::byte> my_blob =
-      lcom.scatterv_bytes_flat(loaded.usage_flat, loaded.usage_sizes, 0);
-  ByteReader blob_reader(my_blob);
-  SION_ASSIGN_OR_RETURN(auto chunk_bytes, blob_reader.get_u64_array());
-
+  SION_ASSIGN_OR_RETURN(ReaderChunks mine,
+                        scatter_reader_chunks(lcom, loaded, geom));
   out->fsblksize_log2_ = static_cast<std::uint8_t>(std::countr_zero(geom[0]));
-  out->chunk_bytes_ = std::move(chunk_bytes);
-  if (out->chunk_bytes_.empty()) out->chunk_bytes_.assign(1, 0);
+  out->chunk_bytes_ = std::move(mine.bytes);
 
   st = Status::Ok();
   if (!master) {
@@ -221,11 +193,12 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_read(
       out->handle_ = std::move(opened).value();
     }
   }
-  SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kOpenFailed));
-  out->attach(geom[2] + my_offset, geom[3], round_up(my_request, geom[0]),
+  // The last agreement and the closing barrier, in one rendezvous.
+  gcom.steps({.status = &st, .within = &lcom, .barrier = true}, 0,
+             kOpenFailed);
+  SION_RETURN_IF_ERROR(st);
+  out->attach(geom[2] + mine.offset, geom[3], round_up(mine.request, geom[0]),
               /*writable=*/false, (geom[1] & kFlagChunkFrames) != 0);
-
-  gcom.barrier();
   return out;
 }
 
@@ -250,26 +223,86 @@ void SionParFile::attach(std::uint64_t chunk0, std::uint64_t block_span,
 // close
 // ---------------------------------------------------------------------------
 
-Status SionParFile::close() {
+Status SionParFile::close(const Status& pending) {
   if (file_ == nullptr) return FailedPrecondition("file already closed");
   par::Comm& lcom = *lcom_;
+  Status st;
   if (writable()) {
-    SION_RETURN_IF_ERROR(patch_frame(current_block()));
+    st = pending.ok() ? patch_frame(current_block()) : pending;
     // "the master collects the number of bytes from each task that was
     // effectively written and stores it in the metadata block" (paper 3.1).
     const auto all = lcom.gatherv_u64_flat(chunk_bytes_, 0);
-    Status st;
-    if (lcom.rank() == 0) {
+    if (lcom.rank() == 0 && st.ok()) {
       // The master's chunk opens block 0, so it starts at the data region.
       st = write_meta2_and_trailer(*file_, chunk_start(0), block_span(),
                                    FileMeta2::from_gather(all));
     }
-    SION_RETURN_IF_ERROR(par::share_status_global(lcom, *gcom_, st, 0, kOpenFailed));
+    st = par::share_status_global(lcom, *gcom_, st, 0, kOpenFailed);
   }
+  // A close that fails on every task still releases the file.
   file_ = nullptr;
   handle_.reset();
+  SION_RETURN_IF_ERROR(st);
   gcom_->barrier();
   return Status::Ok();
+}
+
+// ---------------------------------------------------------------------------
+// shared exchanges
+// ---------------------------------------------------------------------------
+
+Result<MultifileSlot> locate_in_multifile(fs::FileSystem& fs,
+                                          par::Comm& gcom,
+                                          const std::string& name,
+                                          const char* what) {
+  // The global master scatters the rank->file map: each task learns only
+  // its own file index, keeping the collective O(ntasks) total instead of
+  // O(ntasks) per task.
+  Status st;
+  MultifileMap found;  // global master only
+  if (gcom.rank() == 0) {
+    auto discovered = discover_multifile(fs, name, gcom.size());
+    if (discovered.ok()) {
+      found = std::move(discovered).value();
+    } else {
+      st = discovered.status();
+    }
+  }
+  std::uint64_t nfiles = found.nfiles;
+  std::uint64_t filenum = 0;
+  const std::span<const std::uint64_t> file_of_rank[] = {found.file_of_rank};
+  gcom.steps({.status = &st, .bcast = {&nfiles, 1}, .scatter_in = file_of_rank,
+              .scatter_out = {&filenum, 1}},
+             0, what);
+  SION_RETURN_IF_ERROR(st);
+  return MultifileSlot{static_cast<int>(nfiles), static_cast<int>(filenum)};
+}
+
+ChunkRequests gather_chunk_requests(par::Comm& lcom, std::uint64_t chunksize,
+                                    int grank) {
+  const auto rank = static_cast<std::uint64_t>(grank);
+  const std::span<const std::uint64_t> in[] = {{&chunksize, 1}, {&rank, 1}};
+  par::Comm::FlatGatherU64 out[2];
+  lcom.steps({.gather_in = in, .gather_out = out}, 0);
+  return {std::move(out[0].data), std::move(out[1].data)};
+}
+
+Result<ReaderChunks> scatter_reader_chunks(par::Comm& lcom,
+                                           const LoadedFile& loaded,
+                                           std::span<std::uint64_t> geometry) {
+  const std::span<const std::uint64_t> per_task[] = {
+      loaded.chunk_offsets, loaded.header.chunksizes_req};
+  std::uint64_t mine[2] = {0, 0};
+  std::vector<std::byte> blob;
+  lcom.steps({.bcast = geometry, .scatter_in = per_task, .scatter_out = mine,
+              .scatterv_out = &blob, .scatterv_data = loaded.usage_flat,
+              .scatterv_sizes = loaded.usage_sizes},
+             0);
+  ReaderChunks out{mine[0], mine[1], {}};
+  ByteReader reader(blob);
+  SION_ASSIGN_OR_RETURN(out.bytes, reader.get_u64_array());
+  if (out.bytes.empty()) out.bytes.assign(1, 0);
+  return out;
 }
 
 }  // namespace sion::core

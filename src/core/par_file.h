@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,7 +84,9 @@ class SionParFile : public ChunkStream {
 
   // Collective close. Write mode: gathers per-chunk usage to the file-local
   // master, which writes metablock 2 and patches the metablock-1 trailer.
-  Status close();
+  // `pending` is this task's own failure since open (a failed write): the
+  // close still runs every collective, and its agreement fails every task.
+  Status close(const Status& pending = Status::Ok());
 
   [[nodiscard]] int nfiles() const { return nfiles_; }
   [[nodiscard]] int filenum() const { return filenum_; }
@@ -112,5 +115,43 @@ class SionParFile : public ChunkStream {
   // chunk as recorded in metablock 2.
   std::vector<std::uint64_t> chunk_bytes_;
 };
+
+// The collective exchanges of a parallel open, shared by SionParFile and
+// ext::Collective. Each is one fused rendezvous (par::Comm::steps).
+
+// open_read's first exchange over `gcom`: rank 0 discovers the multifile
+// set `name` (its failure reads `what` elsewhere), then every task learns
+// the file count and the file that holds its logical file.
+struct MultifileSlot {
+  int nfiles = 0;
+  int filenum = 0;
+};
+Result<MultifileSlot> locate_in_multifile(fs::FileSystem& fs,
+                                          par::Comm& gcom,
+                                          const std::string& name,
+                                          const char* what);
+
+// open_write's gather to the file-local master (lcom rank 0): every task's
+// requested chunk size and global rank, in lcom rank order (empty
+// elsewhere).
+struct ChunkRequests {
+  std::vector<std::uint64_t> chunksizes;
+  std::vector<std::uint64_t> granks;
+};
+ChunkRequests gather_chunk_requests(par::Comm& lcom, std::uint64_t chunksize,
+                                    int grank);
+
+// open_read's scatter from the file-local master, which loaded the file:
+// the `geometry` words (the master's reach every task), then each task's
+// chunk offset and requested chunk size and its metablock-2 chunk counts
+// (at least one).
+struct ReaderChunks {
+  std::uint64_t offset = 0;
+  std::uint64_t request = 0;
+  std::vector<std::uint64_t> bytes;
+};
+Result<ReaderChunks> scatter_reader_chunks(par::Comm& lcom,
+                                           const LoadedFile& loaded,
+                                           std::span<std::uint64_t> geometry);
 
 }  // namespace sion::core

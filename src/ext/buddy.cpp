@@ -127,11 +127,14 @@ Status mirror_write(fs::FileSystem& fs, par::Comm& gcom, par::Comm& dcom,
   SION_RETURN_IF_ERROR(par::share_status_global(dcom, gcom, st, 0, kBuddyFailed));
 
   std::uint64_t geom[2] = {data_start, block_span};
-  dcom.bcast_u64_seq(geom, 0);
+  const std::span<const std::uint64_t> per_task[] = {chunk_offsets,
+                                                     capacities};
+  std::uint64_t mine[2] = {0, 0};  // chunk offset, capacity
+  dcom.steps({.bcast = geom, .scatter_in = per_task, .scatter_out = mine}, 0);
   data_start = geom[0];
   block_span = geom[1];
-  const auto [my_offset, my_capacity] =
-      dcom.scatter2_u64(chunk_offsets, capacities, 0);
+  const std::uint64_t my_offset = mine[0];
+  const std::uint64_t my_capacity = mine[1];
 
   st = Status::Ok();
   if (p != 0) {

@@ -254,9 +254,9 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
   }
   out->granule_ = granule;
 
-  auto chunksizes = lcom.gather_u64(spec.chunksize, 0);
-  const auto granks =
-      lcom.gather_u64(static_cast<std::uint64_t>(grank), 0);
+  core::ChunkRequests requests =
+      core::gather_chunk_requests(lcom, spec.chunksize, grank);
+  std::vector<std::uint64_t>& chunksizes = requests.chunksizes;
 
   // Master lays the file out and writes metablock 1; the layout is the
   // ordinary SION geometry with fsblksize = granule, so any reader
@@ -272,7 +272,7 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
     header.ntasks = static_cast<std::uint32_t>(lsize);
     header.nfiles = static_cast<std::uint32_t>(map.nfiles());
     header.filenum = static_cast<std::uint32_t>(out->filenum_);
-    header.global_ranks = granks;
+    header.global_ranks = std::move(requests.granks);
     header.chunksizes_req = chunksizes;
     // serialize() size depends only on the task count, so the pre-padding
     // header already has the final metablock-1 size.
@@ -313,14 +313,12 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
   SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kAggregationFailed));
 
   std::uint64_t geom[2] = {data_start, block_span};
-  lcom.bcast_u64_seq(geom, 0);
-  data_start = geom[0];
-  block_span = geom[1];
-  const auto [my_offset, my_request] =
-      lcom.scatter2_u64(chunk_offsets, requested, 0);
-  out->data_start_ = data_start;
-  out->block_span_ = block_span;
-  out->capacity_ = round_up(my_request, granule);
+  const std::span<const std::uint64_t> per_task[] = {chunk_offsets, requested};
+  std::uint64_t mine[2] = {0, 0};  // chunk offset, requested size
+  lcom.steps({.bcast = geom, .scatter_in = per_task, .scatter_out = mine}, 0);
+  out->data_start_ = geom[0];
+  out->block_span_ = geom[1];
+  out->capacity_ = round_up(mine[1], granule);
 
   // Only collectors open the physical file — this is where the aggregated
   // path sheds the per-task metadata/open pressure (SimFs accounts for it
@@ -338,9 +336,7 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
 
   // The collector learns its members' chunk geometry once; every later
   // chunk address comes from their streams (paper 3.1, lifted to groups).
-  const auto starts = out->group_->gather_u64(data_start + my_offset, 0);
-  const auto caps = out->group_->gather_u64(out->capacity_, 0);
-  if (collector) out->attach_members(starts, caps, nullptr);
+  out->attach_members(mine[0], {});
   gcom.barrier();
   return out;
 }
@@ -353,31 +349,17 @@ Result<std::unique_ptr<Collective>> Collective::open_read(
     fs::FileSystem& fs, par::Comm& gcom, const std::string& name,
     const CollectiveConfig& config) {
   const int grank = gcom.rank();
-  const int gsize = gcom.size();
 
   // The global master (a collector by construction) discovers the multifile
   // set and scatters the rank -> file map, as in SionParFile::open_read.
-  Status st;
-  core::MultifileMap found;  // global master only
-  if (grank == 0) {
-    auto discovered = core::discover_multifile(fs, name, gsize);
-    if (discovered.ok()) {
-      found = std::move(discovered).value();
-    } else {
-      st = discovered.status();
-    }
-  }
-  SION_RETURN_IF_ERROR(par::share_status(gcom, st, 0, kAggregationFailed));
-
-  const std::uint64_t nfiles = gcom.bcast_u64(found.nfiles, 0);
-  const std::uint64_t my_file = gcom.scatter_u64(found.file_of_rank, 0);
-  found = {};
-
+  SION_ASSIGN_OR_RETURN(
+      const core::MultifileSlot slot,
+      core::locate_in_multifile(fs, gcom, name, kAggregationFailed));
   auto out = std::unique_ptr<Collective>(new Collective());
   out->gcom_ = &gcom;
   out->writable_ = false;
-  out->nfiles_ = static_cast<int>(nfiles);
-  out->filenum_ = static_cast<int>(my_file);
+  out->nfiles_ = slot.nfiles;
+  out->filenum_ = slot.filenum;
   out->path_ = core::physical_file_name(name, out->filenum_, out->nfiles_);
   out->buffer_bytes_ = std::max<std::uint64_t>(1, config.buffer_bytes);
 
@@ -393,7 +375,7 @@ Result<std::unique_ptr<Collective>> Collective::open_read(
 
   // The file-local master parses both metablocks and scatters every task's
   // view, so members learn their geometry without touching the file system.
-  st = Status::Ok();
+  Status st;
   core::LoadedFile loaded;  // file-local master only
   if (master) {
     auto result = core::load_physical_file(fs, out->path_, lsize);
@@ -411,20 +393,13 @@ Result<std::unique_ptr<Collective>> Collective::open_read(
 
   std::uint64_t geom[3] = {loaded.header.fsblksize, loaded.data_start,
                            loaded.block_span};
-  lcom.bcast_u64_seq(geom, 0);
-  const auto [my_offset, my_request] = lcom.scatter2_u64(
-      loaded.chunk_offsets, loaded.header.chunksizes_req, 0);
-  const std::vector<std::byte> my_blob =
-      lcom.scatterv_bytes_flat(loaded.usage_flat, loaded.usage_sizes, 0);
-  ByteReader blob_reader(my_blob);
-  SION_ASSIGN_OR_RETURN(auto chunk_bytes, blob_reader.get_u64_array());
-
-  if (chunk_bytes.empty()) chunk_bytes.assign(1, 0);
+  SION_ASSIGN_OR_RETURN(const core::ReaderChunks mine,
+                        core::scatter_reader_chunks(lcom, loaded, geom));
   out->granule_ = geom[0];
   out->data_start_ = geom[1];
   out->block_span_ = geom[2];
-  out->capacity_ = round_up(my_request, out->granule_);
-  out->written_ = std::accumulate(chunk_bytes.begin(), chunk_bytes.end(),
+  out->capacity_ = round_up(mine.request, out->granule_);
+  out->written_ = std::accumulate(mine.bytes.begin(), mine.bytes.end(),
                                   std::uint64_t{0});
   out->unread_ = out->written_;
 
@@ -439,12 +414,7 @@ Result<std::unique_ptr<Collective>> Collective::open_read(
   }
   SION_RETURN_IF_ERROR(par::share_status_global(lcom, gcom, st, 0, kAggregationFailed));
 
-  const auto starts =
-      out->group_->gather_u64(out->data_start_ + my_offset, 0);
-  const auto caps = out->group_->gather_u64(out->capacity_, 0);
-  const auto usage = out->group_->gatherv_u64_flat(chunk_bytes, 0);
-  if (collector) out->attach_members(starts, caps, &usage);
-
+  out->attach_members(mine.offset, mine.bytes);
   gcom.barrier();
   return out;
 }
@@ -457,20 +427,28 @@ Collective::~Collective() {
   }
 }
 
-void Collective::attach_members(std::span<const std::uint64_t> starts,
-                                std::span<const std::uint64_t> caps,
-                                const par::Comm::FlatGatherU64* usage) {
+void Collective::attach_members(std::uint64_t offset,
+                                std::span<const std::uint64_t> chunk_bytes) {
+  const std::uint64_t start = data_start_ + offset;
+  const std::span<const std::uint64_t> in[] = {
+      {&start, 1}, {&capacity_, 1}, chunk_bytes};
+  par::Comm::FlatGatherU64 got[3];
+  const std::size_t ngathers = writable_ ? 2 : 3;
+  group_->steps({.gather_in = std::span(in).first(ngathers),
+                 .gather_out = std::span(got).first(ngathers)},
+                0);
+  if (!is_collector()) return;
   io_ = std::make_unique<CollectorFile>(*file_, buffer_bytes_);
-  member_chunks_.resize(starts.size());
-  for (std::size_t m = 0; m < starts.size(); ++m) {
-    if (usage != nullptr) {
-      const auto counts = usage->of(static_cast<int>(m));
-      member_chunks_[m].assign(counts.begin(), counts.end());
-    } else {
+  member_chunks_.resize(got[0].data.size());
+  for (std::size_t m = 0; m < member_chunks_.size(); ++m) {
+    if (writable_) {
       member_chunks_[m].assign(1, 0);
+    } else {
+      const auto counts = got[2].of(static_cast<int>(m));
+      member_chunks_[m].assign(counts.begin(), counts.end());
     }
-    streams_.emplace_back(io_.get(), &member_chunks_[m], starts[m],
-                          block_span_, caps[m], writable_);
+    streams_.emplace_back(io_.get(), &member_chunks_[m], got[0].data[m],
+                          block_span_, got[1].data[m], writable_);
   }
 }
 
@@ -691,22 +669,25 @@ Status Collective::read_skip(std::uint64_t nbytes) {
 // close
 // ---------------------------------------------------------------------------
 
-Status Collective::close() {
+Status Collective::close(const Status& pending) {
   if (closed_) return FailedPrecondition("file already closed");
   par::Comm& lcom = *lcom_;
+  Status st;
   if (writable_) {
     const auto all =
         lcom.gatherv_u64_flat(core::appended_chunks(written_, capacity_), 0);
-    Status st;
-    if (lrank_ == 0) {
+    st = pending;
+    if (lrank_ == 0 && st.ok()) {
       st = core::write_meta2_and_trailer(*file_, data_start_, block_span_,
                                          core::FileMeta2::from_gather(all));
     }
-    SION_RETURN_IF_ERROR(par::share_status_global(lcom, *gcom_, st, 0, kAggregationFailed));
+    st = par::share_status_global(lcom, *gcom_, st, 0, kAggregationFailed);
   }
+  // A close that fails on every task still releases the file.
   io_.reset();
   file_.reset();
   closed_ = true;
+  SION_RETURN_IF_ERROR(st);
   gcom_->barrier();
   return Status::Ok();
 }
@@ -715,17 +696,20 @@ Status write_multifile(fs::FileSystem& fs, par::Comm& comm,
                        const core::ParOpenSpec& spec,
                        const CollectiveConfig* aggregation,
                        fs::DataView payload) {
+  // A failed write still runs the collective close, whose agreement then
+  // fails every task; the write's own error wins.
   if (aggregation != nullptr) {
     SION_ASSIGN_OR_RETURN(auto sion,
                           Collective::open_write(fs, comm, spec, *aggregation));
-    SION_RETURN_IF_ERROR(sion->write(payload));
-    return sion->close();
+    const Status wrote = sion->write(payload);
+    const Status closed = sion->close(wrote);
+    return wrote.ok() ? closed : wrote;
   }
   SION_ASSIGN_OR_RETURN(auto sion,
                         core::SionParFile::open_write(fs, comm, spec));
-  SION_ASSIGN_OR_RETURN(const std::uint64_t n, sion->write(payload));
-  (void)n;
-  return sion->close();
+  const Status wrote = sion->write(payload).status();
+  const Status closed = sion->close(wrote);
+  return wrote.ok() ? closed : wrote;
 }
 
 Result<core::ParOpenSpec> write_domain_primary(

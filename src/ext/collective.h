@@ -111,8 +111,9 @@ class Collective {
   Status read_skip(std::uint64_t nbytes);
 
   // Collective close; write mode gathers per-chunk usage to the file-local
-  // master, which writes metablock 2 exactly like SionParFile::close.
-  Status close();
+  // master, which writes metablock 2 exactly like SionParFile::close, and
+  // agrees on `pending` (a failed write) so that every task fails.
+  Status close(const Status& pending = Status::Ok());
 
   // ---- introspection ------------------------------------------------------
   [[nodiscard]] bool writable() const { return writable_; }
@@ -131,12 +132,11 @@ class Collective {
 
   Collective() = default;
 
-  // Collector only: one stream per group member, whose chunks start at
-  // `starts` with capacities `caps`, through io_; `usage` holds their
-  // metablock-2 counts when reading.
-  void attach_members(std::span<const std::uint64_t> starts,
-                      std::span<const std::uint64_t> caps,
-                      const par::Comm::FlatGatherU64* usage);
+  // Collective over the group: every member's chunk start (data start plus
+  // `offset`), capacity and, reading, metablock-2 `chunk_bytes` reach the
+  // collector, which points one stream per member at them through io_.
+  void attach_members(std::uint64_t offset,
+                      std::span<const std::uint64_t> chunk_bytes);
 
   Status write_as_collector(fs::DataView own,
                             const std::vector<std::uint64_t>& sizes);

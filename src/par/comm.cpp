@@ -142,152 +142,30 @@ std::uint64_t Comm::bcast_u64(std::uint64_t value, int root) {
 }
 
 void Comm::bcast_u64_seq(std::span<std::uint64_t> values, int root) {
-  SION_CHECK(root >= 0 && root < size()) << "bcast root out of range";
-  if (values.empty()) return;
-  struct Slot {
-    std::span<std::uint64_t> values;
-  };
-  Slot slot{values};
-  const int nranks = size();
-  const std::size_t count = values.size();
-  const NetworkModel net = net_;
-  rendezvous(&slot, [root, nranks, count, net](std::vector<void*>& slots,
-                                               double tmax) {
-    auto& src = *static_cast<Slot*>(slots[static_cast<std::size_t>(root)]);
-    SION_CHECK(src.values.size() == count) << "bcast_u64_seq count mismatch";
-    for (int i = 0; i < nranks; ++i) {
-      if (i == root) continue;
-      auto& dst = *static_cast<Slot*>(slots[static_cast<std::size_t>(i)]);
-      SION_CHECK(dst.values.size() == count) << "bcast_u64_seq count mismatch";
-      std::copy(src.values.begin(), src.values.end(), dst.values.begin());
-    }
-    // Each value is charged as its own 8-byte broadcast, summed in call
-    // order — bit-identical to `count` back-to-back bcast_u64 calls.
-    double release = tmax;
-    for (std::size_t k = 0; k < count; ++k) {
-      release = release + net.bcast_cost(nranks, sizeof(std::uint64_t));
-    }
-    return release;
-  });
+  if (!values.empty()) steps({.bcast = values}, root);
 }
 
 std::vector<std::uint64_t> Comm::gather_u64(std::uint64_t value, int root) {
-  SION_CHECK(root >= 0 && root < size()) << "gather root out of range";
-  struct Slot {
-    std::uint64_t in;
-    std::vector<std::uint64_t>* out;
-  };
-  std::vector<std::uint64_t> result;
-  Slot slot{value, &result};
-  const int nranks = size();
-  const NetworkModel net = net_;
-  rendezvous(&slot, [root, nranks, net](std::vector<void*>& slots,
-                                        double tmax) {
-    auto& root_slot = *static_cast<Slot*>(slots[static_cast<std::size_t>(root)]);
-    root_slot.out->resize(static_cast<std::size_t>(nranks));
-    for (int i = 0; i < nranks; ++i) {
-      (*root_slot.out)[static_cast<std::size_t>(i)] =
-          static_cast<Slot*>(slots[static_cast<std::size_t>(i)])->in;
-    }
-    return tmax + net.rooted_cost(nranks,
-                                  8ULL * static_cast<std::uint64_t>(nranks));
-  });
-  return result;
+  const std::span<const std::uint64_t> in[] = {{&value, 1}};
+  FlatGatherU64 out;
+  steps({.gather_in = in, .gather_out = {&out, 1}}, root);
+  return std::move(out.data);
 }
 
 Comm::FlatGatherU64 Comm::gatherv_u64_flat(
     std::span<const std::uint64_t> values, int root) {
-  SION_CHECK(root >= 0 && root < size()) << "gatherv root out of range";
-  struct Slot {
-    std::span<const std::uint64_t> in;
-    FlatGatherU64* out;
-  };
-  FlatGatherU64 result;
-  Slot slot{values, &result};
-  const int nranks = size();
-  const NetworkModel net = net_;
-  rendezvous(&slot, [root, nranks, net](std::vector<void*>& slots,
-                                        double tmax) {
-    auto& root_slot = *static_cast<Slot*>(slots[static_cast<std::size_t>(root)]);
-    auto& out = *root_slot.out;
-    out.offsets.resize(static_cast<std::size_t>(nranks) + 1);
-    std::uint64_t total = 0;
-    std::uint64_t elems = 0;
-    for (int i = 0; i < nranks; ++i) {
-      auto& s = *static_cast<Slot*>(slots[static_cast<std::size_t>(i)]);
-      out.offsets[static_cast<std::size_t>(i)] = elems;
-      elems += s.in.size();
-      total += s.in.size() * 8;
-    }
-    out.offsets[static_cast<std::size_t>(nranks)] = elems;
-    out.data.resize(elems);
-    for (int i = 0; i < nranks; ++i) {
-      auto& s = *static_cast<Slot*>(slots[static_cast<std::size_t>(i)]);
-      std::copy(s.in.begin(), s.in.end(),
-                out.data.begin() +
-                    static_cast<std::ptrdiff_t>(
-                        out.offsets[static_cast<std::size_t>(i)]));
-    }
-    return tmax + net.rooted_cost(nranks, total);
-  });
-  return result;
+  const std::span<const std::uint64_t> in[] = {values};
+  FlatGatherU64 out;
+  steps({.gather_in = in, .gather_out = {&out, 1}}, root);
+  return out;
 }
 
 std::uint64_t Comm::scatter_u64(std::span<const std::uint64_t> values,
                                 int root) {
-  SION_CHECK(root >= 0 && root < size()) << "scatter root out of range";
-  struct Slot {
-    std::span<const std::uint64_t> in;  // root only
-    std::uint64_t out = 0;
-  };
-  Slot slot{values, 0};
-  const int nranks = size();
-  const NetworkModel net = net_;
-  rendezvous(&slot, [root, nranks, net](std::vector<void*>& slots,
-                                        double tmax) {
-    auto& root_slot = *static_cast<Slot*>(slots[static_cast<std::size_t>(root)]);
-    SION_CHECK(root_slot.in.size() == static_cast<std::size_t>(nranks))
-        << "scatter_u64 root must supply size() values";
-    for (int i = 0; i < nranks; ++i) {
-      static_cast<Slot*>(slots[static_cast<std::size_t>(i)])->out =
-          root_slot.in[static_cast<std::size_t>(i)];
-    }
-    return tmax + net.rooted_cost(nranks,
-                                  8ULL * static_cast<std::uint64_t>(nranks));
-  });
-  return slot.out;
-}
-
-std::pair<std::uint64_t, std::uint64_t> Comm::scatter2_u64(
-    std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-    int root) {
-  SION_CHECK(root >= 0 && root < size()) << "scatter root out of range";
-  struct Slot {
-    std::span<const std::uint64_t> a;  // root only
-    std::span<const std::uint64_t> b;  // root only
-    std::uint64_t out_a = 0;
-    std::uint64_t out_b = 0;
-  };
-  Slot slot{a, b, 0, 0};
-  const int nranks = size();
-  const NetworkModel net = net_;
-  rendezvous(&slot, [root, nranks, net](std::vector<void*>& slots,
-                                        double tmax) {
-    auto& root_slot = *static_cast<Slot*>(slots[static_cast<std::size_t>(root)]);
-    SION_CHECK(root_slot.a.size() == static_cast<std::size_t>(nranks) &&
-               root_slot.b.size() == static_cast<std::size_t>(nranks))
-        << "scatter2_u64 root must supply size() values per array";
-    for (int i = 0; i < nranks; ++i) {
-      auto& s = *static_cast<Slot*>(slots[static_cast<std::size_t>(i)]);
-      s.out_a = root_slot.a[static_cast<std::size_t>(i)];
-      s.out_b = root_slot.b[static_cast<std::size_t>(i)];
-    }
-    // Two scatters charged in sequence — bit-identical to two calls.
-    const double cost =
-        net.rooted_cost(nranks, 8ULL * static_cast<std::uint64_t>(nranks));
-    return (tmax + cost) + cost;
-  });
-  return {slot.out_a, slot.out_b};
+  const std::span<const std::uint64_t> in[] = {values};
+  std::uint64_t out = 0;
+  steps({.scatter_in = in, .scatter_out = {&out, 1}}, root);
+  return out;
 }
 
 std::vector<std::uint64_t> Comm::allgather_u64(std::uint64_t value) {
@@ -346,35 +224,167 @@ std::uint64_t Comm::allreduce_u64(std::uint64_t value, ReduceOp op) {
 std::vector<std::byte> Comm::scatterv_bytes_flat(
     std::span<const std::byte> data, std::span<const std::uint64_t> sizes,
     int root) {
-  SION_CHECK(root >= 0 && root < size()) << "scatterv root out of range";
-  struct Slot {
-    std::span<const std::byte> data;          // root only
-    std::span<const std::uint64_t> sizes;     // root only
-    std::vector<std::byte> out;
-  };
-  Slot slot{data, sizes, {}};
-  const int nranks = size();
-  const NetworkModel net = net_;
-  rendezvous(&slot, [root, nranks, net](std::vector<void*>& slots,
-                                        double tmax) {
-    auto& root_slot = *static_cast<Slot*>(slots[static_cast<std::size_t>(root)]);
-    SION_CHECK(root_slot.sizes.size() == static_cast<std::size_t>(nranks))
-        << "scatterv_bytes_flat root must supply size() sizes";
-    std::uint64_t total = 0;
-    std::uint64_t pos = 0;
-    for (int i = 0; i < nranks; ++i) {
-      const std::uint64_t n = root_slot.sizes[static_cast<std::size_t>(i)];
-      SION_CHECK(pos + n <= root_slot.data.size())
-          << "scatterv_bytes_flat sizes overrun the flat buffer";
-      const auto piece = root_slot.data.subspan(pos, n);
-      auto& s = *static_cast<Slot*>(slots[static_cast<std::size_t>(i)]);
-      s.out.assign(piece.begin(), piece.end());
-      pos += n;
-      total += n;
+  std::vector<std::byte> out;
+  steps({.scatterv_out = &out, .scatterv_data = data, .scatterv_sizes = sizes},
+        root);
+  return out;
+}
+
+namespace {
+
+// One member's side of a fused rendezvous.
+struct StepsSlot {
+  const Comm::Steps* steps = nullptr;
+  double arrival = 0.0;    // the member's clock on entry
+  int within_rank = 0;     // its rank in steps->within
+  std::uint64_t code = 0;  // its own status code
+  // Results: the status root's code, and (with `within`) any failure.
+  std::uint64_t shared = 0;
+  bool failed = false;
+};
+
+StepsSlot& steps_slot(void* raw) { return *static_cast<StepsSlot*>(raw); }
+
+bool same_shape(const Comm::Steps& a, const Comm::Steps& b) {
+  return (a.status == nullptr) == (b.status == nullptr) &&
+         (a.within == nullptr) == (b.within == nullptr) &&
+         a.bcast.size() == b.bcast.size() &&
+         a.scatter_out.size() == b.scatter_out.size() &&
+         (a.scatterv_out == nullptr) == (b.scatterv_out == nullptr) &&
+         a.gather_in.size() == b.gather_in.size() && a.barrier == b.barrier;
+}
+
+}  // namespace
+
+void Comm::steps(const Steps& s, int root, const char* what) {
+  SION_CHECK(root >= 0 && root < size()) << "steps root out of range";
+  StepsSlot slot;
+  slot.steps = &s;
+  slot.arrival = calling_task().now();
+  if (s.status != nullptr) {
+    slot.code = static_cast<std::uint64_t>(s.status->code());
+  }
+  if (s.within != nullptr) {
+    // The agreement stands in for one collective on the sub-comm, so its
+    // op counter moves as that collective's would.
+    Comm& w = *s.within;
+    slot.within_rank = w.rank();
+    SION_CHECK(root < w.size()) << "steps root out of range in sub-comm";
+    SION_CHECK(w.site_arrived_ == 0) << "sub-comm has a collective in flight";
+    ++w.next_op_[static_cast<std::size_t>(slot.within_rank)];
+  }
+  const int n = size();
+  rendezvous(&slot, [this, root, n](std::vector<void*>& slots, double tmax) {
+    const StepsSlot& rslot = steps_slot(slots[static_cast<std::size_t>(root)]);
+    const Steps& rs = *rslot.steps;
+    for (void* raw : slots) {
+      SION_CHECK(same_shape(*steps_slot(raw).steps, rs))
+          << "fused collective steps differ across members";
     }
-    return tmax + net.rooted_cost(nranks, total);
+    double t = tmax;
+
+    // 1. The status word.
+    if (rs.status != nullptr && rs.within == nullptr) {
+      t = t + net_.bcast_cost(n, sizeof(std::uint64_t));
+      for (void* raw : slots) steps_slot(raw).shared = rslot.code;
+      if (rslot.code != 0) return t;
+    } else if (rs.status != nullptr) {
+      // Group by sub-comm through each sub-comm's scratch: O(n), in rank
+      // order. Sub-comm f's broadcast releases it at its latest arrival
+      // plus its cost; the allreduce starts from the latest of those.
+      for (void* raw : slots) steps_slot(raw).steps->within->within_ = {};
+      for (void* raw : slots) {
+        const StepsSlot& m = steps_slot(raw);
+        WithinScratch& w = m.steps->within->within_;
+        if (w.seen++ == 0 || m.arrival > w.tmax) w.tmax = m.arrival;
+        if (m.within_rank == root) w.code = m.code;
+      }
+      double latest = 0.0;
+      bool failed = false;
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        StepsSlot& m = steps_slot(slots[i]);
+        const Comm& sub = *m.steps->within;
+        SION_CHECK(sub.within_.seen == sub.size())
+            << "steps `within` is not a sub-comm of this comm";
+        const double released =
+            sub.within_.tmax +
+            sub.net_.bcast_cost(sub.size(), sizeof(std::uint64_t));
+        if (i == 0 || released > latest) latest = released;
+        m.shared = sub.within_.code;
+        failed = failed || m.shared != 0 || m.code != 0;
+      }
+      for (void* raw : slots) steps_slot(raw).failed = failed;
+      t = latest + net_.sync_cost(n);
+      if (failed) return t;
+    }
+
+    // 2.-4. Broadcast words, u64 scatters and the byte scatterv: the
+    // costs in that order, then the root's inputs to every member.
+    const auto nvalues = static_cast<std::size_t>(n);
+    for (std::size_t k = 0; k < rs.bcast.size(); ++k) {
+      t = t + net_.bcast_cost(n, sizeof(std::uint64_t));
+    }
+    SION_CHECK(rs.scatter_in.size() == rs.scatter_out.size())
+        << "steps root must supply every scatter";
+    for (const auto& in : rs.scatter_in) {
+      SION_CHECK(in.size() == nvalues)
+          << "steps root must supply size() values per scatter";
+      t = t + net_.rooted_cost(n, 8ULL * nvalues);
+    }
+    SION_CHECK(rs.scatterv_out == nullptr ||
+               rs.scatterv_sizes.size() == nvalues)
+        << "scatterv root must supply size() sizes";
+    std::uint64_t pos = 0;
+    for (std::size_t i = 0; i < nvalues; ++i) {
+      const Steps& m = *steps_slot(slots[i]).steps;
+      if (&m != &rs) std::copy(rs.bcast.begin(), rs.bcast.end(), m.bcast.begin());
+      for (std::size_t k = 0; k < rs.scatter_in.size(); ++k) {
+        m.scatter_out[k] = rs.scatter_in[k][i];
+      }
+      if (rs.scatterv_out == nullptr) continue;
+      const std::uint64_t len = rs.scatterv_sizes[i];
+      SION_CHECK(pos + len <= rs.scatterv_data.size())
+          << "scatterv sizes overrun the flat buffer";
+      const auto piece = rs.scatterv_data.subspan(pos, len);
+      m.scatterv_out->assign(piece.begin(), piece.end());
+      pos += len;
+    }
+    if (rs.scatterv_out != nullptr) t = t + net_.rooted_cost(n, pos);
+
+    // 5. u64 gathers.
+    SION_CHECK(rs.gather_out.size() == rs.gather_in.size())
+        << "steps root must receive every gather";
+    for (std::size_t k = 0; k < rs.gather_in.size(); ++k) {
+      FlatGatherU64& out = rs.gather_out[k];
+      out = FlatGatherU64{{}, {0}};
+      for (void* raw : slots) {
+        const auto in = steps_slot(raw).steps->gather_in[k];
+        out.data.insert(out.data.end(), in.begin(), in.end());
+        out.offsets.push_back(out.data.size());
+      }
+      t = t + net_.rooted_cost(n, 8 * out.data.size());
+    }
+
+    // 6. The closing barrier.
+    if (rs.barrier) t = t + net_.sync_cost(n);
+    return t;
   });
-  return std::move(slot.out);
+
+  // The verdict: a shared failure is the status root's own status there and
+  // its code with `what` elsewhere; failing by another task's own status
+  // reads Internal(what); a task's own failure stays its own.
+  if (s.status == nullptr) return;
+  Status& mine = *s.status;
+  const bool failed = s.within != nullptr ? slot.failed : slot.shared != 0;
+  if (!failed) {
+    mine = Status::Ok();
+  } else if (slot.shared != 0) {
+    const bool is_root =
+        (s.within != nullptr ? slot.within_rank : rank()) == root;
+    if (!is_root) mine = Status(static_cast<ErrorCode>(slot.shared), what);
+  } else if (mine.ok()) {
+    mine = Internal(what);
+  }
 }
 
 Comm* Comm::split(int color, int key) {
@@ -568,11 +578,9 @@ std::vector<std::byte> Comm::rotate_bytes(std::span<const std::byte> data,
 
 Status share_status(Comm& comm, const Status& mine, int root,
                     const char* what) {
-  const std::uint64_t code =
-      comm.bcast_u64(static_cast<std::uint64_t>(mine.code()), root);
-  if (code == 0) return Status::Ok();
-  if (comm.rank() == root) return mine;
-  return Status(static_cast<ErrorCode>(code), what);
+  Status st = mine;
+  comm.steps({.status = &st}, root, what);
+  return st;
 }
 
 Status agree_status(Comm& comm, const Status& mine, const char* what) {
@@ -585,8 +593,9 @@ Status agree_status(Comm& comm, const Status& mine, const char* what) {
 
 Status share_status_global(Comm& lcom, Comm& gcom, const Status& mine,
                            int root, const char* what) {
-  const Status shared = share_status(lcom, mine, root, what);
-  return agree_status(gcom, shared.ok() ? mine : shared, what);
+  Status st = mine;
+  gcom.steps({.status = &st, .within = &lcom}, root, what);
+  return st;
 }
 
 }  // namespace sion::par

@@ -19,10 +19,30 @@
 //   * collectives rendezvous on ONE reusable per-comm site — a comm never
 //     has two collectives in flight, so there is no per-operation map or
 //     slot-vector allocation;
+//   * every rendezvous costs each waiting task two fiber switches, so
+//     back-to-back collectives fuse into one (`steps`, below);
 //   * the gather/scatter results are flat single buffers plus offsets
 //     (`FlatGatherU64`, `scatterv_bytes_flat`), never vector-of-vectors;
 //   * rank() resolves through the identity/sorted fast paths, not a hash
 //     table.
+//
+// Exact-cost fusion. Collectives that follow each other with no clock
+// advance in between run as ONE rendezvous (`steps`): its last arrival
+// charges every step's own cost in call order, starting from the latest
+// arrival, and releases everyone once. The unfused calls reach the same
+// double: each of them starts from the previous release, which every
+// member shares, and adds the same cost, so only the number of suspensions
+// changes, never a release time or a result. Two things end a fusion:
+//   * a clock advance between two calls (a file-system call, compute, a
+//     SimFile close). It may differ per task, so the next call starts from
+//     the latest advanced clock, not from the previous release;
+//   * a change of comm. One rendezvous releases its members together, at
+//     one time, while collectives on sub-comms release each sub-comm at
+//     its own, and a comm with other members cannot join the rendezvous at
+//     all. The one exception is the status agreement (`Steps::within`):
+//     its sub-comm broadcasts come first and only feed the maximum the
+//     allreduce starts from, so the fused rendezvous computes each
+//     sub-comm's release without releasing anyone at it.
 #pragma once
 
 #include <cstdint>
@@ -61,12 +81,7 @@ class Comm {
   void bcast_bytes(std::span<std::byte> buf, int root);
   std::uint64_t bcast_u64(std::uint64_t value, int root);
 
-  // `values.size()` CONSECUTIVE bcast_u64 operations fused into a single
-  // rendezvous: each value still charges its own broadcast on the virtual
-  // clock, in sequence, so the release time is bit-identical to the
-  // unfused call chain — but every task suspends once instead of once per
-  // value. Only valid where the unfused calls would run back to back with
-  // no clock advance in between (metadata geometry exchanges).
+  // `values.size()` consecutive bcast_u64 calls, fused (steps).
   void bcast_u64_seq(std::span<std::uint64_t> values, int root);
 
   // Returns the full vector on root, empty elsewhere.
@@ -92,12 +107,6 @@ class Comm {
   // Root supplies size() values; every task receives its own.
   std::uint64_t scatter_u64(std::span<const std::uint64_t> values, int root);
 
-  // Two consecutive scatter_u64 operations fused into one rendezvous; the
-  // same exact-cost-sequence contract as bcast_u64_seq.
-  std::pair<std::uint64_t, std::uint64_t> scatter2_u64(
-      std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-      int root);
-
   std::vector<std::uint64_t> allgather_u64(std::uint64_t value);
   std::uint64_t allreduce_u64(std::uint64_t value, ReduceOp op);
 
@@ -107,6 +116,41 @@ class Comm {
                                              std::span<const std::uint64_t>
                                                  sizes,
                                              int root);
+
+  // Back-to-back collectives on this comm in one rendezvous, under the
+  // exact-cost contract above. Every member passes the same shape; scatter
+  // inputs are read and gather outputs filled on the root alone. The steps
+  // run in this order, each charging what its own call charges:
+  struct Steps {
+    // 1. An optional status word, in: this task's status, out: the
+    //    verdict. Alone it is share_status: the root's code, broadcast; a
+    //    non-zero code ends the sequence, so nothing after it runs or is
+    //    charged and the root's inputs are not touched. With `within`, the
+    //    calling task's sub-comm of this comm, it is share_status_global
+    //    with `root` a rank of each sub-comm, and any failure ends the
+    //    sequence. Tasks failed by another's status report `what`.
+    Status* status = nullptr;
+    Comm* within = nullptr;
+    // 2. Broadcast words: the root's values reach every task's span, one
+    //    8-byte broadcast each (bcast_u64).
+    std::span<std::uint64_t> bcast{};
+    // 3. u64 scatters: the root's scatter_in[k] holds size() values and
+    //    every task receives its own in scatter_out[k] (scatter_u64).
+    std::span<const std::span<const std::uint64_t>> scatter_in{};
+    std::span<std::uint64_t> scatter_out{};
+    // 4. An optional byte scatterv into *scatterv_out
+    //    (scatterv_bytes_flat).
+    std::vector<std::byte>* scatterv_out = nullptr;
+    std::span<const std::byte> scatterv_data{};
+    std::span<const std::uint64_t> scatterv_sizes{};
+    // 5. u64 gathers: gather_in[k] of every task lands in the root's
+    //    gather_out[k] (gatherv_u64_flat; one value each is gather_u64).
+    std::span<const std::span<const std::uint64_t>> gather_in{};
+    std::span<FlatGatherU64> gather_out{};
+    // 6. A closing barrier.
+    bool barrier = false;
+  };
+  void steps(const Steps& s, int root, const char* what = "");
 
   // MPI_Comm_split. Tasks passing the same color land in the same child
   // communicator, ordered by (key, parent rank). color < 0 means "not in any
@@ -202,6 +246,15 @@ class Comm {
 
   std::vector<std::uint64_t> next_op_;  // per comm rank op counter
 
+  // Scratch of a parent comm's `Steps::within` agreement over this comm:
+  // the latest arrival, the arrivals seen and the root's status code.
+  struct WithinScratch {
+    double tmax = 0.0;
+    int seen = 0;
+    std::uint64_t code = 0;
+  };
+  WithinScratch within_;
+
   // The single reusable rendezvous site.
   std::uint64_t site_op_ = 0;
   int site_arrived_ = 0;
@@ -234,7 +287,9 @@ Status agree_status(Comm& comm, const Status& mine, const char* what);
 // across the whole multifile (`gcom`) on the shared status or, where that
 // is OK, on the task's own: a failure on one physical file's master or on
 // any single task must become an error on every task, not a deadlock of
-// the others at the next collective.
+// the others at the next collective. One rendezvous on `gcom`
+// (Comm::Steps::within), charged as the lcom bcast then the gcom
+// allreduce.
 Status share_status_global(Comm& lcom, Comm& gcom, const Status& mine,
                            int root, const char* what);
 

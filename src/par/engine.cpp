@@ -290,6 +290,7 @@ void Engine::yield_current() {
 }
 
 void Engine::block_current() {
+  ++suspensions_;
   TaskState& task = *current_;
   task.state_ = TaskState::Run::kBlocked;
   dispatch_next(task);
@@ -408,6 +409,7 @@ void Engine::run(int ntasks, const TaskFn& body) {
   runs_.reserve(64);
   current_ = nullptr;
   done_count_ = 0;
+  suspensions_ = 0;
   error_ = nullptr;
 
 #ifndef SION_FAST_FIBERS

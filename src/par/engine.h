@@ -178,6 +178,10 @@ class Engine {
 
   [[nodiscard]] const EngineConfig& config() const { return config_; }
 
+  // Suspensions (block_current calls) of the latest run(): one per task
+  // that waits in a collective rendezvous or a blocking receive.
+  [[nodiscard]] std::uint64_t suspensions() const { return suspensions_; }
+
   // --- runtime internals, used by TaskState/Comm -------------------------
 
   // Put the current task back in the ready queue at its (possibly advanced)
@@ -275,6 +279,7 @@ class Engine {
 #endif
   TaskState* current_ = nullptr;
   int done_count_ = 0;
+  std::uint64_t suspensions_ = 0;
   // Deterministic error capture: smallest (vtime, rank) throw wins.
   std::exception_ptr error_;
   double error_vt_ = 0.0;

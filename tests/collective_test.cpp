@@ -697,6 +697,60 @@ TEST(CollectivePinTest, FailedReadLeavesStreamsInStep) {
   });
 }
 
+// The rendezvous count of one Collective cycle, read as in
+// ParFileTest.OneCycleTakesSeventeenRendezvous: one physical file and one
+// group, so every collective spans all tasks and rank 0 resumes first
+// after each phase. The write and read phases also block in the ship
+// protocol's receives, so they are pinned as raw suspensions.
+//   open_write 10: the gcom split, the group split, the block-size
+//     agreement and broadcast, the request gather, the create agreement,
+//     the layout scatter, the open agreement, the members' gather to the
+//     collector, the barrier;
+//   close 3: the usage gather, the metablock-2 agreement, the barrier;
+//   open_read 8: the set's discovery and scatter, the two splits, the load
+//     agreement, the view scatter, the open agreement, the members' gather,
+//     the barrier;
+//   close 1: the barrier.
+TEST(CollectiveTest, OneCycleRendezvousArePinned) {
+  constexpr int kTasks = 8;
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  core::ParOpenSpec spec;
+  spec.filename = "cycle.sion";
+  spec.chunksize = 4 * kKiB;
+  const CollectiveConfig cfg;
+  std::vector<std::uint64_t> marks{0};
+  engine.run(kTasks, [&](par::Comm& world) {
+    const auto mark = [&] {
+      if (world.rank() == 0) marks.push_back(engine.suspensions());
+    };
+    auto out = Collective::open_write(fs, world, spec, cfg);
+    ASSERT_TRUE(out.ok()) << out.status().to_string();
+    mark();
+    ASSERT_TRUE(out.value()->write(fs::DataView::fill(std::byte{3}, 1000)).ok());
+    mark();
+    ASSERT_TRUE(out.value()->close().ok());
+    mark();
+    auto in = Collective::open_read(fs, world, "cycle.sion", cfg);
+    ASSERT_TRUE(in.ok()) << in.status().to_string();
+    mark();
+    std::vector<std::byte> back(1000);
+    ASSERT_TRUE(in.value()->read(back).ok());
+    mark();
+    ASSERT_TRUE(in.value()->close().ok());
+    mark();
+  });
+  ASSERT_EQ(marks.size(), 7u);
+  std::vector<std::uint64_t> phases;
+  for (std::size_t i = 1; i < marks.size(); ++i) {
+    phases.push_back(marks[i] - marks[i - 1]);
+  }
+  // Suspensions per phase: open_write, write, close, open_read, read, close.
+  constexpr std::uint64_t kWaits = kTasks - 1;
+  EXPECT_EQ(phases, (std::vector<std::uint64_t>{10 * kWaits, 27, 3 * kWaits,
+                                                8 * kWaits, 21, 1 * kWaits}));
+}
+
 TEST(CollectiveTest, SplitGroupsHelper) {
   par::Engine engine;
   engine.run(10, [&](par::Comm& world) {

@@ -587,6 +587,55 @@ TEST(ParFileTest, ChunkTooSmallForFrameOnTheMasterFailsEveryTask) {
   });
 }
 
+// Every task but a rendezvous' last arrival suspends in it, so with one
+// physical file, where every collective spans all tasks, a phase costs
+// (ntasks - 1) suspensions per rendezvous. Each collective ends with every
+// task at one clock and rank 0 resumes first, so rank 0 reads the count
+// of every phase before it. One open_write/write/close/open_read/read/
+// close cycle takes 17 rendezvous (30 with the collectives unfused):
+//   open_write 8: the gcom split, the block-size agreement and broadcast,
+//     the request gather, the create agreement, the layout scatter, the
+//     open agreement and the first-frame allreduce;
+//   close 3: the usage gather, the metablock-2 agreement, the barrier;
+//   open_read 5: the set's discovery and scatter, the split, the load
+//     agreement, the view scatter, the open agreement with the barrier;
+//   close 1: the barrier.
+TEST(ParFileTest, OneCycleTakesSeventeenRendezvous) {
+  constexpr int kTasks = 8;
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  std::vector<std::uint64_t> marks{0};
+  engine.run(kTasks, [&](par::Comm& world) {
+    const auto mark = [&] {
+      if (world.rank() == 0) marks.push_back(engine.suspensions());
+    };
+    ParOpenSpec spec;
+    spec.filename = "cycle.sion";
+    spec.chunksize = 4096;
+    auto out = SionParFile::open_write(fs, world, spec);
+    ASSERT_TRUE(out.ok()) << out.status().to_string();
+    mark();
+    ASSERT_TRUE(out.value()->write(DataView::fill(std::byte{3}, 1000)).ok());
+    ASSERT_TRUE(out.value()->close().ok());
+    mark();
+    auto in = SionParFile::open_read(fs, world, "cycle.sion");
+    ASSERT_TRUE(in.ok()) << in.status().to_string();
+    mark();
+    std::vector<std::byte> back(1000);
+    ASSERT_TRUE(in.value()->read(back).ok());
+    ASSERT_TRUE(in.value()->close().ok());
+    mark();
+  });
+  ASSERT_EQ(marks.size(), 5u);
+  std::vector<std::uint64_t> rendezvous;
+  for (std::size_t i = 1; i < marks.size(); ++i) {
+    EXPECT_EQ((marks[i] - marks[i - 1]) % (kTasks - 1), 0u);
+    rendezvous.push_back((marks[i] - marks[i - 1]) / (kTasks - 1));
+  }
+  EXPECT_EQ(rendezvous, (std::vector<std::uint64_t>{8, 3, 5, 1}));
+  EXPECT_EQ(engine.suspensions(), 17u * (kTasks - 1));
+}
+
 TEST(ParFileTest, CustomMappingRoundtrip) {
   fs::SimFs fs(fs::TestbedConfig());
   par::Engine engine;

@@ -1,5 +1,6 @@
 // FileSystem wrappers shared by the test suites: RecordingFs logs what
-// reaches the file system, FailOpenFs fails the opens of one chosen task.
+// reaches the file system, FailOpenFs fails the opens of one chosen task,
+// FailNthFs fails one chosen call of one chosen task.
 #pragma once
 
 #include <cstdint>
@@ -172,6 +173,116 @@ class FailOpenFs final : public fs::FileSystem {
   fs::FileSystem& inner_;
   int rank_;
   std::string needle_;
+};
+
+// Forwards everything to `inner`, except that the k-th (from 1) fallible
+// call that task `rank` makes fails with kIoError. Fallible calls are the
+// ones that return a status: every FileSystem call but exists(), and every
+// call on a file opened through this wrapper. Calls made outside an engine
+// run are not counted.
+class FailNthFs final : public fs::FileSystem {
+ public:
+  FailNthFs(fs::FileSystem& inner, int rank, int k)
+      : inner_(inner), rank_(rank), k_(k) {}
+
+  // Whether the k-th call happened (and failed).
+  [[nodiscard]] bool fired() const { return calls_ >= k_; }
+
+  Result<std::unique_ptr<fs::File>> create(const std::string& p) override {
+    if (fails()) return injected("create", p);
+    return wrapped(inner_.create(p), p);
+  }
+  Result<std::unique_ptr<fs::File>> open_read(const std::string& p) override {
+    if (fails()) return injected("open_read", p);
+    return wrapped(inner_.open_read(p), p);
+  }
+  Result<std::unique_ptr<fs::File>> open_rw(const std::string& p) override {
+    if (fails()) return injected("open_rw", p);
+    return wrapped(inner_.open_rw(p), p);
+  }
+  Status mkdir(const std::string& p) override {
+    if (fails()) return injected("mkdir", p);
+    return inner_.mkdir(p);
+  }
+  Status remove(const std::string& p) override {
+    if (fails()) return injected("remove", p);
+    return inner_.remove(p);
+  }
+  Result<std::vector<std::string>> list_dir(const std::string& p) override {
+    if (fails()) return injected("list_dir", p);
+    return inner_.list_dir(p);
+  }
+  Result<fs::FileStat> stat_path(const std::string& p) override {
+    if (fails()) return injected("stat_path", p);
+    return inner_.stat_path(p);
+  }
+  bool exists(const std::string& p) override { return inner_.exists(p); }
+  Result<std::uint64_t> block_size(const std::string& p) override {
+    if (fails()) return injected("block_size", p);
+    return inner_.block_size(p);
+  }
+
+ private:
+  class FailNthFile final : public fs::File {
+   public:
+    FailNthFile(FailNthFs& owner, std::unique_ptr<fs::File> inner,
+                std::string path)
+        : owner_(owner), inner_(std::move(inner)), path_(std::move(path)) {}
+
+    Result<std::uint64_t> pwrite(fs::DataView data,
+                                 std::uint64_t offset) override {
+      if (owner_.fails()) return injected("pwrite", path_);
+      return inner_->pwrite(data, offset);
+    }
+    Result<std::uint64_t> pread(std::span<std::byte> out,
+                                std::uint64_t offset) override {
+      if (owner_.fails()) return injected("pread", path_);
+      return inner_->pread(out, offset);
+    }
+    Status pread_discard(std::uint64_t len, std::uint64_t offset) override {
+      if (owner_.fails()) return injected("pread_discard", path_);
+      return inner_->pread_discard(len, offset);
+    }
+    Result<fs::FileStat> stat() override {
+      if (owner_.fails()) return injected("stat", path_);
+      return inner_->stat();
+    }
+    Status truncate(std::uint64_t size) override {
+      if (owner_.fails()) return injected("truncate", path_);
+      return inner_->truncate(size);
+    }
+    Status sync() override {
+      if (owner_.fails()) return injected("sync", path_);
+      return inner_->sync();
+    }
+
+   private:
+    FailNthFs& owner_;
+    std::unique_ptr<fs::File> inner_;
+    std::string path_;
+  };
+
+  static Status injected(const char* call, const std::string& path) {
+    return IoError(strformat("injected %s failure on %s", call, path.c_str()));
+  }
+
+  [[nodiscard]] bool fails() {
+    const par::TaskState* task = par::this_task();
+    if (task == nullptr || task->rank() != rank_) return false;
+    return ++calls_ == k_;
+  }
+
+  Result<std::unique_ptr<fs::File>> wrapped(
+      Result<std::unique_ptr<fs::File>> file, const std::string& path) {
+    SION_ASSIGN_OR_RETURN(auto inner, std::move(file));
+    return std::unique_ptr<fs::File>(
+        std::make_unique<FailNthFile>(*this, std::move(inner), path));
+  }
+
+  fs::FileSystem& inner_;
+  int rank_;
+  int k_;
+  int calls_ = 0;
 };
 
 }  // namespace sion::testfs

@@ -10,8 +10,9 @@
 // see is kCorrupt. A forged file count may name a physical file that does
 // not exist (kNotFound), a zeroed trailer reads as a file that was never
 // closed (kFailedPrecondition), and the parallel opener reports a forged
-// task count as the wrong number of openers (kInvalidArgument); its tasks
-// that only learn of another's failure report kInternal. No mutation may
+// task count as the wrong number of openers (kInvalidArgument), but a
+// forged or repeated global rank as kCorrupt; its tasks that only learn of
+// another's failure report kInternal. No mutation may
 // crash, allocate by a forged count or hang; the asan and ubsan presets
 // run this suite too.
 #include <gtest/gtest.h>
@@ -205,10 +206,12 @@ class MetadataFuzzTest : public ::testing::Test {
 
   // Stores `bytes` as physical file 0, opens the multifile with the serial
   // and the parallel opener and reads every logical file through whatever
-  // opened. Returns the serial open's status; every failure must be one of
-  // the contract's codes and every read must stay inside its file.
+  // opened. Returns the serial open's status, and each task's parallel open
+  // code in `parallel` if given; every failure must be one of the
+  // contract's codes and every read must stay inside its file.
   Status open_and_read_all(std::span<const std::byte> bytes,
-                           const std::string& what) {
+                           const std::string& what,
+                           std::vector<ErrorCode>* parallel = nullptr) {
     store(bytes);
     BoundsFs bounded(fs_);
     Status serial_status;
@@ -229,8 +232,13 @@ class MetadataFuzzTest : public ::testing::Test {
       }
     }
     par::Engine engine;
+    if (parallel != nullptr) parallel->assign(kTasks, ErrorCode::kOk);
     engine.run(kTasks, [&](par::Comm& world) {
       auto par = SionParFile::open_read(bounded, world, kName);
+      if (parallel != nullptr) {
+        (*parallel)[static_cast<std::size_t>(world.rank())] =
+            par.status().code();
+      }
       if (!par.ok()) {
         if (par.status().code() != ErrorCode::kInternal) {
           expect_contract_code(par.status(), what + " (parallel open)");
@@ -332,6 +340,8 @@ TEST_F(MetadataFuzzTest, ForgedMetablock1FieldsStayInBounds) {
     const char* what;
     ErrorCode want;
     std::function<void(FileHeader&)> edit;
+    // Whether every task's parallel open must report `want` too.
+    bool parallel_too = false;
   };
   const Case cases[] = {
       {"ntasks = 0", kCorrupt, [](FileHeader& h) { h.ntasks = 0; }},
@@ -378,13 +388,13 @@ TEST_F(MetadataFuzzTest, ForgedMetablock1FieldsStayInBounds) {
       {"meta2_offset = 2^64 - 1", kCorrupt,
        [](FileHeader& h) { h.meta2_offset = kMax; }},
       {"global rank = ntasks of the set", kCorrupt,
-       [](FileHeader& h) { h.global_ranks[1] = kTasks; }},
+       [](FileHeader& h) { h.global_ranks[1] = kTasks; }, true},
       {"global rank = 2^63", kCorrupt,
-       [](FileHeader& h) { h.global_ranks[0] = kHalf; }},
+       [](FileHeader& h) { h.global_ranks[0] = kHalf; }, true},
       {"global rank = 2^64 - 1", kCorrupt,
-       [](FileHeader& h) { h.global_ranks[1] = kMax; }},
+       [](FileHeader& h) { h.global_ranks[1] = kMax; }, true},
       {"duplicate global rank", kCorrupt,
-       [](FileHeader& h) { h.global_ranks[1] = h.global_ranks[0]; }},
+       [](FileHeader& h) { h.global_ranks[1] = h.global_ranks[0]; }, true},
       {"chunk size = 0", kCorrupt,
        [](FileHeader& h) { h.chunksizes_req[0] = 0; }},
       {"chunk size = 2^63 - 1", kCorrupt,
@@ -406,8 +416,13 @@ TEST_F(MetadataFuzzTest, ForgedMetablock1FieldsStayInBounds) {
   for (const Case& c : cases) {
     FileHeader h = header_;
     c.edit(h);
-    const Status st = open_and_read_all(with_header(h), c.what);
+    std::vector<ErrorCode> parallel;
+    const Status st = open_and_read_all(with_header(h), c.what, &parallel);
     EXPECT_EQ(st.code(), c.want) << c.what << ": " << st.to_string();
+    if (c.parallel_too) {
+      EXPECT_EQ(parallel, std::vector<ErrorCode>(kTasks, c.want))
+          << c.what << " (parallel open)";
+    }
   }
 }
 

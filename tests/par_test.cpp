@@ -9,11 +9,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "par/comm.h"
 #include "par/engine.h"
 
@@ -640,6 +642,202 @@ TEST(CollectiveStressTest, RepeatedMixedCollectives) {
       EXPECT_EQ(v, static_cast<std::uint64_t>(iter));
     }
   });
+}
+
+// ---------------------------------------------------------------------------
+// Exact-cost fusion: each fused call against the calls it stands for, one
+// engine run each. Every task's results and clocks must match bit for bit.
+// ---------------------------------------------------------------------------
+
+constexpr int kFuseTasks = 12;
+constexpr char kFuseWhat[] = "fused test agreement";
+
+// Sub-comms of 1, 3 and 8 members, interleaved over the world.
+int fuse_color(int rank) {
+  if (rank == 5) return 0;
+  return rank % 4 == 0 ? 1 : 2;
+}
+
+// Runs `body(world, sub, record)` on every task after a rank-skewed
+// compute, and returns each task's record followed by its final clock and
+// then the makespan, doubles in hexfloat.
+std::vector<std::string> fuse_run(
+    const std::function<void(Comm&, Comm&, std::string&)>& body) {
+  Engine engine;
+  std::vector<std::string> out(kFuseTasks + 1);
+  engine.run(kFuseTasks, [&](Comm& world) {
+    const int r = world.rank();
+    Comm* sub = world.split(fuse_color(r), r);
+    this_task()->compute(1e-5 * ((r * 7) % 5));
+    std::string& rec = out[static_cast<std::size_t>(r)];
+    body(world, *sub, rec);
+    rec += strformat(" t=%a", this_task()->now());
+  });
+  out.back() = strformat("epoch=%a", engine.epoch());
+  return out;
+}
+
+void record(std::string& rec, const Status& st) { rec += " " + st.to_string(); }
+
+void record(std::string& rec, std::span<const std::uint64_t> values) {
+  rec += " [";
+  for (const std::uint64_t v : values) {
+    rec += strformat(" %llu", static_cast<unsigned long long>(v));
+  }
+  rec += " ]";
+}
+
+// share_status_global written out as its two collectives.
+Status agreement_unfused(Comm& lcom, Comm& gcom, const Status& mine) {
+  const std::uint64_t code =
+      lcom.bcast_u64(static_cast<std::uint64_t>(mine.code()), 0);
+  Status x = mine;
+  if (code != 0 && lcom.rank() != 0) {
+    x = Status(static_cast<ErrorCode>(code), kFuseWhat);
+  }
+  if (gcom.allreduce_u64(x.ok() ? 0 : 1, ReduceOp::kMax) == 0) {
+    return Status::Ok();
+  }
+  return x.ok() ? Internal(kFuseWhat) : x;
+}
+
+// No failure, a failure on the root of the 3-member sub-comm, on a
+// non-root of the 8-member one, and on the 1-member one's only task.
+const std::vector<int> kFailingRanks[] = {{}, {0}, {9}, {5}, {4, 10}};
+
+Status own_status(int rank, const std::vector<int>& failing) {
+  for (const int f : failing) {
+    if (f == rank) return IoError(strformat("injected on rank %d", rank));
+  }
+  return Status::Ok();
+}
+
+TEST(FusionTest, AgreementMatchesBcastThenAllreduce) {
+  for (const auto& failing : kFailingRanks) {
+    const auto mine = [&](Comm& world) {
+      return own_status(world.rank(), failing);
+    };
+    const auto fused = fuse_run([&](Comm& world, Comm& sub, std::string& rec) {
+      record(rec, share_status_global(sub, world, mine(world), 0, kFuseWhat));
+    });
+    const auto unfused =
+        fuse_run([&](Comm& world, Comm& sub, std::string& rec) {
+          record(rec, agreement_unfused(sub, world, mine(world)));
+        });
+    EXPECT_EQ(fused, unfused) << "failing ranks " << failing.size();
+  }
+}
+
+TEST(FusionTest, AgreementWithBarrierMatchesTheTwoCalls) {
+  for (const auto& failing : kFailingRanks) {
+    const auto fused = fuse_run([&](Comm& world, Comm& sub, std::string& rec) {
+      Status st = own_status(world.rank(), failing);
+      world.steps({.status = &st, .within = &sub, .barrier = true}, 0,
+                  kFuseWhat);
+      record(rec, st);
+    });
+    const auto unfused =
+        fuse_run([&](Comm& world, Comm& sub, std::string& rec) {
+          const Status st =
+              agreement_unfused(sub, world, own_status(world.rank(), failing));
+          if (st.ok()) world.barrier();
+          record(rec, st);
+        });
+    EXPECT_EQ(fused, unfused) << "failing ranks " << failing.size();
+  }
+}
+
+// Every step kind on `comm`, fused or as separate calls. The root's inputs
+// are left empty when its status fails, so touching them would abort.
+void all_steps(Comm& comm, bool fused, bool root_fails, std::string& rec) {
+  const int n = comm.size();
+  const int me = comm.rank();
+  const bool root = me == 0;
+  Status st = root && root_fails ? IoError("root failed") : Status::Ok();
+  const bool feed = root && !root_fails;
+  std::uint64_t words[3] = {0, 0, 0};
+  std::vector<std::uint64_t> in_a;
+  std::vector<std::uint64_t> in_b;
+  std::vector<std::byte> flat;
+  std::vector<std::uint64_t> sizes;
+  if (feed) {
+    for (int i = 0; i < n; ++i) {
+      in_a.push_back(100 + static_cast<std::uint64_t>(i));
+      in_b.push_back(200 + static_cast<std::uint64_t>(i * i));
+      sizes.push_back(static_cast<std::uint64_t>(i % 3));
+      flat.insert(flat.end(), static_cast<std::size_t>(i % 3),
+                  static_cast<std::byte>(i));
+    }
+    words[0] = 7;
+    words[1] = 11;
+    words[2] = 13;
+  }
+  const std::uint64_t one = 1000 + static_cast<std::uint64_t>(me);
+  const std::vector<std::uint64_t> var(static_cast<std::size_t>(me % 3),
+                                       static_cast<std::uint64_t>(me));
+  std::uint64_t got[2] = {0, 0};
+  std::vector<std::byte> piece;
+  Comm::FlatGatherU64 gathered[2];
+  if (fused) {
+    const std::span<const std::uint64_t> scatters[] = {in_a, in_b};
+    const std::span<const std::uint64_t> gathers[] = {{&one, 1}, var};
+    comm.steps({.status = &st, .bcast = words, .scatter_in = scatters,
+                .scatter_out = got, .scatterv_out = &piece,
+                .scatterv_data = flat, .scatterv_sizes = sizes,
+                .gather_in = gathers, .gather_out = gathered,
+                .barrier = true},
+               0, kFuseWhat);
+  } else {
+    const std::uint64_t code =
+        comm.bcast_u64(static_cast<std::uint64_t>(st.code()), 0);
+    if (code != 0 && !root) st = Status(static_cast<ErrorCode>(code), kFuseWhat);
+    if (code == 0) {
+      for (std::uint64_t& w : words) w = comm.bcast_u64(w, 0);
+      got[0] = comm.scatter_u64(in_a, 0);
+      got[1] = comm.scatter_u64(in_b, 0);
+      piece = comm.scatterv_bytes_flat(flat, sizes, 0);
+      gathered[0].data = comm.gather_u64(one, 0);
+      gathered[1] = comm.gatherv_u64_flat(var, 0);
+      comm.barrier();
+    }
+  }
+  record(rec, st);
+  record(rec, words);
+  record(rec, got);
+  rec += strformat(" piece=%zu", piece.size());
+  for (const std::byte b : piece) rec += strformat(":%d", static_cast<int>(b));
+  record(rec, gathered[0].data);
+  record(rec, gathered[1].data);
+  record(rec, gathered[1].offsets);
+}
+
+TEST(FusionTest, StepsMatchTheSeparateCalls) {
+  for (const bool root_fails : {false, true}) {
+    const auto run = [&](bool fused) {
+      return fuse_run([&](Comm& world, Comm& sub, std::string& rec) {
+        all_steps(sub, fused, root_fails, rec);
+        all_steps(world, fused, root_fails, rec);
+      });
+    };
+    EXPECT_EQ(run(true), run(false)) << "root fails: " << root_fails;
+  }
+}
+
+// A failed status word charges the word's broadcast alone.
+TEST(FusionTest, FailedStatusWordChargesOnlyItself) {
+  double fused_release = 0.0;
+  Engine engine;
+  engine.run(4, [&](Comm& world) {
+    Status st = world.rank() == 0 ? IoError("root failed") : Status::Ok();
+    std::uint64_t word = 0;
+    std::uint64_t got = 0;
+    world.steps({.status = &st, .bcast = {&word, 1},
+                 .scatter_out = {&got, 1}, .barrier = true},
+                0, kFuseWhat);
+    EXPECT_EQ(st.code(), ErrorCode::kIoError);
+    fused_release = this_task()->now();
+  });
+  EXPECT_EQ(fused_release, NetworkModel{}.bcast_cost(4, 8));
 }
 
 class TaskCountParamTest : public ::testing::TestWithParam<int> {};
