@@ -4,6 +4,7 @@
 #include <array>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "common/codec.h"
 #include "common/strings.h"
@@ -386,8 +387,12 @@ Result<MultifileMap> discover_multifile(fs::FileSystem& fs,
                                         int ntasks) {
   SION_ASSIGN_OR_RETURN(const FirstFile first, open_first_file(fs, name));
   const int nfiles = static_cast<int>(first.header.nfiles);
-  std::vector<std::vector<std::uint64_t>> granks;
+  constexpr std::uint64_t kUnclaimed = ~std::uint64_t{0};
+  MultifileMap map;
+  map.nfiles = static_cast<std::uint64_t>(nfiles);
+  map.file_of_rank.assign(static_cast<std::size_t>(ntasks), kUnclaimed);
   std::uint64_t total_tasks = 0;
+  std::optional<std::uint64_t> bad_rank;  // the first out of range or repeated
   for (int f = 0; f < nfiles; ++f) {
     FileHeader h = first.header;
     if (f != 0) {
@@ -396,30 +401,28 @@ Result<MultifileMap> discover_multifile(fs::FileSystem& fs,
       SION_ASSIGN_OR_RETURN(h, read_header(*file));
     }
     total_tasks += h.ntasks;
-    granks.push_back(std::move(h.global_ranks));
+    for (const std::uint64_t r : h.global_ranks) {
+      if (r < static_cast<std::uint64_t>(ntasks) &&
+          map.file_of_rank[r] == kUnclaimed) {
+        map.file_of_rank[r] = static_cast<std::uint64_t>(f);
+      } else if (!bad_rank) {
+        bad_rank = r;
+      }
+    }
   }
-  // A set of another size is the caller's mismatch; a rank outside the set,
-  // or one that two headers claim, is damage.
+  // A set of another size is the caller's mismatch; in a set of the right
+  // size, a rank outside it or one that two headers claim is damage.
   if (total_tasks != static_cast<std::uint64_t>(ntasks)) {
     return InvalidArgument(strformat(
         "multifile holds %llu logical files but %d tasks opened it",
         static_cast<unsigned long long>(total_tasks), ntasks));
   }
-  constexpr std::uint64_t kUnclaimed = ~std::uint64_t{0};
-  MultifileMap map;
-  map.nfiles = static_cast<std::uint64_t>(nfiles);
-  map.file_of_rank.assign(static_cast<std::size_t>(ntasks), kUnclaimed);
-  for (std::size_t f = 0; f < granks.size(); ++f) {
-    for (const std::uint64_t r : granks[f]) {
-      if (r >= total_tasks || map.file_of_rank[r] != kUnclaimed) {
-        return Corrupt(strformat(
-            "rank %llu is out of range or claimed twice: the multifile set "
-            "holds %llu logical files",
-            static_cast<unsigned long long>(r),
-            static_cast<unsigned long long>(total_tasks)));
-      }
-      map.file_of_rank[r] = f;
-    }
+  if (bad_rank) {
+    return Corrupt(strformat(
+        "rank %llu is out of range or claimed twice: the multifile set "
+        "holds %llu logical files",
+        static_cast<unsigned long long>(*bad_rank),
+        static_cast<unsigned long long>(total_tasks)));
   }
   return map;
 }

@@ -160,14 +160,6 @@ Comm::FlatGatherU64 Comm::gatherv_u64_flat(
   return out;
 }
 
-std::uint64_t Comm::scatter_u64(std::span<const std::uint64_t> values,
-                                int root) {
-  const std::span<const std::uint64_t> in[] = {values};
-  std::uint64_t out = 0;
-  steps({.scatter_in = in, .scatter_out = {&out, 1}}, root);
-  return out;
-}
-
 std::vector<std::uint64_t> Comm::allgather_u64(std::uint64_t value) {
   struct Slot {
     std::uint64_t in;
@@ -221,15 +213,6 @@ std::uint64_t Comm::allreduce_u64(std::uint64_t value, ReduceOp op) {
   return slot.out;
 }
 
-std::vector<std::byte> Comm::scatterv_bytes_flat(
-    std::span<const std::byte> data, std::span<const std::uint64_t> sizes,
-    int root) {
-  std::vector<std::byte> out;
-  steps({.scatterv_out = &out, .scatterv_data = data, .scatterv_sizes = sizes},
-        root);
-  return out;
-}
-
 namespace {
 
 // One member's side of a fused rendezvous.
@@ -238,12 +221,11 @@ struct StepsSlot {
   double arrival = 0.0;    // the member's clock on entry
   int within_rank = 0;     // its rank in steps->within
   std::uint64_t code = 0;  // its own status code
-  // Results: the status root's code, and (with `within`) any failure.
-  std::uint64_t shared = 0;
-  bool failed = false;
 };
 
-StepsSlot& steps_slot(void* raw) { return *static_cast<StepsSlot*>(raw); }
+const StepsSlot& steps_slot(void* raw) {
+  return *static_cast<const StepsSlot*>(raw);
+}
 
 bool same_shape(const Comm::Steps& a, const Comm::Steps& b) {
   return (a.status == nullptr) == (b.status == nullptr) &&
@@ -273,95 +255,107 @@ void Comm::steps(const Steps& s, int root, const char* what) {
     SION_CHECK(w.site_arrived_ == 0) << "sub-comm has a collective in flight";
     ++w.next_op_[static_cast<std::size_t>(slot.within_rank)];
   }
+  // The finalize walks the members' slots, which sit on cold fiber stacks,
+  // at most once; the status verdict goes to this comm's fields (and each
+  // sub-comm's scratch) instead, where every member reads it on release.
   const int n = size();
   rendezvous(&slot, [this, root, n](std::vector<void*>& slots, double tmax) {
     const StepsSlot& rslot = steps_slot(slots[static_cast<std::size_t>(root)]);
     const Steps& rs = *rslot.steps;
-    for (void* raw : slots) {
-      SION_CHECK(same_shape(*steps_slot(raw).steps, rs))
-          << "fused collective steps differ across members";
-    }
     double t = tmax;
+    bool walked = false;  // every member's shape checked
 
     // 1. The status word.
+    verdict_code_ = rslot.code;
+    verdict_failed_ = rslot.code != 0;
     if (rs.status != nullptr && rs.within == nullptr) {
       t = t + net_.bcast_cost(n, sizeof(std::uint64_t));
-      for (void* raw : slots) steps_slot(raw).shared = rslot.code;
-      if (rslot.code != 0) return t;
     } else if (rs.status != nullptr) {
       // Group by sub-comm through each sub-comm's scratch: O(n), in rank
       // order. Sub-comm f's broadcast releases it at its latest arrival
       // plus its cost; the allreduce starts from the latest of those.
-      for (void* raw : slots) steps_slot(raw).steps->within->within_ = {};
       for (void* raw : slots) {
         const StepsSlot& m = steps_slot(raw);
-        WithinScratch& w = m.steps->within->within_;
-        if (w.seen++ == 0 || m.arrival > w.tmax) w.tmax = m.arrival;
+        SION_CHECK(same_shape(*m.steps, rs))
+            << "fused collective steps differ across members";
+        Comm& sub = *m.steps->within;
+        WithinScratch& w = sub.within_;
+        if (w.seen++ == 0) {
+          w.tmax = m.arrival;
+          within_subs_.push_back(&sub);
+        } else if (m.arrival > w.tmax) {
+          w.tmax = m.arrival;
+        }
         if (m.within_rank == root) w.code = m.code;
+        verdict_failed_ = verdict_failed_ || m.code != 0;
       }
+      walked = true;
       double latest = 0.0;
-      bool failed = false;
-      for (std::size_t i = 0; i < slots.size(); ++i) {
-        StepsSlot& m = steps_slot(slots[i]);
-        const Comm& sub = *m.steps->within;
-        SION_CHECK(sub.within_.seen == sub.size())
+      for (std::size_t f = 0; f < within_subs_.size(); ++f) {
+        WithinScratch& w = within_subs_[f]->within_;
+        SION_CHECK(w.seen == within_subs_[f]->size())
             << "steps `within` is not a sub-comm of this comm";
+        w.seen = 0;
         const double released =
-            sub.within_.tmax +
-            sub.net_.bcast_cost(sub.size(), sizeof(std::uint64_t));
-        if (i == 0 || released > latest) latest = released;
-        m.shared = sub.within_.code;
-        failed = failed || m.shared != 0 || m.code != 0;
+            w.tmax + within_subs_[f]->net_.bcast_cost(
+                         within_subs_[f]->size(), sizeof(std::uint64_t));
+        if (f == 0 || released > latest) latest = released;
       }
-      for (void* raw : slots) steps_slot(raw).failed = failed;
+      within_subs_.clear();
       t = latest + net_.sync_cost(n);
-      if (failed) return t;
     }
+    if (verdict_failed_) return t;
 
-    // 2.-4. Broadcast words, u64 scatters and the byte scatterv: the
-    // costs in that order, then the root's inputs to every member.
+    // 2.-5. Broadcast words, u64 scatters, the byte scatterv and u64
+    // gathers: one walk moves the root's inputs out and the members'
+    // gather inputs in, then the costs follow in step order.
     const auto nvalues = static_cast<std::size_t>(n);
-    for (std::size_t k = 0; k < rs.bcast.size(); ++k) {
-      t = t + net_.bcast_cost(n, sizeof(std::uint64_t));
-    }
+    const bool moves = !rs.bcast.empty() || !rs.scatter_out.empty() ||
+                       rs.scatterv_out != nullptr || !rs.gather_in.empty();
     SION_CHECK(rs.scatter_in.size() == rs.scatter_out.size())
         << "steps root must supply every scatter";
     for (const auto& in : rs.scatter_in) {
       SION_CHECK(in.size() == nvalues)
           << "steps root must supply size() values per scatter";
-      t = t + net_.rooted_cost(n, 8ULL * nvalues);
     }
     SION_CHECK(rs.scatterv_out == nullptr ||
                rs.scatterv_sizes.size() == nvalues)
         << "scatterv root must supply size() sizes";
+    SION_CHECK(rs.gather_out.size() == rs.gather_in.size())
+        << "steps root must receive every gather";
+    for (FlatGatherU64& out : rs.gather_out) out = FlatGatherU64{{}, {0}};
     std::uint64_t pos = 0;
-    for (std::size_t i = 0; i < nvalues; ++i) {
+    for (std::size_t i = 0; i < nvalues && (moves || !walked); ++i) {
       const Steps& m = *steps_slot(slots[i]).steps;
+      SION_CHECK(walked || same_shape(m, rs))
+          << "fused collective steps differ across members";
       if (&m != &rs) std::copy(rs.bcast.begin(), rs.bcast.end(), m.bcast.begin());
       for (std::size_t k = 0; k < rs.scatter_in.size(); ++k) {
         m.scatter_out[k] = rs.scatter_in[k][i];
       }
-      if (rs.scatterv_out == nullptr) continue;
-      const std::uint64_t len = rs.scatterv_sizes[i];
-      SION_CHECK(pos + len <= rs.scatterv_data.size())
-          << "scatterv sizes overrun the flat buffer";
-      const auto piece = rs.scatterv_data.subspan(pos, len);
-      m.scatterv_out->assign(piece.begin(), piece.end());
-      pos += len;
-    }
-    if (rs.scatterv_out != nullptr) t = t + net_.rooted_cost(n, pos);
-
-    // 5. u64 gathers.
-    SION_CHECK(rs.gather_out.size() == rs.gather_in.size())
-        << "steps root must receive every gather";
-    for (std::size_t k = 0; k < rs.gather_in.size(); ++k) {
-      FlatGatherU64& out = rs.gather_out[k];
-      out = FlatGatherU64{{}, {0}};
-      for (void* raw : slots) {
-        const auto in = steps_slot(raw).steps->gather_in[k];
-        out.data.insert(out.data.end(), in.begin(), in.end());
+      if (rs.scatterv_out != nullptr) {
+        const std::uint64_t len = rs.scatterv_sizes[i];
+        SION_CHECK(pos + len <= rs.scatterv_data.size())
+            << "scatterv sizes overrun the flat buffer";
+        const auto piece = rs.scatterv_data.subspan(pos, len);
+        m.scatterv_out->assign(piece.begin(), piece.end());
+        pos += len;
+      }
+      for (std::size_t k = 0; k < rs.gather_in.size(); ++k) {
+        FlatGatherU64& out = rs.gather_out[k];
+        out.data.insert(out.data.end(), m.gather_in[k].begin(),
+                        m.gather_in[k].end());
         out.offsets.push_back(out.data.size());
       }
+    }
+    for (std::size_t k = 0; k < rs.bcast.size(); ++k) {
+      t = t + net_.bcast_cost(n, sizeof(std::uint64_t));
+    }
+    for (std::size_t k = 0; k < rs.scatter_in.size(); ++k) {
+      t = t + net_.rooted_cost(n, 8ULL * nvalues);
+    }
+    if (rs.scatterv_out != nullptr) t = t + net_.rooted_cost(n, pos);
+    for (const FlatGatherU64& out : rs.gather_out) {
       t = t + net_.rooted_cost(n, 8 * out.data.size());
     }
 
@@ -375,13 +369,14 @@ void Comm::steps(const Steps& s, int root, const char* what) {
   // reads Internal(what); a task's own failure stays its own.
   if (s.status == nullptr) return;
   Status& mine = *s.status;
-  const bool failed = s.within != nullptr ? slot.failed : slot.shared != 0;
-  if (!failed) {
+  const std::uint64_t shared =
+      s.within != nullptr ? s.within->within_.code : verdict_code_;
+  if (!verdict_failed_) {
     mine = Status::Ok();
-  } else if (slot.shared != 0) {
+  } else if (shared != 0) {
     const bool is_root =
         (s.within != nullptr ? slot.within_rank : rank()) == root;
-    if (!is_root) mine = Status(static_cast<ErrorCode>(slot.shared), what);
+    if (!is_root) mine = Status(static_cast<ErrorCode>(shared), what);
   } else if (mine.ok()) {
     mine = Internal(what);
   }

@@ -22,7 +22,7 @@
 //   * every rendezvous costs each waiting task two fiber switches, so
 //     back-to-back collectives fuse into one (`steps`, below);
 //   * the gather/scatter results are flat single buffers plus offsets
-//     (`FlatGatherU64`, `scatterv_bytes_flat`), never vector-of-vectors;
+//     (`FlatGatherU64`, `Steps::scatterv_data`), never vector-of-vectors;
 //   * rank() resolves through the identity/sorted fast paths, not a hash
 //     table.
 //
@@ -104,18 +104,8 @@ class Comm {
   FlatGatherU64 gatherv_u64_flat(std::span<const std::uint64_t> values,
                                  int root);
 
-  // Root supplies size() values; every task receives its own.
-  std::uint64_t scatter_u64(std::span<const std::uint64_t> values, int root);
-
   std::vector<std::uint64_t> allgather_u64(std::uint64_t value);
   std::uint64_t allreduce_u64(std::uint64_t value, ReduceOp op);
-
-  // Root supplies one flat buffer sliced by `sizes` (size() entries, rank
-  // order); each task receives its own piece.
-  std::vector<std::byte> scatterv_bytes_flat(std::span<const std::byte> data,
-                                             std::span<const std::uint64_t>
-                                                 sizes,
-                                             int root);
 
   // Back-to-back collectives on this comm in one rendezvous, under the
   // exact-cost contract above. Every member passes the same shape; scatter
@@ -135,11 +125,12 @@ class Comm {
     //    8-byte broadcast each (bcast_u64).
     std::span<std::uint64_t> bcast{};
     // 3. u64 scatters: the root's scatter_in[k] holds size() values and
-    //    every task receives its own in scatter_out[k] (scatter_u64).
+    //    every task receives its own in scatter_out[k], each a rooted
+    //    transfer of 8 * size() bytes.
     std::span<const std::span<const std::uint64_t>> scatter_in{};
     std::span<std::uint64_t> scatter_out{};
-    // 4. An optional byte scatterv into *scatterv_out
-    //    (scatterv_bytes_flat).
+    // 4. An optional byte scatterv: the root's flat `scatterv_data`,
+    //    sliced by `scatterv_sizes` in rank order, into each *scatterv_out.
     std::vector<std::byte>* scatterv_out = nullptr;
     std::span<const std::byte> scatterv_data{};
     std::span<const std::uint64_t> scatterv_sizes{};
@@ -246,8 +237,16 @@ class Comm {
 
   std::vector<std::uint64_t> next_op_;  // per comm rank op counter
 
+  // The last status word's verdict on this comm. A member reads it when
+  // released, before it can reach the next collective here, which cannot
+  // finalize before every member arrives.
+  std::uint64_t verdict_code_ = 0;
+  bool verdict_failed_ = false;
+  // A `Steps::within` agreement's sub-comms, in order of first arrival.
+  std::vector<Comm*> within_subs_;
   // Scratch of a parent comm's `Steps::within` agreement over this comm:
-  // the latest arrival, the arrivals seen and the root's status code.
+  // the latest arrival, the arrivals seen (0 between agreements) and the
+  // root's status code, which members read when released.
   struct WithinScratch {
     double tmax = 0.0;
     int seen = 0;

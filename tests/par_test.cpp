@@ -348,7 +348,9 @@ TEST(ScatterTest, EachTaskGetsItsValue) {
     if (world.rank() == 0) {
       values = {100, 101, 102, 103, 104};
     }
-    const std::uint64_t v = world.scatter_u64(values, 0);
+    const std::span<const std::uint64_t> in[] = {values};
+    std::uint64_t v = 0;
+    world.steps({.scatter_in = in, .scatter_out = {&v, 1}}, 0);
     EXPECT_EQ(v, 100u + static_cast<std::uint64_t>(world.rank()));
   });
 }
@@ -387,7 +389,10 @@ TEST(ScattervBytesTest, PiecesReachTheirRanks) {
         sizes.push_back(static_cast<std::uint64_t>(r + 2));
       }
     }
-    auto mine = world.scatterv_bytes_flat(flat, sizes, 0);
+    std::vector<std::byte> mine;
+    world.steps({.scatterv_out = &mine, .scatterv_data = flat,
+                 .scatterv_sizes = sizes},
+                0);
     ASSERT_EQ(mine.size(), static_cast<std::size_t>(world.rank() + 2));
     EXPECT_EQ(std::to_integer<char>(mine[0]),
               static_cast<char>('A' + world.rank()));
@@ -747,8 +752,9 @@ TEST(FusionTest, AgreementWithBarrierMatchesTheTwoCalls) {
   }
 }
 
-// Every step kind on `comm`, fused or as separate calls. The root's inputs
-// are left empty when its status fails, so touching them would abort.
+// Every step kind on `comm`, fused or as separate calls (the scatters as
+// one-step `steps` calls). The root's inputs are left empty when its status
+// fails, so touching them would abort.
 void all_steps(Comm& comm, bool fused, bool root_fails, std::string& rec) {
   const int n = comm.size();
   const int me = comm.rank();
@@ -793,9 +799,13 @@ void all_steps(Comm& comm, bool fused, bool root_fails, std::string& rec) {
     if (code != 0 && !root) st = Status(static_cast<ErrorCode>(code), kFuseWhat);
     if (code == 0) {
       for (std::uint64_t& w : words) w = comm.bcast_u64(w, 0);
-      got[0] = comm.scatter_u64(in_a, 0);
-      got[1] = comm.scatter_u64(in_b, 0);
-      piece = comm.scatterv_bytes_flat(flat, sizes, 0);
+      const std::span<const std::uint64_t> scatter_a[] = {in_a};
+      const std::span<const std::uint64_t> scatter_b[] = {in_b};
+      comm.steps({.scatter_in = scatter_a, .scatter_out = {&got[0], 1}}, 0);
+      comm.steps({.scatter_in = scatter_b, .scatter_out = {&got[1], 1}}, 0);
+      comm.steps({.scatterv_out = &piece, .scatterv_data = flat,
+                  .scatterv_sizes = sizes},
+                 0);
       gathered[0].data = comm.gather_u64(one, 0);
       gathered[1] = comm.gatherv_u64_flat(var, 0);
       comm.barrier();
