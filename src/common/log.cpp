@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <mutex>
 
 namespace sion {
 
@@ -38,8 +37,6 @@ const char* basename_of(const char* path) {
   const char* slash = std::strrchr(path, '/');
   return slash != nullptr ? slash + 1 : path;
 }
-
-std::mutex g_log_mutex;
 }  // namespace
 
 LogLevel log_level() {
@@ -57,7 +54,7 @@ void set_log_level(LogLevel level) {
 
 void log_message(LogLevel level, const char* file, int line,
                  const std::string& message) {
-  std::lock_guard<std::mutex> lock(g_log_mutex);
+  // One fprintf per line: stdio locks the stream for each call.
   std::fprintf(stderr, "[%s %s:%d] %s\n", level_tag(level), basename_of(file),
                line, message.c_str());
 }

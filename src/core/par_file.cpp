@@ -136,6 +136,7 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
   const std::uint64_t frame_failed =
       gcom.allreduce_u64(st.ok() ? 0 : 1, par::ReduceOp::kMax);
   if (frame_failed != 0) {
+    out->file_ = nullptr;  // never opened: destroyed without the close warning
     if (!st.ok()) return st;
     return IoError("collective SION open failed on another task");
   }

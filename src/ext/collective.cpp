@@ -338,6 +338,7 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
   // chunk address comes from their streams (paper 3.1, lifted to groups).
   out->attach_members(mine[0], {});
   gcom.barrier();
+  out->open_ = true;
   return out;
 }
 
@@ -416,11 +417,14 @@ Result<std::unique_ptr<Collective>> Collective::open_read(
 
   out->attach_members(mine.offset, mine.bytes);
   gcom.barrier();
+  out->open_ = true;
   return out;
 }
 
 Collective::~Collective() {
-  if (!closed_ && writable_) {
+  // A failed open already returned its error; only a file that opened and
+  // is dropped before close warns.
+  if (open_ && writable_) {
     SION_LOG_WARN << "collective SION file " << path_
                   << " destroyed without collective close; metablock 2 was "
                      "not written";
@@ -531,7 +535,7 @@ Status Collective::write_as_member(fs::DataView data) {
 
 Status Collective::write(fs::DataView data) {
   if (!writable_) return FailedPrecondition("file opened for reading");
-  if (closed_) return FailedPrecondition("file already closed");
+  if (!open_) return FailedPrecondition("file already closed");
   const auto sizes = group_->gather_u64(data.size(), 0);
   Status st;
   if (is_collector()) {
@@ -627,7 +631,7 @@ Status Collective::read_as_member(std::span<std::byte> out, bool skip,
 Result<std::uint64_t> Collective::read_impl(std::span<std::byte> out,
                                             bool skip, std::uint64_t want) {
   if (writable_) return FailedPrecondition("file opened for writing");
-  if (closed_) return FailedPrecondition("file already closed");
+  if (!open_) return FailedPrecondition("file already closed");
   const std::uint64_t deliver = std::min(want, unread_);
   const auto wants = group_->gather_u64(want, 0);
   Status st;
@@ -670,7 +674,7 @@ Status Collective::read_skip(std::uint64_t nbytes) {
 // ---------------------------------------------------------------------------
 
 Status Collective::close(const Status& pending) {
-  if (closed_) return FailedPrecondition("file already closed");
+  if (!open_) return FailedPrecondition("file already closed");
   par::Comm& lcom = *lcom_;
   Status st;
   if (writable_) {
@@ -686,7 +690,7 @@ Status Collective::close(const Status& pending) {
   // A close that fails on every task still releases the file.
   io_.reset();
   file_.reset();
-  closed_ = true;
+  open_ = false;
   SION_RETURN_IF_ERROR(st);
   gcom_->barrier();
   return Status::Ok();

@@ -154,7 +154,7 @@ class Collective {
   std::unique_ptr<fs::File> file_;  // collectors only
   std::string path_;
   bool writable_ = false;
-  bool closed_ = false;
+  bool open_ = false;  // from a successful open until close
   int nfiles_ = 1;
   int filenum_ = 0;
   int lrank_ = 0;

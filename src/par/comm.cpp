@@ -323,7 +323,11 @@ void Comm::steps(const Steps& s, int root, const char* what) {
         << "scatterv root must supply size() sizes";
     SION_CHECK(rs.gather_out.size() == rs.gather_in.size())
         << "steps root must receive every gather";
-    for (FlatGatherU64& out : rs.gather_out) out = FlatGatherU64{{}, {0}};
+    for (FlatGatherU64& out : rs.gather_out) {
+      out = FlatGatherU64{{}, {0}};
+      out.data.reserve(nvalues);
+      out.offsets.reserve(nvalues + 1);
+    }
     std::uint64_t pos = 0;
     for (std::size_t i = 0; i < nvalues && (moves || !walked); ++i) {
       const Steps& m = *steps_slot(slots[i]).steps;

@@ -160,27 +160,12 @@ Comm& Engine::adopt_comm(std::unique_ptr<Comm> comm) {
   return *comms_.back();
 }
 
-#ifdef SION_FAST_FIBERS
-
 void Engine::fiber_entry(void* arg) {
   auto* task = static_cast<TaskState*>(arg);
   Engine* engine = task->engine_;
   engine->fiber_main(*task);
   engine->retire_and_dispatch(*task);
 }
-
-#else
-
-void Engine::trampoline(unsigned int hi, unsigned int lo) {
-  const std::uintptr_t bits =
-      (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo);
-  auto* task = reinterpret_cast<TaskState*>(bits);
-  Engine* engine = task->engine_;
-  engine->fiber_main(*task);
-  engine->retire_and_dispatch(*task);
-}
-
-#endif  // SION_FAST_FIBERS
 
 void Engine::fiber_main(TaskState& task) {
   try {
@@ -226,12 +211,7 @@ void Engine::switch_from(TaskState& from, TaskState& to) {
   to.state_ = TaskState::Run::kRunning;
   current_ = &to;
   g_current_task = &to;
-#ifdef SION_FAST_FIBERS
-  sion_fiber_swap(&from.fiber_sp_, to.fiber_sp_);
-#else
-  tsan_fiber_switch(to.tsan_fiber_);
-  swapcontext(&from.ctx_, &to.ctx_);
-#endif
+  fiber_switch(from.fiber_, to.fiber_);
   // Back alive: whoever dispatched into `from` already set current to us.
 }
 
@@ -258,12 +238,7 @@ void Engine::retire_and_dispatch(TaskState& task) {
   // The last fiber: hand control back to Engine::run.
   current_ = nullptr;
   g_current_task = nullptr;
-#ifdef SION_FAST_FIBERS
-  sion_fiber_swap(&task.fiber_sp_, sched_sp_);
-#else
-  tsan_fiber_switch(sched_tsan_fiber_);
-  swapcontext(&task.ctx_, &sched_ctx_);
-#endif
+  fiber_switch(task.fiber_, sched_);
   SION_CHECK(false) << "finished fiber resumed";
   std::abort();  // unreachable; satisfies [[noreturn]]
 }
@@ -412,11 +387,6 @@ void Engine::run(int ntasks, const TaskFn& body) {
   suspensions_ = 0;
   error_ = nullptr;
 
-#ifndef SION_FAST_FIBERS
-  // TSan must know which of its fibers Engine::run is on; every fiber that
-  // returns control here announces a switch back to this handle.
-  sched_tsan_fiber_ = tsan_fiber_current();
-#endif
   for (int r = 0; r < ntasks; ++r) {
     TaskState& task = tasks_[static_cast<std::size_t>(r)];
     task.engine_ = this;
@@ -428,19 +398,7 @@ void Engine::run(int ntasks, const TaskFn& body) {
     // kernel may have zero-reclaimed the page holding a previous canary
     // (testing::scribble_cached_stack_slabs simulates exactly that).
     std::memcpy(task.stack_, &kCanary, sizeof(kCanary));
-#ifdef SION_FAST_FIBERS
-    task.fiber_sp_ = fiber_make(task.stack_, stride, &fiber_entry, &task);
-#else
-    getcontext(&task.ctx_);
-    task.ctx_.uc_stack.ss_sp = task.stack_;
-    task.ctx_.uc_stack.ss_size = stride;
-    task.ctx_.uc_link = &sched_ctx_;
-    const std::uintptr_t task_bits = reinterpret_cast<std::uintptr_t>(&task);
-    makecontext(&task.ctx_, reinterpret_cast<void (*)()>(&trampoline), 2,
-                static_cast<unsigned int>(task_bits >> 32),
-                static_cast<unsigned int>(task_bits & 0xFFFFFFFFu));
-    task.tsan_fiber_ = tsan_fiber_create();
-#endif
+    fiber_make(task.fiber_, task.stack_, stride, &fiber_entry, &task);
   }
 
   // The initial schedule — every task runnable at the epoch, in rank order
@@ -460,16 +418,7 @@ void Engine::run(int ntasks, const TaskFn& body) {
   first.state_ = TaskState::Run::kRunning;
   current_ = &first;
   g_current_task = &first;
-#ifdef SION_FAST_FIBERS
-  sion_fiber_swap(&sched_sp_, first.fiber_sp_);
-#else
-  tsan_fiber_switch(first.tsan_fiber_);
-  swapcontext(&sched_ctx_, &first.ctx_);
-  // All fibers have retired; release TSan's per-fiber shadow state before
-  // the stacks are recycled for the next run() (stale handles on a reused
-  // stack would alias old synchronization history onto new fibers).
-  for (TaskState& task : tasks_) tsan_fiber_destroy(task.tsan_fiber_);
-#endif
+  fiber_switch(sched_, first.fiber_);
 
   std::exception_ptr error = std::move(error_);
   error_ = nullptr;

@@ -13,8 +13,8 @@
 // Host performance at 64Ki tasks hinges on four engine choices (see the
 // README "Performance" section for measurements):
 //   * fibers switch through a userspace register swap (par/fiber.h), not
-//     swapcontext(), whose per-switch sigprocmask syscalls dominate a
-//     collective-heavy sweep;
+//     glibc's context switch, whose per-switch sigprocmask syscalls
+//     dominate a collective-heavy sweep;
 //   * a suspending fiber dispatches the next runnable fiber DIRECTLY —
 //     control never bounces through a scheduler context, so a task handoff
 //     is one register swap, not two;
@@ -44,13 +44,8 @@
 #include <queue>
 #include <vector>
 
-#include "par/fiber.h"
-
-#ifndef SION_FAST_FIBERS
-#include <ucontext.h>
-#endif
-
 #include "common/status.h"
+#include "par/fiber.h"
 
 namespace sion::par {
 
@@ -131,12 +126,7 @@ class TaskState {
   int rank_ = -1;
   double vtime_ = 0.0;
   Run state_ = Run::kReady;
-#ifdef SION_FAST_FIBERS
-  void* fiber_sp_ = nullptr;  // suspended context (par/fiber.h frame)
-#else
-  ucontext_t ctx_{};
-  void* tsan_fiber_ = nullptr;  // TSan's handle for this stack (TSan builds)
-#endif
+  FiberContext fiber_;          // suspended context (par/fiber.h)
   std::byte* stack_ = nullptr;  // slice of the engine's stack slab
 };
 
@@ -230,11 +220,7 @@ class Engine {
   };
 
   void fiber_main(TaskState& task);
-#ifdef SION_FAST_FIBERS
   static void fiber_entry(void* arg);
-#else
-  static void trampoline(unsigned int hi, unsigned int lo);
-#endif
 
   [[nodiscard]] ReadyEntry run_front_key(const ReleaseRun& run) const {
     return {run.t, (*run.members)[run.next]->rank()};
@@ -271,12 +257,7 @@ class Engine {
   // Scheduler state.
   ReadyQueue ready_;
   std::vector<ReleaseRun> runs_;
-#ifdef SION_FAST_FIBERS
-  void* sched_sp_ = nullptr;
-#else
-  ucontext_t sched_ctx_{};
-  void* sched_tsan_fiber_ = nullptr;  // Engine::run's own stack
-#endif
+  FiberContext sched_;  // Engine::run's own context
   TaskState* current_ = nullptr;
   int done_count_ = 0;
   std::uint64_t suspensions_ = 0;

@@ -1,38 +1,57 @@
 #include "par/fiber.h"
 
-#ifdef SION_TSAN_FIBERS
+#include <cstdint>
+#include <cstring>
 
-#include <sanitizer/tsan_interface.h>
+#if defined(SION_FIBER_UCONTEXT)
 
 namespace sion::par {
+namespace {
 
-void* tsan_fiber_create() { return __tsan_create_fiber(0); }
+// makecontext passes only int arguments, so the entry function and its
+// argument travel as 32-bit halves.
+void ucontext_start(unsigned int entry_hi, unsigned int entry_lo,
+                    unsigned int arg_hi, unsigned int arg_lo) {
+  const auto join = [](unsigned int hi, unsigned int lo) {
+    return static_cast<std::uintptr_t>((std::uint64_t{hi} << 32) | lo);
+  };
+  auto* entry = reinterpret_cast<void (*)(void*)>(join(entry_hi, entry_lo));
+  entry(reinterpret_cast<void*>(join(arg_hi, arg_lo)));
+}
 
-void tsan_fiber_destroy(void* fiber) { __tsan_destroy_fiber(fiber); }
+}  // namespace
 
-void* tsan_fiber_current() { return __tsan_get_current_fiber(); }
-
-void tsan_fiber_switch(void* target) { __tsan_switch_to_fiber(target, 0); }
+void fiber_make(FiberContext& ctx, std::byte* stack, std::size_t bytes,
+                void (*entry)(void*), void* arg) {
+  const auto entry_bits =
+      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(entry));
+  const auto arg_bits =
+      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(arg));
+  getcontext(&ctx.uc);
+  ctx.uc.uc_stack.ss_sp = stack;
+  ctx.uc.uc_stack.ss_size = bytes;
+  ctx.uc.uc_link = nullptr;  // entry never returns
+  makecontext(&ctx.uc, reinterpret_cast<void (*)()>(&ucontext_start), 4,
+              static_cast<unsigned int>(entry_bits >> 32),
+              static_cast<unsigned int>(entry_bits & 0xFFFFFFFFu),
+              static_cast<unsigned int>(arg_bits >> 32),
+              static_cast<unsigned int>(arg_bits & 0xFFFFFFFFu));
+}
 
 }  // namespace sion::par
 
-#endif  // SION_TSAN_FIBERS
-
-#ifdef SION_FAST_FIBERS
-
-#include <cstdint>
-#include <cstring>
+#else
 
 extern "C" void sion_fiber_start();
 
 namespace sion::par {
 
-void* fiber_make(std::byte* stack_base, std::size_t stack_bytes,
-                 void (*entry)(void*), void* arg) {
+void fiber_make(FiberContext& ctx, std::byte* stack, std::size_t bytes,
+                void (*entry)(void*), void* arg) {
   // Frame layout must mirror fiber_swap.S exactly; sp is 16-byte aligned so
   // the callq in sion_fiber_start enters `entry` with ABI-conformant
   // alignment.
-  auto top = reinterpret_cast<std::uintptr_t>(stack_base) + stack_bytes;
+  auto top = reinterpret_cast<std::uintptr_t>(stack) + bytes;
   top &= ~static_cast<std::uintptr_t>(15);
   std::byte* sp = reinterpret_cast<std::byte*>(top) - 64;
   std::memset(sp, 0, 64);
@@ -52,9 +71,9 @@ void* fiber_make(std::byte* stack_base, std::size_t stack_bytes,
   std::memcpy(sp + 8, &r15, sizeof(r15));   // r15 = entry argument
   std::memcpy(sp + 32, &r12, sizeof(r12));  // r12 = entry function
   std::memcpy(sp + 56, &ret, sizeof(ret));  // return address = start stub
-  return sp;
+  ctx.sp = sp;
 }
 
 }  // namespace sion::par
 
-#endif  // SION_FAST_FIBERS
+#endif  // SION_FIBER_UCONTEXT

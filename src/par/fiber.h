@@ -10,81 +10,60 @@
 // the FP control words, swap stacks, restore.
 //
 // The fast path is x86-64 assembly (fiber_swap.S). Builds on other
-// architectures, and sanitizer builds (ASan tracks stack switches through
-// its swapcontext interceptor, which a raw assembly switch would bypass),
-// fall back to ucontext via SION_FIBER_UCONTEXT.
+// architectures, and ASan builds (ASan tracks stack switches through its
+// swapcontext interceptor, which a raw assembly switch would bypass), fall
+// back to ucontext via SION_FIBER_UCONTEXT. Either way a fiber keeps its
+// own FP rounding mode across switches.
 #pragma once
 
 #include <cstddef>
 
 #if !defined(SION_FIBER_UCONTEXT)
-#if !defined(__x86_64__)
-#define SION_FIBER_UCONTEXT 1
-#elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#if !defined(__x86_64__) || defined(__SANITIZE_ADDRESS__)
 #define SION_FIBER_UCONTEXT 1
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#if __has_feature(address_sanitizer)
 #define SION_FIBER_UCONTEXT 1
 #endif
 #endif
 #endif
 
-// ThreadSanitizer models each stack as a thread: an unannounced stack switch
-// corrupts its shadow stack and every cross-fiber access afterwards reports
-// as a race between "threads" that are really cooperative fibers on one OS
-// thread. TSan builds therefore (a) take the ucontext fallback above and
-// (b) announce every fiber and every switch through the __tsan_*_fiber API,
-// via the wrappers below (no-ops in every other build, so the engine calls
-// them unconditionally on the ucontext path).
-#if !defined(SION_TSAN_FIBERS)
-#if defined(__SANITIZE_THREAD__)
-#define SION_TSAN_FIBERS 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SION_TSAN_FIBERS 1
-#endif
-#endif
-#endif
-
-namespace sion::par {
-
-#if defined(SION_TSAN_FIBERS)
-// Register a new fiber with TSan (before its first switch-in).
-void* tsan_fiber_create();
-// Unregister a fiber. It must not be the currently running one.
-void tsan_fiber_destroy(void* fiber);
-// TSan handle of the context calling this (e.g. the scheduler's own stack).
-void* tsan_fiber_current();
-// Announce an imminent switch; call immediately before swapcontext().
-void tsan_fiber_switch(void* target);
+#if defined(SION_FIBER_UCONTEXT)
+#include <ucontext.h>
 #else
-inline void* tsan_fiber_create() { return nullptr; }
-inline void tsan_fiber_destroy(void* /*fiber*/) {}
-inline void* tsan_fiber_current() { return nullptr; }
-inline void tsan_fiber_switch(void* /*target*/) {}
-#endif
-
-}  // namespace sion::par
-
-#if !defined(SION_FIBER_UCONTEXT)
-#define SION_FAST_FIBERS 1
-
 extern "C" {
 // Save the current execution context (callee-saved registers, x87/SSE
 // control words, stack pointer) to *save_sp and resume the one frozen at
 // restore_sp. Returns when something swaps back into *save_sp.
 void sion_fiber_swap(void** save_sp, void* restore_sp);
 }
+#endif
 
 namespace sion::par {
 
-// Lay out a fresh suspended context on [stack_base, stack_base+stack_bytes)
-// so the first sion_fiber_swap into the returned stack pointer enters
-// entry(arg) on that stack. `entry` must never return; it must hand control
-// back with a final sion_fiber_swap.
-void* fiber_make(std::byte* stack_base, std::size_t stack_bytes,
-                 void (*entry)(void*), void* arg);
+// A suspended execution context: whoever switches away saves itself here.
+struct FiberContext {
+#if defined(SION_FIBER_UCONTEXT)
+  ucontext_t uc{};
+#else
+  void* sp = nullptr;  // the frame fiber_swap.S froze on the fiber's stack
+#endif
+};
+
+// Lay out a fresh suspended context on [stack, stack + bytes) so the first
+// fiber_switch into `ctx` enters entry(arg) on that stack. `entry` must
+// never return; it must hand control back with a final fiber_switch.
+void fiber_make(FiberContext& ctx, std::byte* stack, std::size_t bytes,
+                void (*entry)(void*), void* arg);
+
+// Save the running context to `from` and resume `to`. Returns when
+// something switches back into `from`.
+inline void fiber_switch(FiberContext& from, FiberContext& to) {
+#if defined(SION_FIBER_UCONTEXT)
+  swapcontext(&from.uc, &to.uc);
+#else
+  sion_fiber_swap(&from.sp, to.sp);
+#endif
+}
 
 }  // namespace sion::par
-
-#endif  // !SION_FIBER_UCONTEXT

@@ -8,6 +8,7 @@
 #include <numeric>
 #include <vector>
 
+#include "common/log.h"
 #include "common/strings.h"
 #include "common/units.h"
 #include "core/api.h"
@@ -389,6 +390,40 @@ TEST(CollectiveTest, CollectorOpenFailureFailsEveryTask) {
       EXPECT_EQ(coll.status().code(), ErrorCode::kIoError);
     }
   });
+}
+
+// A collector's failed open fails the open, and the Collective every task
+// built is destroyed silently; only a file that opened and is dropped
+// before close warns.
+TEST(CollectiveTest, OnlyAnOpenedFileWarnsWhenDroppedUnclosed) {
+  const char* const kUnclosed = "destroyed without collective close";
+  const LogLevel level = log_level();
+  set_log_level(LogLevel::kWarn);
+  fs::SimFs sim(fs::TestbedConfig());
+  par::Engine engine;
+  CollectiveConfig cfg;
+  cfg.group_size = 2;  // collectors at ranks 0 and 2
+  core::ParOpenSpec spec;
+  spec.filename = "drop.sion";
+  spec.chunksize = 4 * kKiB;
+  // Rank 2's first call is the collector's open of the physical file.
+  testfs::FailNthFs failing(sim, /*rank=*/2, /*k=*/1);
+
+  ::testing::internal::CaptureStderr();
+  engine.run(4, [&](par::Comm& world) {
+    EXPECT_FALSE(Collective::open_write(failing, world, spec, cfg).ok());
+  });
+  EXPECT_EQ(::testing::internal::GetCapturedStderr().find(kUnclosed),
+            std::string::npos);
+  EXPECT_TRUE(failing.fired());
+
+  ::testing::internal::CaptureStderr();
+  engine.run(4, [&](par::Comm& world) {
+    EXPECT_TRUE(Collective::open_write(sim, world, spec, cfg).ok());
+  });
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find(kUnclosed),
+            std::string::npos);
+  set_log_level(level);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <filesystem>
 
 #include "common/codec.h"
+#include "common/log.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/units.h"
@@ -585,6 +586,39 @@ TEST(ParFileTest, ChunkTooSmallForFrameOnTheMasterFailsEveryTask) {
       EXPECT_EQ(open.status().code(), ErrorCode::kInvalidArgument);
     }
   });
+}
+
+// A failed first-frame write fails the open, and the file it left behind
+// is destroyed silently on every task; only a file that opened and is
+// dropped before close warns.
+TEST(ParFileTest, OnlyAnOpenedFileWarnsWhenDroppedUnclosed) {
+  const char* const kUnclosed = "destroyed without collective close";
+  const LogLevel level = log_level();
+  set_log_level(LogLevel::kWarn);
+  fs::SimFs sim(fs::TestbedConfig());
+  par::Engine engine;
+  ParOpenSpec spec;
+  spec.filename = "drop.sion";
+  spec.chunksize = 4 * kKiB;
+  spec.chunk_frames = true;
+  // Rank 1's calls: the open of the physical file, then its first frame.
+  testfs::FailNthFs failing(sim, /*rank=*/1, /*k=*/2);
+
+  ::testing::internal::CaptureStderr();
+  engine.run(2, [&](par::Comm& world) {
+    EXPECT_FALSE(SionParFile::open_write(failing, world, spec).ok());
+  });
+  EXPECT_EQ(::testing::internal::GetCapturedStderr().find(kUnclosed),
+            std::string::npos);
+  EXPECT_TRUE(failing.fired());
+
+  ::testing::internal::CaptureStderr();
+  engine.run(2, [&](par::Comm& world) {
+    EXPECT_TRUE(SionParFile::open_write(sim, world, spec).ok());
+  });
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find(kUnclosed),
+            std::string::npos);
+  set_log_level(level);
 }
 
 // Every task but a rendezvous' last arrival suspends in it, so with one

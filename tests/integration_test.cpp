@@ -170,13 +170,6 @@ TEST(IntegrationTest, SixtyFourKTaskOpenIsMemoryLean) {
   // Regression guard: collective opens must be O(1) memory per task.
   // 64 Ki-task paropen with small stacks finishes fast and fits easily in
   // RAM (it OOMed before FileMap became closed-form).
-#ifdef SION_TSAN_FIBERS
-  // TSan models every fiber as a thread and hard-caps at 8128 of them; a
-  // 64 Ki-fiber run dies inside the runtime ("Thread limit exceeded"), and
-  // the memory profile it would measure is TSan's, not ours. The race
-  // coverage for the engine comes from the smaller runs in this suite.
-  GTEST_SKIP() << "64Ki fibers exceed ThreadSanitizer's 8128-thread limit";
-#endif
   fs::SimFs fsim(fs::JugeneConfig());
   par::EngineConfig config;
   config.stack_bytes = 32 * 1024;

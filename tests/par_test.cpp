@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfenv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -164,6 +165,44 @@ TEST(EngineTest, ErrorChoiceIsDeterministic) {
   }
 }
 
+// 1/3 in the running context's rounding mode, divided at run time.
+double third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+// Each fiber keeps its own FP rounding mode, as an MPI rank would, on the
+// assembly switch and on the ucontext fallback alike: a fiber starts in the
+// mode of run()'s caller, a mode it sets survives its suspensions and does
+// not leak into other fibers, and run() hands its caller's mode back.
+TEST(EngineTest, FibersKeepTheirOwnRoundingMode) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = third();
+  int mode0 = -1;
+  int mode1 = -1;
+  double third0 = 0.0;
+  double third1 = 0.0;
+  Engine engine;
+  engine.run(2, [&](Comm& world) {
+    if (world.rank() == 0) {
+      ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+      this_task()->compute(1.0);  // rank 1 runs and retires meanwhile
+      mode0 = std::fegetround();
+      third0 = third();
+    } else {
+      mode1 = std::fegetround();
+      third1 = third();
+    }
+  });
+  EXPECT_EQ(mode1, FE_TONEAREST);
+  EXPECT_EQ(third1, nearest);
+  EXPECT_EQ(mode0, FE_UPWARD);
+  EXPECT_GT(third0, nearest);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(third(), nearest);
+}
+
 // Regression for the MADV_FREE canary false positive: the kernel may reclaim
 // (zero) a pooled slab's pages at any moment, which used to trip the stack
 // overflow check on the next engine that reused the slab. The canary is now
@@ -241,9 +280,6 @@ double resident_stack_pages_per_task() {
 }
 
 TEST(EngineDeathTest, OneResidentPagePerFiber) {
-#ifdef SION_TSAN_FIBERS
-  GTEST_SKIP() << "16Ki fibers exceed ThreadSanitizer's 8128-thread limit";
-#endif
   // A re-executed child: the process-wide slab pool starts empty, so every
   // resident page was faulted in by this run.
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
