@@ -331,8 +331,9 @@ Result<BuddyHealReport> Buddy::heal(fs::FileSystem& fs, par::Comm& mcom,
       return Status::Ok();
     }();
   }
-  SION_RETURN_IF_ERROR(par::share_status(mcom, st, 0, kBuddyFailed));
-  const std::uint64_t plan_size = mcom.bcast_u64(plan.size(), 0);
+  std::uint64_t plan_size = plan.size();
+  mcom.steps({.status = &st, .bcast = {&plan_size, 1}}, 0, kBuddyFailed);
+  SION_RETURN_IF_ERROR(st);
   plan.resize(plan_size);
   mcom.bcast_bytes(plan, 0);
 

@@ -729,9 +729,9 @@ Result<core::ParOpenSpec> write_domain_primary(
         st = detected.status();
       }
     }
-    SION_RETURN_IF_ERROR(par::share_status(
-        comm, st, 0, "primary multifile write failed on another rank"));
-    spec.fsblksize = comm.bcast_u64(spec.fsblksize, 0);
+    comm.steps({.status = &st, .bcast = {&spec.fsblksize, 1}}, 0,
+               "primary multifile write failed on another rank");
+    SION_RETURN_IF_ERROR(st);
   }
   spec.nfiles = ndomains;
   spec.mapping = core::Mapping::kContiguous;

@@ -166,8 +166,9 @@ Result<EccProbe> shared_probe(fs::FileSystem& fs, par::Comm& mcom,
       st = probed.status();
     }
   }
-  SION_RETURN_IF_ERROR(par::share_status(mcom, st, 0, kEccFailed));
-  const std::uint64_t blob_size = mcom.bcast_u64(blob.size(), 0);
+  std::uint64_t blob_size = blob.size();
+  mcom.steps({.status = &st, .bcast = {&blob_size, 1}}, 0, kEccFailed);
+  SION_RETURN_IF_ERROR(st);
   blob.resize(blob_size);
   mcom.bcast_bytes(blob, 0);
   return EccProbe::deserialize(blob);
@@ -513,8 +514,9 @@ Status Ecc::encode_parity(fs::FileSystem& fs, par::Comm& comm,
       return Status::Ok();
     }();
   }
-  SION_RETURN_IF_ERROR(par::share_status(comm, st, 0, kEccFailed));
-  const std::uint64_t plan_size = comm.bcast_u64(plan.size(), 0);
+  std::uint64_t plan_size = plan.size();
+  comm.steps({.status = &st, .bcast = {&plan_size, 1}}, 0, kEccFailed);
+  SION_RETURN_IF_ERROR(st);
   plan.resize(plan_size);
   comm.bcast_bytes(plan, 0);
   ByteReader r(plan);

@@ -100,8 +100,9 @@ Result<std::unique_ptr<Remap>> Remap::open(fs::FileSystem& fs, par::Comm& mcom,
       }
     }
   }
-  SION_RETURN_IF_ERROR(par::share_status(mcom, st, 0, kRemapFailed));
-  const std::uint64_t nwriters = mcom.bcast_u64(sizes.size(), 0);
+  std::uint64_t nwriters = sizes.size();
+  mcom.steps({.status = &st, .bcast = {&nwriters, 1}}, 0, kRemapFailed);
+  SION_RETURN_IF_ERROR(st);
   sizes.resize(nwriters, 0);
   mcom.bcast_bytes(std::as_writable_bytes(std::span<std::uint64_t>(sizes)), 0);
 

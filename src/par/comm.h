@@ -24,7 +24,12 @@
 //   * the gather/scatter results are flat single buffers plus offsets
 //     (`FlatGatherU64`, `Steps::scatterv_data`), never vector-of-vectors;
 //   * rank() resolves through the identity/sorted fast paths, not a hash
-//     table.
+//     table;
+//   * the members' slots sit on their suspended fiber stacks, each on its
+//     own cold page at 64Ki tasks, so every finalize that reads them walks
+//     them in rank order through one helper that prefetches the slot 16
+//     members ahead and what that slot points to 8 members ahead; split
+//     copies the keys out once and sorts the contiguous copy.
 //
 // Exact-cost fusion. Collectives that follow each other with no clock
 // advance in between run as ONE rendezvous (`steps`): its last arrival

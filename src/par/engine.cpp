@@ -11,14 +11,7 @@
 #include "common/log.h"
 #include "par/comm.h"
 
-#if defined(__SANITIZE_ADDRESS__)
-#define SION_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define SION_ASAN 1
-#endif
-#endif
-#if defined(SION_ASAN)
+#if defined(SION_ASAN)  // par/fiber.h
 #include <sanitizer/asan_interface.h>
 #endif
 
@@ -185,10 +178,14 @@ void Engine::fiber_main(TaskState& task) {
   task.state_ = TaskState::Run::kDone;
 }
 
+bool Engine::run_goes_first() const {
+  return !runs_.empty() &&
+         (ready_.empty() || run_front_key(runs_.front()) < ready_.top());
+}
+
 TaskState* Engine::next_task() {
   for (;;) {
-    if (!runs_.empty() &&
-        (ready_.empty() || run_front_key(runs_.front()) < ready_.top())) {
+    if (run_goes_first()) {
       TaskState* task = pop_run_front();
       SION_CHECK(task->state_ == TaskState::Run::kReady)
           << "release run holds task " << task->rank_ << " in invalid state";
@@ -211,6 +208,15 @@ void Engine::switch_from(TaskState& from, TaskState& to) {
   to.state_ = TaskState::Run::kRunning;
   current_ = &to;
   g_current_task = &to;
+  // Start loading the frame of the task that runs after `to`, unless `to`
+  // wakes an earlier one: the release run's next member, or the heap top
+  // (perhaps a stale entry, then the prefetch is merely wasted).
+  if (run_goes_first()) {
+    fiber_prefetch((*runs_.front().members)[runs_.front().next]->fiber_);
+  } else if (!ready_.empty()) {
+    fiber_prefetch(
+        tasks_[static_cast<std::size_t>(ready_.top().second)].fiber_);
+  }
   fiber_switch(from.fiber_, to.fiber_);
   // Back alive: whoever dispatched into `from` already set current to us.
 }
@@ -387,13 +393,25 @@ void Engine::run(int ntasks, const TaskFn& body) {
   suspensions_ = 0;
   error_ = nullptr;
 
+  const auto stack_of = [&](int r) {
+    return slab_ + (page - sizeof(kCanary)) +
+           static_cast<std::size_t>(r) * stride;
+  };
+  // fiber_make writes the two top lines of each stack, the upper one shared
+  // with the next stack's canary. The slab dwarfs the caches, so fetch both
+  // a few ranks early.
+  constexpr int kSetupAhead = 4;
   for (int r = 0; r < ntasks; ++r) {
+    if (r + kSetupAhead < ntasks) {
+      const std::byte* top = stack_of(r + kSetupAhead + 1);
+      __builtin_prefetch(top, 1);
+      __builtin_prefetch(top - 64, 1);
+    }
     TaskState& task = tasks_[static_cast<std::size_t>(r)];
     task.engine_ = this;
     task.rank_ = r;
     task.vtime_ = epoch_;
-    task.stack_ = slab_ + (page - sizeof(kCanary)) +
-                  static_cast<std::size_t>(r) * stride;
+    task.stack_ = stack_of(r);
     // Re-armed on EVERY acquisition: pooled slabs are MADV_FREE, so the
     // kernel may have zero-reclaimed the page holding a previous canary
     // (testing::scribble_cached_stack_slabs simulates exactly that).
@@ -418,6 +436,7 @@ void Engine::run(int ntasks, const TaskFn& body) {
   first.state_ = TaskState::Run::kRunning;
   current_ = &first;
   g_current_task = &first;
+  fiber_adopt_thread(sched_);
   fiber_switch(sched_, first.fiber_);
 
   std::exception_ptr error = std::move(error_);

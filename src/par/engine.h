@@ -10,7 +10,7 @@
 // (`fs::SimFs`) and by the collective cost model (`par::NetworkModel`), which
 // makes the benchmark tables reproducible run-to-run on any host.
 //
-// Host performance at 64Ki tasks hinges on four engine choices (see the
+// Host performance at 64Ki tasks hinges on five engine choices (see the
 // README "Performance" section for measurements):
 //   * fibers switch through a userspace register swap (par/fiber.h), not
 //     glibc's context switch, whose per-switch sigprocmask syscalls
@@ -22,7 +22,13 @@
 //     *release run* consumed in rank order, instead of ntasks individual
 //     heap pushes/pops (Engine::wake_members);
 //   * a task that yields while still holding the earliest virtual clock
-//     keeps running — no heap traffic, no context switch.
+//     keeps running — no heap traffic, no context switch;
+//   * memory is fetched before it is needed: at 64Ki fibers the stacks
+//     span far more than the caches and the TLB, so a handoff prefetches
+//     the frame of the task expected to run next after the one it enters
+//     (the earliest release run's next member, else the ready-heap top;
+//     par/fiber.h's fiber_prefetch), and run()'s setup prefetches the top
+//     of the stack a few ranks ahead of the one it lays out.
 // None of these change the schedule: the golden determinism suite pins the
 // resulting virtual times bit-for-bit.
 //
@@ -229,6 +235,8 @@ class Engine {
   TaskState* pop_run_front();
   void sift_runs();
 
+  // Whether the earliest release run's front precedes the ready heap's top.
+  [[nodiscard]] bool run_goes_first() const;
   // Earliest runnable task by (vtime, rank) across the ready heap and the
   // release runs, or nullptr when nothing is runnable.
   TaskState* next_task();

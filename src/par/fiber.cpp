@@ -3,6 +3,31 @@
 #include <cstdint>
 #include <cstring>
 
+#if defined(SION_ASAN)
+#include <pthread.h>
+
+#include "common/log.h"
+#endif
+
+namespace sion::par {
+
+void fiber_adopt_thread([[maybe_unused]] FiberContext& ctx) {
+#if defined(SION_ASAN)
+  pthread_attr_t attr;
+  SION_CHECK(pthread_getattr_np(pthread_self(), &attr) == 0)
+      << "pthread_getattr_np failed";
+  void* bottom = nullptr;
+  std::size_t size = 0;
+  SION_CHECK(pthread_attr_getstack(&attr, &bottom, &size) == 0)
+      << "pthread_attr_getstack failed";
+  pthread_attr_destroy(&attr);
+  ctx.stack_bottom = bottom;
+  ctx.stack_size = size;
+#endif
+}
+
+}  // namespace sion::par
+
 #if defined(SION_FIBER_UCONTEXT)
 
 namespace sion::par {
@@ -12,6 +37,10 @@ namespace {
 // argument travel as 32-bit halves.
 void ucontext_start(unsigned int entry_hi, unsigned int entry_lo,
                     unsigned int arg_hi, unsigned int arg_lo) {
+#if defined(SION_ASAN)
+  // The first switch into this fiber ends here, not in fiber_switch.
+  __sanitizer_finish_switch_fiber(nullptr, nullptr, nullptr);
+#endif
   const auto join = [](unsigned int hi, unsigned int lo) {
     return static_cast<std::uintptr_t>((std::uint64_t{hi} << 32) | lo);
   };
@@ -27,6 +56,10 @@ void fiber_make(FiberContext& ctx, std::byte* stack, std::size_t bytes,
       static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(entry));
   const auto arg_bits =
       static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(arg));
+#if defined(SION_ASAN)
+  ctx.stack_bottom = stack;
+  ctx.stack_size = bytes;
+#endif
   getcontext(&ctx.uc);
   ctx.uc.uc_stack.ss_sp = stack;
   ctx.uc.uc_stack.ss_size = bytes;

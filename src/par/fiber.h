@@ -12,20 +12,24 @@
 // The fast path is x86-64 assembly (fiber_swap.S). Builds on other
 // architectures, and ASan builds (ASan tracks stack switches through its
 // swapcontext interceptor, which a raw assembly switch would bypass), fall
-// back to ucontext via SION_FIBER_UCONTEXT. Either way a fiber keeps its
-// own FP rounding mode across switches.
+// back to ucontext via SION_FIBER_UCONTEXT; ASan builds also announce every
+// switch through ASan's fiber API, so it always knows which stack runs.
+// Either way a fiber keeps its own FP rounding mode across switches.
 #pragma once
 
 #include <cstddef>
 
-#if !defined(SION_FIBER_UCONTEXT)
-#if !defined(__x86_64__) || defined(__SANITIZE_ADDRESS__)
-#define SION_FIBER_UCONTEXT 1
+#if defined(__SANITIZE_ADDRESS__)
+#define SION_ASAN 1
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
+#define SION_ASAN 1
+#endif
+#endif
+
+#if !defined(SION_FIBER_UCONTEXT) && \
+    (!defined(__x86_64__) || defined(SION_ASAN))
 #define SION_FIBER_UCONTEXT 1
-#endif
-#endif
 #endif
 
 #if defined(SION_FIBER_UCONTEXT)
@@ -38,6 +42,9 @@ extern "C" {
 void sion_fiber_swap(void** save_sp, void* restore_sp);
 }
 #endif
+#if defined(SION_ASAN)
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 namespace sion::par {
 
@@ -48,6 +55,12 @@ struct FiberContext {
 #else
   void* sp = nullptr;  // the frame fiber_swap.S froze on the fiber's stack
 #endif
+#if defined(SION_ASAN)
+  // The stack this context runs on, and ASan's fake stack while suspended.
+  const void* stack_bottom = nullptr;
+  std::size_t stack_size = 0;
+  void* fake_stack = nullptr;
+#endif
 };
 
 // Lay out a fresh suspended context on [stack, stack + bytes) so the first
@@ -56,13 +69,38 @@ struct FiberContext {
 void fiber_make(FiberContext& ctx, std::byte* stack, std::size_t bytes,
                 void (*entry)(void*), void* arg);
 
+// Make `ctx` the calling thread's own context, the one that switches into
+// the first fiber and that the last fiber switches back to. ASan builds
+// record the thread's stack bounds; elsewhere there is nothing to do.
+void fiber_adopt_thread(FiberContext& ctx);
+
 // Save the running context to `from` and resume `to`. Returns when
 // something switches back into `from`.
 inline void fiber_switch(FiberContext& from, FiberContext& to) {
+#if defined(SION_ASAN)
+  __sanitizer_start_switch_fiber(&from.fake_stack, to.stack_bottom,
+                                 to.stack_size);
+#endif
 #if defined(SION_FIBER_UCONTEXT)
   swapcontext(&from.uc, &to.uc);
 #else
   sion_fiber_swap(&from.sp, to.sp);
+#endif
+#if defined(SION_ASAN)
+  __sanitizer_finish_switch_fiber(from.fake_stack, nullptr, nullptr);
+#endif
+}
+
+// Start loading a suspended context's memory ahead of a switch into it: the
+// frame fiber_swap.S froze and the eight lines above it, where the frames
+// it returns through sit. A no-op on the ucontext fallback.
+inline void fiber_prefetch([[maybe_unused]] const FiberContext& ctx) {
+#if !defined(SION_FIBER_UCONTEXT)
+  constexpr int kLinesAbove = 8;
+  const char* frame = static_cast<const char*>(ctx.sp);
+  for (int line = 0; line <= kLinesAbove; ++line) {
+    __builtin_prefetch(frame + 64 * line);
+  }
 #endif
 }
 

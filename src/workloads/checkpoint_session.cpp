@@ -474,8 +474,9 @@ Result<std::uint64_t> CheckpointSession::restore_latest(
       }
     }
   }
-  SION_RETURN_IF_ERROR(par::share_status(comm, st, 0, "checkpoint manifest"));
-  latest_plus1 = comm.bcast_u64(latest_plus1, 0);
+  comm.steps({.status = &st, .bcast = {&latest_plus1, 1}}, 0,
+             "checkpoint manifest");
+  SION_RETURN_IF_ERROR(st);
   const std::uint64_t index = latest_plus1 == 0 ? 0 : latest_plus1 - 1;
   SION_RETURN_IF_ERROR(restore(fs, comm, spec, index, expected_bytes, out));
   return index;

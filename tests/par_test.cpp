@@ -14,6 +14,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/strings.h"
@@ -476,6 +477,60 @@ TEST(SplitTest, NestedSplits) {
     ASSERT_NE(quarter, nullptr);
     EXPECT_EQ(quarter->size(), 2);
     quarter->barrier();
+  });
+}
+
+// Thousands of tasks, interleaved colors (one of them negative) and
+// descending keys with ties: every child rank and size must follow the
+// (color, key, parent rank) order, on world and on a sub-comm whose ranks
+// reverse the global ones.
+TEST(SplitTest, OrderAtScaleFollowsSortedKeys) {
+  constexpr int kTasks = 4096;
+  const auto color_of = [](int p) { return (p * 37) % 5 - 1; };
+  const auto key_of = [](int p) { return (kTasks - p) / 3; };
+  std::vector<std::tuple<int, int, int>> sorted;
+  for (int p = 0; p < kTasks; ++p) {
+    sorted.emplace_back(color_of(p), key_of(p), p);
+  }
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<int> want_rank(kTasks, -1);
+  std::vector<int> want_size(kTasks, 0);
+  for (std::size_t i = 0; i < sorted.size();) {
+    std::size_t j = i;
+    while (j < sorted.size() &&
+           std::get<0>(sorted[j]) == std::get<0>(sorted[i])) {
+      ++j;
+    }
+    for (std::size_t k = i; k < j && std::get<0>(sorted[i]) >= 0; ++k) {
+      const auto p = static_cast<std::size_t>(std::get<2>(sorted[k]));
+      want_rank[p] = static_cast<int>(k - i);
+      want_size[p] = static_cast<int>(j - i);
+    }
+    i = j;
+  }
+  ASSERT_EQ(std::count(want_rank.begin(), want_rank.end(), -1),
+            (kTasks + 4) / 5);
+
+  const auto check = [&](Comm& parent) {
+    const int p = parent.rank();
+    Comm* child = parent.split(color_of(p), key_of(p));
+    if (color_of(p) < 0) {
+      EXPECT_EQ(child, nullptr);
+      return;
+    }
+    ASSERT_NE(child, nullptr);
+    EXPECT_EQ(child->rank(), want_rank[static_cast<std::size_t>(p)]);
+    EXPECT_EQ(child->size(), want_size[static_cast<std::size_t>(p)]);
+  };
+  EngineConfig config;
+  config.stack_bytes = 32 * 1024;
+  Engine engine(config);
+  engine.run(kTasks, [&](Comm& world) {
+    check(world);
+    Comm* reversed = world.split(0, -world.rank());
+    ASSERT_NE(reversed, nullptr);
+    ASSERT_EQ(reversed->rank(), kTasks - 1 - world.rank());
+    check(*reversed);
   });
 }
 

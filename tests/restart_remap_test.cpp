@@ -191,6 +191,31 @@ TEST_F(RemapApiTest, MultiBlockStreamsCrossChunkBoundaries) {
   EXPECT_EQ(got, expect);
 }
 
+// Remap::open shares rank 0's status together with the stream count (one
+// Comm::steps rendezvous), then broadcasts the sizes and agrees on the
+// data open: three rendezvous, each suspending every reader but the last.
+TEST_F(RemapApiTest, OpenTakesThreeRendezvous) {
+  constexpr int kReaders = 4;
+  par::Engine engine;
+  engine.run(6, [&](par::Comm& world) {
+    core::ParOpenSpec spec;
+    spec.filename = "count.sion";
+    spec.chunksize = 4096;
+    auto sion = core::SionParFile::open_write(fs_, world, spec);
+    ASSERT_TRUE(sion.ok());
+    ASSERT_TRUE(sion.value()->write(DataView::fill(std::byte{5}, 300)).ok());
+    ASSERT_TRUE(sion.value()->close().ok());
+  });
+  std::uint64_t opened = 0;
+  engine.run(kReaders, [&](par::Comm& world) {
+    auto remap = Remap::open(fs_, world, "count.sion");
+    ASSERT_TRUE(remap.ok()) << remap.status().to_string();
+    if (world.rank() == 0) opened = engine.suspensions();
+    ASSERT_TRUE(remap.value()->close().ok());
+  });
+  EXPECT_EQ(opened, 3u * (kReaders - 1));
+}
+
 TEST_F(RemapApiTest, EvenSharesTileTheStream) {
   par::Engine engine;
   engine.run(5, [&](par::Comm& world) {
