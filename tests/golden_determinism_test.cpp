@@ -19,6 +19,7 @@
 #include "common/strings.h"
 #include "common/units.h"
 #include "core/api.h"
+#include "ext/buddy.h"
 #include "ext/compress.h"
 #include "ext/remap.h"
 #include "ext/staging.h"
@@ -204,6 +205,64 @@ TEST(GoldenDeterminismTest, RemapRestartTestbed) {
   });
   EXPECT_GOLDEN(0x1.e38cee14ba041p-9, t_write);
   EXPECT_GOLDEN(0x1.f2efb643b9e26p-8, t_restore);
+}
+
+// --- Buddy miniature: plain mirror write, lost primary, heal, N->M restore -
+
+// Buddy's plain writer mirrors every stream into the buddy domain over the
+// rotation collectives, and heal rebuilds a lost primary file from its
+// replica through rank 0's broadcast plan; both paths, and the N->M restore
+// that runs after them, are pinned here.
+TEST(GoldenDeterminismTest, BuddyMirrorHealRestoreTestbed) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine(par::EngineConfig{.stack_bytes = 64 * 1024,
+                                       .network = fs::TestbedConfig().network});
+  ext::BuddyConfig config;
+  config.replicas = 2;
+  config.num_domains = 4;
+  const int n_writers = 16;
+  const int m_readers = 6;
+  const std::uint64_t chunk = 12 * kKiB + 40;  // unaligned on purpose
+  const double t_write = makespan(engine, n_writers, [&](par::Comm& world) {
+    core::ParOpenSpec spec;
+    spec.filename = "golden_buddy.ckpt";
+    spec.chunksize = chunk;
+    const auto payload = pattern_payload(world.rank(), chunk);
+    ASSERT_TRUE(ext::Buddy::write(fs, world, spec, config,
+                                  fs::DataView(payload))
+                    .ok());
+  });
+  fs.drop_caches();
+  ASSERT_TRUE(
+      fs.remove(core::physical_file_name("golden_buddy.ckpt", 1, 4)).ok());
+  const double t_heal = makespan(engine, m_readers, [&](par::Comm& world) {
+    auto report = ext::Buddy::heal(fs, world, "golden_buddy.ckpt", config);
+    ASSERT_TRUE(report.ok()) << report.status().to_string();
+    EXPECT_EQ(report.value().damaged_files, 1);
+    EXPECT_EQ(report.value().healed_files, 1);
+  });
+  fs.drop_caches();
+  const std::uint64_t total = chunk * static_cast<std::uint64_t>(n_writers);
+  const double t_restore = makespan(engine, m_readers, [&](par::Comm& world) {
+    const std::uint64_t me = static_cast<std::uint64_t>(world.rank());
+    const std::uint64_t msize = static_cast<std::uint64_t>(world.size());
+    const std::uint64_t lo = total * me / msize;
+    const std::uint64_t hi = total * (me + 1) / msize;
+    std::vector<std::byte> out(hi - lo);
+    auto stats = ext::Buddy::restore(fs, world, "golden_buddy.ckpt", config,
+                                     out, out.size());
+    ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+    for (std::uint64_t g = lo; g < hi; ++g) {
+      const int writer = static_cast<int>(g / chunk);
+      const std::uint64_t i = g % chunk;
+      const auto expect = static_cast<std::byte>(
+          (static_cast<std::uint64_t>(writer) * 31 + i * 7 + 13) & 0xFF);
+      ASSERT_EQ(out[g - lo], expect) << "corrupt byte at global offset " << g;
+    }
+  });
+  EXPECT_GOLDEN(0x1.53d2c169a8766p-7, t_write);
+  EXPECT_GOLDEN(0x1.21c25c2b5b142p-7, t_heal);
+  EXPECT_GOLDEN(0x1.c8a80f102ec64p-7, t_restore);
 }
 
 // --- Staged checkpointing miniature: burst-buffer drain on and off ---------
