@@ -45,7 +45,7 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
       physical_file_name(spec.filename, out->filenum_, map.nfiles());
 
   // One local communicator per physical file (paper: gcom -> lcom split).
-  out->lcom_ = gcom.split(out->filenum_, grank);
+  out->lcom_ = gcom.split(out->filenum_);
   SION_CHECK(out->lcom_ != nullptr) << "split returned no communicator";
   par::Comm& lcom = *out->lcom_;
   const bool master = lcom.rank() == 0;
@@ -149,7 +149,6 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_write(
 
 Result<std::unique_ptr<SionParFile>> SionParFile::open_read(
     fs::FileSystem& fs, par::Comm& gcom, const std::string& name) {
-  const int grank = gcom.rank();
   SION_ASSIGN_OR_RETURN(const MultifileSlot slot,
                         locate_in_multifile(fs, gcom, name, kOpenFailed));
   auto out = std::unique_ptr<SionParFile>(new SionParFile());
@@ -158,7 +157,7 @@ Result<std::unique_ptr<SionParFile>> SionParFile::open_read(
   out->filenum_ = slot.filenum;
   out->path_ = physical_file_name(name, out->filenum_, out->nfiles_);
 
-  out->lcom_ = gcom.split(out->filenum_, grank);
+  out->lcom_ = gcom.split(out->filenum_);
   SION_CHECK(out->lcom_ != nullptr) << "split returned no communicator";
   par::Comm& lcom = *out->lcom_;
   const bool master = lcom.rank() == 0;

@@ -249,7 +249,7 @@ Status Buddy::write(fs::FileSystem& fs, par::Comm& gcom,
 
   // The plain-mode mirror writer needs the per-domain subcommunicator; the
   // split is collective, so make it unconditionally and once for all sets.
-  par::Comm* dcom = gcom.split(gcom.rank() / domain_size, gcom.rank());
+  par::Comm* dcom = gcom.split(gcom.rank() / domain_size);
   SION_CHECK(dcom != nullptr) << "domain split returned no communicator";
 
   for (int k = 1; k < replicas; ++k) {
@@ -331,11 +331,8 @@ Result<BuddyHealReport> Buddy::heal(fs::FileSystem& fs, par::Comm& mcom,
       return Status::Ok();
     }();
   }
-  std::uint64_t plan_size = plan.size();
-  mcom.steps({.status = &st, .bcast = {&plan_size, 1}}, 0, kBuddyFailed);
+  mcom.steps({.status = &st, .blob = &plan}, 0, kBuddyFailed);
   SION_RETURN_IF_ERROR(st);
-  plan.resize(plan_size);
-  mcom.bcast_bytes(plan, 0);
 
   BuddyHealReport report;
   report.domains = ndomains;

@@ -213,7 +213,7 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
       core::physical_file_name(spec.filename, out->filenum_, map.nfiles());
   out->buffer_bytes_ = std::max<std::uint64_t>(1, config.buffer_bytes);
 
-  out->lcom_ = gcom.split(out->filenum_, grank);
+  out->lcom_ = gcom.split(out->filenum_);
   SION_CHECK(out->lcom_ != nullptr) << "split returned no communicator";
   par::Comm& lcom = *out->lcom_;
   out->lrank_ = lcom.rank();
@@ -349,7 +349,6 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
 Result<std::unique_ptr<Collective>> Collective::open_read(
     fs::FileSystem& fs, par::Comm& gcom, const std::string& name,
     const CollectiveConfig& config) {
-  const int grank = gcom.rank();
 
   // The global master (a collector by construction) discovers the multifile
   // set and scatters the rank -> file map, as in SionParFile::open_read.
@@ -364,7 +363,7 @@ Result<std::unique_ptr<Collective>> Collective::open_read(
   out->path_ = core::physical_file_name(name, out->filenum_, out->nfiles_);
   out->buffer_bytes_ = std::max<std::uint64_t>(1, config.buffer_bytes);
 
-  out->lcom_ = gcom.split(out->filenum_, grank);
+  out->lcom_ = gcom.split(out->filenum_);
   SION_CHECK(out->lcom_ != nullptr) << "split returned no communicator";
   par::Comm& lcom = *out->lcom_;
   out->lrank_ = lcom.rank();

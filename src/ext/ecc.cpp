@@ -166,11 +166,8 @@ Result<EccProbe> shared_probe(fs::FileSystem& fs, par::Comm& mcom,
       st = probed.status();
     }
   }
-  std::uint64_t blob_size = blob.size();
-  mcom.steps({.status = &st, .bcast = {&blob_size, 1}}, 0, kEccFailed);
+  mcom.steps({.status = &st, .blob = &blob}, 0, kEccFailed);
   SION_RETURN_IF_ERROR(st);
-  blob.resize(blob_size);
-  mcom.bcast_bytes(blob, 0);
   return EccProbe::deserialize(blob);
 }
 
@@ -514,11 +511,8 @@ Status Ecc::encode_parity(fs::FileSystem& fs, par::Comm& comm,
       return Status::Ok();
     }();
   }
-  std::uint64_t plan_size = plan.size();
-  comm.steps({.status = &st, .bcast = {&plan_size, 1}}, 0, kEccFailed);
+  comm.steps({.status = &st, .blob = &plan}, 0, kEccFailed);
   SION_RETURN_IF_ERROR(st);
-  plan.resize(plan_size);
-  comm.bcast_bytes(plan, 0);
   ByteReader r(plan);
   SION_ASSIGN_OR_RETURN(const std::uint64_t data_start, r.get_u64());
   SION_ASSIGN_OR_RETURN(const std::uint64_t payload_bytes, r.get_u64());

@@ -100,13 +100,19 @@ Result<std::unique_ptr<Remap>> Remap::open(fs::FileSystem& fs, par::Comm& mcom,
       }
     }
   }
-  std::uint64_t nwriters = sizes.size();
-  mcom.steps({.status = &st, .bcast = {&nwriters, 1}}, 0, kRemapFailed);
-  SION_RETURN_IF_ERROR(st);
-  sizes.resize(nwriters, 0);
-  mcom.bcast_bytes(std::as_writable_bytes(std::span<std::uint64_t>(sizes)), 0);
+  {
+    // The sizes travel as one blob, freed before the next rendezvous so
+    // that no reader holds a second copy of them across it.
+    const auto packed = std::as_bytes(std::span<const std::uint64_t>(sizes));
+    std::vector<std::byte> blob(packed.begin(), packed.end());
+    mcom.steps({.status = &st, .blob = &blob}, 0, kRemapFailed);
+    SION_RETURN_IF_ERROR(st);
+    sizes.resize(blob.size() / sizeof(std::uint64_t));
+    std::copy(blob.begin(), blob.end(),
+              std::as_writable_bytes(std::span<std::uint64_t>(sizes)).begin());
+  }
 
-  out->nwriters_ = static_cast<int>(nwriters);
+  out->nwriters_ = static_cast<int>(sizes.size());
   out->stream_bytes_ = std::move(sizes);
   out->stream_offset_.reserve(out->stream_bytes_.size());
   for (const std::uint64_t s : out->stream_bytes_) {

@@ -159,13 +159,13 @@ Result<double> Staging::write(std::uint64_t index, fs::DataView payload,
     const double duration =
         static_cast<double>(bytes) * drain_copies_ / drain_.drain_bandwidth;
     finish = std::max(
-        finish, node_drain_[static_cast<std::size_t>(n)].schedule(start,
-                                                                  duration));
+        finish, node_drain_[static_cast<std::size_t>(n)].acquire(start,
+                                                                 duration));
   }
   if (global_drain_bandwidth_ > 0.0 && total != 0) {
     const double duration =
         static_cast<double>(total) * drain_copies_ / global_drain_bandwidth_;
-    finish = std::max(finish, global_drain_.schedule(start, duration));
+    finish = std::max(finish, global_drain_.acquire(start, duration));
   }
 
   DrainInfo info;

@@ -8,13 +8,14 @@
 // unchanged). A staged write is a real SION multifile write on that tier,
 // charged to the calling tasks — that is the cost the application pays.
 // The drain is *not* a task: the engine cannot spawn fibers mid-run, so the
-// drain agent is a par::BackgroundWorker timeline per burst-buffer node
-// (plus one for the parallel tier's ingest cap) on which every rank books
-// identical jobs — the completion times are deterministic and bit-identical
-// across ranks. The actual byte movement to the parallel tier happens
-// lazily at the next synchronisation point (wait/drain/slot reuse) under
-// fs::SimFs::ScopedFreeIo, so the bytes land without double-charging time
-// the analytic drain already accounted for. A fast-tier fault (kLost,
+// drain agent is a serial timeline, a one-server fs::Resource per
+// burst-buffer node (plus one for the parallel tier's ingest cap): each
+// drain job starts at the later of its booking time and the previous job's
+// end. Every rank books identical jobs in the same order, so the completion
+// times are bit-identical across ranks. The actual byte movement to the
+// parallel tier happens lazily at the next synchronisation point
+// (wait/drain/slot reuse) under fs::SimFs::ScopedFreeIo, so the bytes land
+// without double-charging time the analytic drain already accounted for. A fast-tier fault (kLost,
 // kTruncate) armed before that point makes the materialisation genuinely
 // fail — recovery then falls back to the last fully drained checkpoint.
 //
@@ -48,7 +49,7 @@
 #include "ext/ecc.h"
 #include "fs/filesystem.h"
 #include "fs/sim/machine.h"
-#include "par/background.h"
+#include "fs/sim/resource.h"
 #include "par/comm.h"
 
 namespace sion::ext {
@@ -138,8 +139,8 @@ class Staging {
   int nnodes_ = 1;
   double global_drain_bandwidth_ = 0.0;  // parallel-tier ingest cap; 0 = off
 
-  std::vector<par::BackgroundWorker> node_drain_;  // one agent per node
-  par::BackgroundWorker global_drain_;             // shared ingest timeline
+  std::vector<fs::Resource> node_drain_;  // one drain agent per node
+  fs::Resource global_drain_;             // shared ingest timeline
 
   std::vector<DrainInfo> history_;
   // Per checkpoint: bytes staged per burst-buffer node (capacity checks).

@@ -198,6 +198,15 @@ Result<std::unique_ptr<File>> SimFs::create(const std::string& raw_path) {
 }
 
 Result<std::unique_ptr<File>> SimFs::open_read(const std::string& raw_path) {
+  return open_existing(raw_path, /*writable=*/false);
+}
+
+Result<std::unique_ptr<File>> SimFs::open_rw(const std::string& raw_path) {
+  return open_existing(raw_path, /*writable=*/true);
+}
+
+Result<std::unique_ptr<File>> SimFs::open_existing(const std::string& raw_path,
+                                                   bool writable) {
   std::string norm;
   const std::string& path = normalize_into(raw_path, norm);
   const auto it = files_.find(path);
@@ -222,32 +231,7 @@ Result<std::unique_ptr<File>> SimFs::open_read(const std::string& raw_path) {
   }
   inode->ever_opened = true;
   return std::unique_ptr<File>(
-      std::make_unique<SimFile>(this, std::move(inode), /*writable=*/false));
-}
-
-Result<std::unique_ptr<File>> SimFs::open_rw(const std::string& raw_path) {
-  std::string norm;
-  const std::string& path = normalize_into(raw_path, norm);
-  const auto it = files_.find(path);
-  if (it == files_.end()) {
-    return NotFound(strformat("'%s' does not exist", path.c_str()));
-  }
-  if (faults_armed_ && open_faulted(path)) {
-    return IoError(strformat("injected fault: open of '%s' failed",
-                             path.c_str()));
-  }
-  SION_ASSIGN_OR_RETURN(DirState * dir, parent_dir(path));
-  std::shared_ptr<Inode> inode = it->second;
-  if (inode->ever_opened) {
-    advance(charge_meta(*dir, hot_open_service(*inode)));
-  } else {
-    advance(charge_meta(*dir, config_.open_service));
-    ++counters_.opens;
-    inode->client_ranks.insert(caller_rank());
-  }
-  inode->ever_opened = true;
-  return std::unique_ptr<File>(
-      std::make_unique<SimFile>(this, std::move(inode), /*writable=*/true));
+      std::make_unique<SimFile>(this, std::move(inode), writable));
 }
 
 Status SimFs::mkdir(const std::string& raw_path) {

@@ -258,6 +258,9 @@ class SimFs final : public FileSystem {
   // client-token acquisition, later re-opens only cached_open_service.
   double hot_open_service(Inode& inode);
 
+  Result<std::unique_ptr<File>> open_existing(const std::string& raw_path,
+                                              bool writable);
+
   // --- data path -------------------------------------------------------------
   Result<std::uint64_t> do_write(Inode& inode, DataView data,
                                  std::uint64_t offset);

@@ -1,8 +1,8 @@
 #include "par/comm.h"
 
 #include <algorithm>
-#include <cstring>
 #include <tuple>
+#include <utility>
 
 #include "common/log.h"
 
@@ -44,14 +44,13 @@ std::unique_ptr<Comm> Comm::create(Engine& engine,
 Comm::Comm(Engine& engine, std::vector<TaskState*> members, NetworkModel net)
     : engine_(&engine), members_(std::move(members)), net_(net) {
   granks_.reserve(members_.size());
-  identity_ranks_ = true;
-  ascending_ranks_ = true;
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    const int g = members_[i]->rank();
-    if (g != static_cast<int>(i)) identity_ranks_ = false;
-    if (!granks_.empty() && g <= granks_.back()) ascending_ranks_ = false;
-    granks_.push_back(g);
+  for (const TaskState* member : members_) {
+    SION_CHECK(granks_.empty() || member->rank() > granks_.back())
+        << "comm members must be in ascending global rank order";
+    granks_.push_back(member->rank());
   }
+  contiguous_ = !granks_.empty() &&
+                granks_.back() - granks_.front() == size() - 1;
   next_op_.assign(members_.size(), 0);
 }
 
@@ -63,19 +62,14 @@ TaskState& Comm::calling_task() const {
 
 int Comm::rank() const {
   const int grank = calling_task().rank();
-  if (identity_ranks_) {
-    SION_CHECK(grank >= 0 && grank < size())
+  if (contiguous_) {
+    const int r = grank - granks_.front();
+    SION_CHECK(r >= 0 && r < size())
         << "calling task is not a member of this communicator";
-    return grank;
+    return r;
   }
-  if (ascending_ranks_) {
-    const auto it = std::lower_bound(granks_.begin(), granks_.end(), grank);
-    SION_CHECK(it != granks_.end() && *it == grank)
-        << "calling task is not a member of this communicator";
-    return static_cast<int>(it - granks_.begin());
-  }
-  const auto it = std::find(granks_.begin(), granks_.end(), grank);
-  SION_CHECK(it != granks_.end())
+  const auto it = std::lower_bound(granks_.begin(), granks_.end(), grank);
+  SION_CHECK(it != granks_.end() && *it == grank)
       << "calling task is not a member of this communicator";
   return static_cast<int>(it - granks_.begin());
 }
@@ -122,14 +116,7 @@ void Comm::rendezvous(void* slot, F&& finalize) {
   const double tmax = site_tmax_;
   site_arrived_ = 0;
   const double release = finalize(site_slots_, tmax);
-  if (ascending_ranks_) {
-    engine_->wake_members(members_, static_cast<std::size_t>(my_rank),
-                          release);
-  } else {
-    for (std::size_t i = 0; i < members_.size(); ++i) {
-      if (static_cast<int>(i) != my_rank) engine_->wake(*members_[i], release);
-    }
-  }
+  engine_->wake_members(members_, static_cast<std::size_t>(my_rank), release);
   task.advance_to(release);
 }
 
@@ -140,33 +127,9 @@ void Comm::barrier() {
   });
 }
 
-void Comm::bcast_bytes(std::span<std::byte> buf, int root) {
-  SION_CHECK(root >= 0 && root < size()) << "bcast root out of range";
-  struct Slot {
-    std::span<std::byte> buf;
-  };
-  Slot slot{buf};
-  const int nranks = size();
-  const NetworkModel net = net_;
-  rendezvous(&slot, [root, nranks, net](std::vector<void*>& slots,
-                                        double tmax) {
-    const auto& src =
-        *static_cast<const Slot*>(slots[static_cast<std::size_t>(root)]);
-    walk_slots<Slot>(
-        slots, [](const Slot& dst) { __builtin_prefetch(dst.buf.data(), 1); },
-        [&](std::size_t i, Slot& dst) {
-          if (static_cast<int>(i) == root) return;
-          SION_CHECK(dst.buf.size() == src.buf.size())
-              << "bcast buffer size mismatch";
-          std::memcpy(dst.buf.data(), src.buf.data(), src.buf.size());
-        });
-    return tmax + net.bcast_cost(nranks, src.buf.size());
-  });
-}
-
 std::uint64_t Comm::bcast_u64(std::uint64_t value, int root) {
   std::uint64_t v = value;
-  bcast_bytes(std::as_writable_bytes(std::span<std::uint64_t>(&v, 1)), root);
+  steps({.bcast = {&v, 1}}, root);
   return v;
 }
 
@@ -259,6 +222,7 @@ bool same_shape(const Comm::Steps& a, const Comm::Steps& b) {
   return (a.status == nullptr) == (b.status == nullptr) &&
          (a.within == nullptr) == (b.within == nullptr) &&
          a.bcast.size() == b.bcast.size() &&
+         (a.blob == nullptr) == (b.blob == nullptr) &&
          a.scatter_out.size() == b.scatter_out.size() &&
          (a.scatterv_out == nullptr) == (b.scatterv_out == nullptr) &&
          a.gather_in.size() == b.gather_in.size() && a.barrier == b.barrier;
@@ -335,12 +299,13 @@ void Comm::steps(const Steps& s, int root, const char* what) {
     }
     if (verdict_failed_) return t;
 
-    // 2.-5. Broadcast words, u64 scatters, the byte scatterv and u64
-    // gathers: one walk moves the root's inputs out and the members'
+    // 2.-6. Broadcast words, the blob, u64 scatters, the byte scatterv and
+    // u64 gathers: one walk moves the root's inputs out and the members'
     // gather inputs in, then the costs follow in step order.
     const auto nvalues = static_cast<std::size_t>(n);
-    const bool moves = !rs.bcast.empty() || !rs.scatter_out.empty() ||
-                       rs.scatterv_out != nullptr || !rs.gather_in.empty();
+    const bool moves = !rs.bcast.empty() || rs.blob != nullptr ||
+                       !rs.scatter_out.empty() || rs.scatterv_out != nullptr ||
+                       !rs.gather_in.empty();
     SION_CHECK(rs.scatter_in.size() == rs.scatter_out.size())
         << "steps root must supply every scatter";
     for (const auto& in : rs.scatter_in) {
@@ -366,6 +331,7 @@ void Comm::steps(const Steps& s, int root, const char* what) {
             << "fused collective steps differ across members";
         if (&m != &rs) {
           std::copy(rs.bcast.begin(), rs.bcast.end(), m.bcast.begin());
+          if (rs.blob != nullptr) *m.blob = *rs.blob;
         }
         for (std::size_t k = 0; k < rs.scatter_in.size(); ++k) {
           m.scatter_out[k] = rs.scatter_in[k][i];
@@ -389,6 +355,10 @@ void Comm::steps(const Steps& s, int root, const char* what) {
     for (std::size_t k = 0; k < rs.bcast.size(); ++k) {
       t = t + net_.bcast_cost(n, sizeof(std::uint64_t));
     }
+    if (rs.blob != nullptr) {
+      t = t + net_.bcast_cost(n, sizeof(std::uint64_t));
+      t = t + net_.bcast_cost(n, rs.blob->size());
+    }
     for (std::size_t k = 0; k < rs.scatter_in.size(); ++k) {
       t = t + net_.rooted_cost(n, 8ULL * nvalues);
     }
@@ -397,7 +367,7 @@ void Comm::steps(const Steps& s, int root, const char* what) {
       t = t + net_.rooted_cost(n, 8 * out.data.size());
     }
 
-    // 6. The closing barrier.
+    // 7. The closing barrier.
     if (rs.barrier) t = t + net_.sync_cost(n);
     return t;
   });
@@ -420,55 +390,43 @@ void Comm::steps(const Steps& s, int root, const char* what) {
   }
 }
 
-Comm* Comm::split(int color, int key) {
+Comm* Comm::split(int color) {
   struct Slot {
     int color;
-    int key;
     Comm* out = nullptr;
   };
-  Slot slot{color, key, nullptr};
+  Slot slot{color, nullptr};
   const int nranks = size();
   const NetworkModel net = net_;
   Engine* engine = engine_;
   std::vector<TaskState*>* members = &members_;
   rendezvous(&slot, [nranks, net, engine, members](std::vector<void*>& slots,
                                                    double tmax) {
-    // Group by color, order each group by (key, parent rank). The sort runs
-    // on copies of the keys, not through the members' cold slots; a slot's
-    // index is its task's parent rank.
-    struct SortKey {
-      int color;
-      int key;
-      int parent_rank;
-    };
-    std::vector<SortKey> order;
+    // Group by color, each group in parent order. The sort runs on
+    // (color, parent rank) copies, not through the members' cold slots; a
+    // slot's index is its task's parent rank.
+    std::vector<std::pair<int, int>> order;
     order.reserve(slots.size());
-    walk_slots<Slot>(slots, kNoPointees,
-                     [&](std::size_t i, const Slot& s) {
-                       order.push_back({s.color, s.key, static_cast<int>(i)});
-                     });
-    std::sort(order.begin(), order.end(),
-              [](const SortKey& a, const SortKey& b) {
-                return std::tie(a.color, a.key, a.parent_rank) <
-                       std::tie(b.color, b.key, b.parent_rank);
-              });
+    walk_slots<Slot>(slots, kNoPointees, [&](std::size_t i, const Slot& s) {
+      order.emplace_back(s.color, static_cast<int>(i));
+    });
+    std::sort(order.begin(), order.end());
     std::size_t i = 0;
     while (i < order.size()) {
-      const int group_color = order[i].color;
+      const int group_color = order[i].first;
       std::size_t j = i;
-      while (j < order.size() && order[j].color == group_color) ++j;
+      while (j < order.size() && order[j].first == group_color) ++j;
       if (group_color >= 0) {
         std::vector<TaskState*> group;
         group.reserve(j - i);
         for (std::size_t k = i; k < j; ++k) {
           group.push_back(
-              (*members)[static_cast<std::size_t>(order[k].parent_rank)]);
+              (*members)[static_cast<std::size_t>(order[k].second)]);
         }
         Comm& child = engine->adopt_comm(
             Comm::create(*engine, std::move(group), net));
         for (std::size_t k = i; k < j; ++k) {
-          static_cast<Slot*>(
-              slots[static_cast<std::size_t>(order[k].parent_rank)])
+          static_cast<Slot*>(slots[static_cast<std::size_t>(order[k].second)])
               ->out = &child;
         }
       }
@@ -480,9 +438,8 @@ Comm* Comm::split(int color, int key) {
 }
 
 Comm* Comm::split_groups(int group_size) {
-  const int me = rank();
-  if (group_size <= 0 || group_size >= size()) return split(0, me);
-  return split(me / group_size, me);
+  if (group_size <= 0 || group_size >= size()) return split(0);
+  return split(rank() / group_size);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,12 @@
 // final placement — the view-based point-to-point calls (`send_view`/
 // `recv_view`) extend that contract to the aggregation ship protocol.
 //
+// Unlike MPI, a communicator's members are always in global-rank order:
+// `split` takes no key, because SIONlib orders every split by the parent
+// rank (paper section 3.2). A collective therefore releases its members as
+// one rank-ordered run (Engine::wake_members), and the world comm and every
+// SION file comm are contiguous rank ranges.
+//
 // Host-performance notes (the collective surface is the hottest code in a
 // 64Ki-task sweep):
 //   * collectives rendezvous on ONE reusable per-comm site — a comm never
@@ -23,13 +29,13 @@
 //     back-to-back collectives fuse into one (`steps`, below);
 //   * the gather/scatter results are flat single buffers plus offsets
 //     (`FlatGatherU64`, `Steps::scatterv_data`), never vector-of-vectors;
-//   * rank() resolves through the identity/sorted fast paths, not a hash
-//     table;
+//   * rank() is one subtraction on a contiguous comm and a binary search
+//     otherwise, not a hash table;
 //   * the members' slots sit on their suspended fiber stacks, each on its
 //     own cold page at 64Ki tasks, so every finalize that reads them walks
 //     them in rank order through one helper that prefetches the slot 16
 //     members ahead and what that slot points to 8 members ahead; split
-//     copies the keys out once and sorts the contiguous copy.
+//     copies the colors out once and sorts the contiguous copy.
 //
 // Exact-cost fusion. Collectives that follow each other with no clock
 // advance in between run as ONE rendezvous (`steps`): its last arrival
@@ -82,8 +88,7 @@ class Comm {
 
   void barrier();
 
-  // Root's buffer contents are visible in every task's `buf` on return.
-  void bcast_bytes(std::span<std::byte> buf, int root);
+  // The root's value, on every task (a one-step `steps`).
   std::uint64_t bcast_u64(std::uint64_t value, int root);
 
   // `values.size()` consecutive bcast_u64 calls, fused (steps).
@@ -129,30 +134,35 @@ class Comm {
     // 2. Broadcast words: the root's values reach every task's span, one
     //    8-byte broadcast each (bcast_u64).
     std::span<std::uint64_t> bcast{};
-    // 3. u64 scatters: the root's scatter_in[k] holds size() values and
+    // 3. An optional byte blob: the root's *blob reaches every task's
+    //    *blob, whatever its size there. It is charged as an 8-byte
+    //    broadcast of its size and then a broadcast of its bytes, the two
+    //    calls a receiver that cannot know the size in advance would make.
+    std::vector<std::byte>* blob = nullptr;
+    // 4. u64 scatters: the root's scatter_in[k] holds size() values and
     //    every task receives its own in scatter_out[k], each a rooted
     //    transfer of 8 * size() bytes.
     std::span<const std::span<const std::uint64_t>> scatter_in{};
     std::span<std::uint64_t> scatter_out{};
-    // 4. An optional byte scatterv: the root's flat `scatterv_data`,
+    // 5. An optional byte scatterv: the root's flat `scatterv_data`,
     //    sliced by `scatterv_sizes` in rank order, into each *scatterv_out.
     std::vector<std::byte>* scatterv_out = nullptr;
     std::span<const std::byte> scatterv_data{};
     std::span<const std::uint64_t> scatterv_sizes{};
-    // 5. u64 gathers: gather_in[k] of every task lands in the root's
+    // 6. u64 gathers: gather_in[k] of every task lands in the root's
     //    gather_out[k] (gatherv_u64_flat; one value each is gather_u64).
     std::span<const std::span<const std::uint64_t>> gather_in{};
     std::span<FlatGatherU64> gather_out{};
-    // 6. A closing barrier.
+    // 7. A closing barrier.
     bool barrier = false;
   };
   void steps(const Steps& s, int root, const char* what = "");
 
-  // MPI_Comm_split. Tasks passing the same color land in the same child
-  // communicator, ordered by (key, parent rank). color < 0 means "not in any
-  // child" (MPI_UNDEFINED) and yields nullptr. Child comms are owned by the
-  // engine and stay valid for the rest of the run.
-  Comm* split(int color, int key);
+  // MPI_Comm_split keyed by the parent rank. Tasks passing the same color
+  // land in the same child communicator, in parent order. color < 0 means
+  // "not in any child" (MPI_UNDEFINED) and yields nullptr. Child comms are
+  // owned by the engine and stay valid for the rest of the run.
+  Comm* split(int color);
 
   // Split into consecutive-rank groups of `group_size` tasks (the last group
   // may be smaller). The aggregation helper used by ext::Collective: rank 0
@@ -234,10 +244,9 @@ class Comm {
                         std::span<const std::byte>* view_sink, bool* blocked);
 
   Engine* engine_;
-  std::vector<TaskState*> members_;
+  std::vector<TaskState*> members_;  // in ascending global rank
   std::vector<int> granks_;  // global rank per comm rank (member order)
-  bool identity_ranks_ = false;   // granks_[i] == i
-  bool ascending_ranks_ = false;  // strictly increasing granks_
+  bool contiguous_ = false;  // granks_ is one range: rank = grank - front
   NetworkModel net_;
 
   std::vector<std::uint64_t> next_op_;  // per comm rank op counter

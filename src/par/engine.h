@@ -190,8 +190,10 @@ class Engine {
   void wake(TaskState& task, double t);
   // Batch release of a collective: make every member except members[skip]
   // runnable at time `t`, as one O(1)-per-task release run. `members` must
-  // be in ascending global-rank order and must outlive the run (Comm member
-  // vectors satisfy both); the schedule is identical to per-task wake().
+  // be in ascending global-rank order and must outlive the run; a Comm's
+  // member vector is both (its constructor checks the order, and split
+  // keeps it), so every collective releases through here. The schedule is
+  // identical to per-task wake().
   void wake_members(const std::vector<TaskState*>& members, std::size_t skip,
                     double t);
 

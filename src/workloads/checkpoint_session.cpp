@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "baseline/single_file_seq.h"
@@ -457,15 +458,25 @@ Result<std::uint64_t> CheckpointSession::restore_latest(
       if (!n.ok()) {
         st = n.status();
       } else {
+        // latest_plus1 must hold the index + 1, so the largest index is
+        // 2^64 - 2; a longer digit string must not wrap round.
+        constexpr std::uint64_t kMaxIndex =
+            std::numeric_limits<std::uint64_t>::max() - 1;
         std::uint64_t value = 0;
         bool any = false;
+        bool fits = true;
         for (std::uint64_t i = 0; i < n.value(); ++i) {
           const char c = static_cast<char>(buffer[i]);
           if (c < '0' || c > '9') break;
-          value = value * 10 + static_cast<std::uint64_t>(c - '0');
+          const auto digit = static_cast<std::uint64_t>(c - '0');
+          if (value > (kMaxIndex - digit) / 10) {
+            fits = false;
+            break;
+          }
+          value = value * 10 + digit;
           any = true;
         }
-        if (!any) {
+        if (!any || !fits) {
           st = Corrupt(strformat("manifest '%s' is unparsable",
                                  manifest.c_str()));
         } else {

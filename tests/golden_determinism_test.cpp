@@ -404,7 +404,7 @@ TEST(GoldenDeterminismTest, SchedulerMixedComputeCollectives) {
       acc += static_cast<double>(
           world.allreduce_u64(static_cast<std::uint64_t>(r + round),
                               par::ReduceOp::kMax));
-      par::Comm* half = world.split(r % 2, r);
+      par::Comm* half = world.split(r % 2);
       ASSERT_NE(half, nullptr);
       acc += static_cast<double>(half->allreduce_u64(
           static_cast<std::uint64_t>(r), par::ReduceOp::kSum));

@@ -11,10 +11,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/strings.h"
@@ -326,13 +326,14 @@ TEST(BcastTest, RootValueReachesEveryone) {
 TEST(BcastTest, BytesBuffer) {
   Engine engine;
   engine.run(4, [&](Comm& world) {
-    std::vector<std::byte> buf(64);
+    std::vector<std::byte> buf;
     if (world.rank() == 0) {
-      for (std::size_t i = 0; i < buf.size(); ++i) {
-        buf[i] = static_cast<std::byte>(i);
+      for (std::size_t i = 0; i < 64; ++i) {
+        buf.push_back(static_cast<std::byte>(i));
       }
     }
-    world.bcast_bytes(buf, 0);
+    world.steps({.blob = &buf}, 0);
+    ASSERT_EQ(buf.size(), 64u);
     for (std::size_t i = 0; i < buf.size(); ++i) {
       EXPECT_EQ(std::to_integer<std::size_t>(buf[i]), i);
     }
@@ -436,18 +437,14 @@ TEST(ScattervBytesTest, PiecesReachTheirRanks) {
   });
 }
 
-TEST(SplitTest, GroupsByColorOrderedByKey) {
+TEST(SplitTest, GroupsByColorInParentOrder) {
   Engine engine;
   engine.run(8, [&](Comm& world) {
     const int color = world.rank() % 2;
-    const int key = -world.rank();  // reverse order within each child
-    Comm* child = world.split(color, key);
+    Comm* child = world.split(color);
     ASSERT_NE(child, nullptr);
     EXPECT_EQ(child->size(), 4);
-    // Reverse key order: global rank 6 (largest even key=-6... smallest) is
-    // child rank 0 of color 0.
-    const int expected_rank = (7 - world.rank()) / 2;
-    EXPECT_EQ(child->rank(), expected_rank);
+    EXPECT_EQ(child->rank(), world.rank() / 2);
     // The child comm must be usable for collectives.
     const auto sum = child->allreduce_u64(
         static_cast<std::uint64_t>(world.rank()), ReduceOp::kSum);
@@ -458,7 +455,7 @@ TEST(SplitTest, GroupsByColorOrderedByKey) {
 TEST(SplitTest, UndefinedColorYieldsNull) {
   Engine engine;
   engine.run(4, [&](Comm& world) {
-    Comm* child = world.split(world.rank() == 0 ? -1 : 5, 0);
+    Comm* child = world.split(world.rank() == 0 ? -1 : 5);
     if (world.rank() == 0) {
       EXPECT_EQ(child, nullptr);
     } else {
@@ -471,66 +468,69 @@ TEST(SplitTest, UndefinedColorYieldsNull) {
 TEST(SplitTest, NestedSplits) {
   Engine engine;
   engine.run(8, [&](Comm& world) {
-    Comm* half = world.split(world.rank() / 4, world.rank());
+    Comm* half = world.split(world.rank() / 4);
     ASSERT_NE(half, nullptr);
-    Comm* quarter = half->split(half->rank() / 2, half->rank());
+    Comm* quarter = half->split(half->rank() / 2);
     ASSERT_NE(quarter, nullptr);
     EXPECT_EQ(quarter->size(), 2);
     quarter->barrier();
   });
 }
 
-// Thousands of tasks, interleaved colors (one of them negative) and
-// descending keys with ties: every child rank and size must follow the
-// (color, key, parent rank) order, on world and on a sub-comm whose ranks
-// reverse the global ones.
-TEST(SplitTest, OrderAtScaleFollowsSortedKeys) {
+// Thousands of tasks and interleaved colors (one of them negative): every
+// child rank and size must follow the parent order within each color, on
+// world and on a sub-comm of every other rank, whose global ranks are not
+// one range.
+TEST(SplitTest, OrderAtScaleFollowsParentRanks) {
   constexpr int kTasks = 4096;
   const auto color_of = [](int p) { return (p * 37) % 5 - 1; };
-  const auto key_of = [](int p) { return (kTasks - p) / 3; };
-  std::vector<std::tuple<int, int, int>> sorted;
-  for (int p = 0; p < kTasks; ++p) {
-    sorted.emplace_back(color_of(p), key_of(p), p);
-  }
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<int> want_rank(kTasks, -1);
-  std::vector<int> want_size(kTasks, 0);
-  for (std::size_t i = 0; i < sorted.size();) {
-    std::size_t j = i;
-    while (j < sorted.size() &&
-           std::get<0>(sorted[j]) == std::get<0>(sorted[i])) {
-      ++j;
+  // Child rank and size per parent rank of an n-task parent; rank -1 for
+  // the tasks in no child.
+  struct Want {
+    std::vector<int> rank;
+    std::vector<int> size;
+  };
+  const auto want_for = [&](int n) {
+    Want want{std::vector<int>(static_cast<std::size_t>(n), -1),
+              std::vector<int>(static_cast<std::size_t>(n), 0)};
+    std::map<int, int> members;
+    for (int p = 0; p < n; ++p) {
+      if (color_of(p) >= 0) {
+        want.rank[static_cast<std::size_t>(p)] = members[color_of(p)]++;
+      }
     }
-    for (std::size_t k = i; k < j && std::get<0>(sorted[i]) >= 0; ++k) {
-      const auto p = static_cast<std::size_t>(std::get<2>(sorted[k]));
-      want_rank[p] = static_cast<int>(k - i);
-      want_size[p] = static_cast<int>(j - i);
+    for (int p = 0; p < n; ++p) {
+      if (color_of(p) >= 0) {
+        want.size[static_cast<std::size_t>(p)] = members[color_of(p)];
+      }
     }
-    i = j;
-  }
-  ASSERT_EQ(std::count(want_rank.begin(), want_rank.end(), -1),
+    return want;
+  };
+  const Want whole = want_for(kTasks);
+  const Want half = want_for(kTasks / 2);
+  ASSERT_EQ(std::count(whole.rank.begin(), whole.rank.end(), -1),
             (kTasks + 4) / 5);
 
-  const auto check = [&](Comm& parent) {
+  const auto check = [&](Comm& parent, const Want& want) {
     const int p = parent.rank();
-    Comm* child = parent.split(color_of(p), key_of(p));
+    Comm* child = parent.split(color_of(p));
     if (color_of(p) < 0) {
       EXPECT_EQ(child, nullptr);
       return;
     }
     ASSERT_NE(child, nullptr);
-    EXPECT_EQ(child->rank(), want_rank[static_cast<std::size_t>(p)]);
-    EXPECT_EQ(child->size(), want_size[static_cast<std::size_t>(p)]);
+    EXPECT_EQ(child->rank(), want.rank[static_cast<std::size_t>(p)]);
+    EXPECT_EQ(child->size(), want.size[static_cast<std::size_t>(p)]);
   };
   EngineConfig config;
   config.stack_bytes = 32 * 1024;
   Engine engine(config);
   engine.run(kTasks, [&](Comm& world) {
-    check(world);
-    Comm* reversed = world.split(0, -world.rank());
-    ASSERT_NE(reversed, nullptr);
-    ASSERT_EQ(reversed->rank(), kTasks - 1 - world.rank());
-    check(*reversed);
+    check(world, whole);
+    Comm* parity = world.split(world.rank() % 2);
+    ASSERT_NE(parity, nullptr);
+    ASSERT_EQ(parity->rank(), world.rank() / 2);
+    check(*parity, half);
   });
 }
 
@@ -763,7 +763,7 @@ std::vector<std::string> fuse_run(
   std::vector<std::string> out(kFuseTasks + 1);
   engine.run(kFuseTasks, [&](Comm& world) {
     const int r = world.rank();
-    Comm* sub = world.split(fuse_color(r), r);
+    Comm* sub = world.split(fuse_color(r));
     this_task()->compute(1e-5 * ((r * 7) % 5));
     std::string& rec = out[static_cast<std::size_t>(r)];
     body(world, *sub, rec);
@@ -939,6 +939,52 @@ TEST(FusionTest, FailedStatusWordChargesOnlyItself) {
     fused_release = this_task()->now();
   });
   EXPECT_EQ(fused_release, NetworkModel{}.bcast_cost(4, 8));
+}
+
+// The blob reaches every task from the latest of rank-skewed arrivals,
+// charged as its size word and then its bytes (zero bytes still cost a
+// broadcast); a failed status word before it charges only itself and
+// leaves every blob as it was.
+TEST(FusionTest, BlobChargesItsSizeWordThenItsBytes) {
+  constexpr int kRoot = 3;
+  for (const std::size_t bytes : {std::size_t{0}, std::size_t{300}}) {
+    for (const bool root_fails : {false, true}) {
+      std::vector<std::byte> sent(bytes);
+      for (std::size_t i = 0; i < bytes; ++i) {
+        sent[i] = static_cast<std::byte>(i * 7 + 1);
+      }
+      double latest = 0.0;
+      std::vector<double> release(kFuseTasks);
+      Engine engine;
+      engine.run(kFuseTasks, [&](Comm& world) {
+        const int r = world.rank();
+        this_task()->compute(1e-5 * ((r * 7) % 5));
+        latest = std::max(latest, this_task()->now());
+        Status st =
+            r == kRoot && root_fails ? IoError("root failed") : Status::Ok();
+        std::vector<std::byte> blob(r == kRoot ? sent
+                                               : std::vector<std::byte>(5));
+        world.steps({.status = &st, .blob = &blob}, kRoot, kFuseWhat);
+        EXPECT_EQ(st.ok(), !root_fails);
+        if (root_fails) {
+          EXPECT_EQ(blob.size(), r == kRoot ? bytes : 5u);
+        } else {
+          EXPECT_EQ(blob, sent);
+        }
+        release[static_cast<std::size_t>(r)] = this_task()->now();
+      });
+      const NetworkModel net;
+      double want = latest + net.bcast_cost(kFuseTasks, 8);
+      if (!root_fails) {
+        want = want + net.bcast_cost(kFuseTasks, 8);
+        want = want + net.bcast_cost(kFuseTasks, bytes);
+      }
+      for (const double t : release) {
+        EXPECT_EQ(t, want) << strformat("%a vs %a, %zu bytes, root fails %d",
+                                        t, want, bytes, root_fails);
+      }
+    }
+  }
 }
 
 class TaskCountParamTest : public ::testing::TestWithParam<int> {};

@@ -191,10 +191,10 @@ TEST_F(RemapApiTest, MultiBlockStreamsCrossChunkBoundaries) {
   EXPECT_EQ(got, expect);
 }
 
-// Remap::open shares rank 0's status together with the stream count (one
-// Comm::steps rendezvous), then broadcasts the sizes and agrees on the
-// data open: three rendezvous, each suspending every reader but the last.
-TEST_F(RemapApiTest, OpenTakesThreeRendezvous) {
+// Remap::open shares rank 0's status together with the stream sizes (one
+// Comm::steps rendezvous with a blob), then agrees on the data open: two
+// rendezvous, each suspending every reader but the last.
+TEST_F(RemapApiTest, OpenTakesTwoRendezvous) {
   constexpr int kReaders = 4;
   par::Engine engine;
   engine.run(6, [&](par::Comm& world) {
@@ -213,7 +213,7 @@ TEST_F(RemapApiTest, OpenTakesThreeRendezvous) {
     if (world.rank() == 0) opened = engine.suspensions();
     ASSERT_TRUE(remap.value()->close().ok());
   });
-  EXPECT_EQ(opened, 3u * (kReaders - 1));
+  EXPECT_EQ(opened, 2u * (kReaders - 1));
 }
 
 TEST_F(RemapApiTest, EvenSharesTileTheStream) {

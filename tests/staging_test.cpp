@@ -189,6 +189,43 @@ TEST(StagingSessionTest, StagedRoundtripAndRestoreLatest) {
   });
 }
 
+// A manifest index whose successor does not fit in 64 bits is corrupt on
+// every task; it must not wrap round to checkpoint 0, which exists.
+TEST(CheckpointSessionTest, ManifestIndexPastU64IsCorrupt) {
+  const int n = 4;
+  const std::uint64_t bytes = 4 * kKiB;
+  fs::SimFs pfs(fs::TestbedConfig());
+  CheckpointSpec spec;
+  spec.path = "wrap.sion";
+  par::Engine engine;
+  engine.run(n, [&](par::Comm& world) {
+    const auto mine = payload_of(world.rank(), 0, bytes);
+    ASSERT_TRUE(write_checkpoint(pfs, world, spec, DataView(mine)).ok());
+  });
+  for (const std::string& digits :
+       {std::string("18446744073709551615"),
+        std::string("18446744073709551616"), std::string(32, '9')}) {
+    engine.run(n, [&](par::Comm& world) {
+      if (world.rank() == 0) {
+        auto file = pfs.create("wrap.sion.manifest");
+        ASSERT_TRUE(file.ok()) << file.status().to_string();
+        ASSERT_TRUE(
+            file.value()
+                ->pwrite(DataView(std::as_bytes(std::span(digits))), 0)
+                .ok());
+      }
+      world.barrier();
+      std::vector<std::byte> back(bytes);
+      auto restored =
+          CheckpointSession::restore_latest(pfs, world, spec, bytes, back);
+      ASSERT_FALSE(restored.ok()) << digits << " restored index "
+                                  << restored.value();
+      EXPECT_EQ(restored.status().code(), ErrorCode::kCorrupt)
+          << digits << ": " << restored.status().to_string();
+    });
+  }
+}
+
 // The tentpole claim: a staged write_async blocks only for the fast-tier
 // absorb, far less than the synchronous parallel-tier write, and the drain
 // completes later, in the background, while compute proceeds.
