@@ -15,9 +15,10 @@
 // times are bit-identical across ranks. The actual byte movement to the
 // parallel tier happens lazily at the next synchronisation point
 // (wait/drain/slot reuse) under fs::SimFs::ScopedFreeIo, so the bytes land
-// without double-charging time the analytic drain already accounted for. A fast-tier fault (kLost,
-// kTruncate) armed before that point makes the materialisation genuinely
-// fail — recovery then falls back to the last fully drained checkpoint.
+// without double-charging time the analytic drain already accounted for.
+// A fast-tier fault (kLost, kTruncate) armed before that point makes the
+// materialisation genuinely fail — recovery then falls back to the last
+// fully drained checkpoint.
 //
 // Double buffering: checkpoint k occupies fast-tier slot k % 2; the
 // slot's previous occupant is always drained and materialised before the
