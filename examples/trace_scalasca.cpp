@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
                                              : TraceBackend::kSion;
   spec.nfiles = 4;
   spec.buffer_bytes = events * kTraceEventBytes + 4096;
-  spec.compress = compress;
+  if (compress) spec.compression = ext::CompressionSpec{};
 
   fs::SimFs fs(fs::JugeneConfig());
   par::EngineConfig config;

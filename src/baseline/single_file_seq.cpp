@@ -10,31 +10,27 @@ namespace sion::baseline {
 namespace {
 constexpr int kDataTag = 0x5EC;
 constexpr int kTokenTag = 0x70C;
+constexpr int kIoRank = 0;  // the designated I/O task
 
 // Collective error propagation: the I/O task's status must reach everyone or
 // a failure there would strand the other tasks. Protocol messages always
-// complete (with dummy payloads on error); the status is agreed at the end.
-Status share_outcome(par::Comm& comm, const Status& mine) {
-  const std::uint64_t failed =
-      comm.allreduce_u64(mine.ok() ? 0 : 1, par::ReduceOp::kMax);
-  if (failed == 0) return Status::Ok();
-  if (!mine.ok()) return mine;
-  return Internal("single-file-sequential I/O failed on the I/O task");
-}
+// complete (with dummy payloads on error); the status is agreed at the end
+// (par::agree_status, with this message for the tasks that did not fail).
+constexpr char kIoFailed[] =
+    "single-file-sequential I/O failed on the I/O task";
 }  // namespace
 
 Status write_single_file_seq(fs::FileSystem& fs, par::Comm& comm,
                              const std::string& path, fs::DataView my_data,
                              const SingleFileSeqOptions& options) {
   const int rank = comm.rank();
-  const int io_rank = options.io_rank;
   const std::uint64_t staging = std::max<std::uint64_t>(1, options.staging_bytes);
 
   // Everyone announces its size so the I/O task knows the file offsets.
-  const auto sizes = comm.gather_u64(my_data.size(), io_rank);
+  const auto sizes = comm.gather_u64(my_data.size(), kIoRank);
 
   Status st;
-  if (rank == io_rank) {
+  if (rank == kIoRank) {
     std::unique_ptr<fs::File> file;
     auto created = fs.create(path);
     if (created.ok()) {
@@ -48,7 +44,7 @@ Status write_single_file_seq(fs::FileSystem& fs, par::Comm& comm,
       std::uint64_t done = 0;
       while (done < total) {
         const std::uint64_t piece = std::min(staging, total - done);
-        if (src == io_rank) {
+        if (src == kIoRank) {
           // Own data goes straight from the application buffer.
           if (st.ok()) {
             auto wrote = file->pwrite(my_data.subview(done, piece), offset);
@@ -82,17 +78,17 @@ Status write_single_file_seq(fs::FileSystem& fs, par::Comm& comm,
     while (done < my_data.size()) {
       const std::uint64_t piece = std::min(staging, my_data.size() - done);
       const fs::DataView view = my_data.subview(done, piece);
-      (void)comm.recv_bytes(io_rank, kTokenTag);  // wait for the I/O task
+      (void)comm.recv_bytes(kIoRank, kTokenTag);  // wait for the I/O task
       if (view.is_fill()) {
         staging_buf.assign(piece, view.fill_byte());
-        comm.send_bytes(staging_buf, io_rank, kDataTag);
+        comm.send_bytes(staging_buf, kIoRank, kDataTag);
       } else {
-        comm.send_bytes(view.bytes(), io_rank, kDataTag);
+        comm.send_bytes(view.bytes(), kIoRank, kDataTag);
       }
       done += piece;
     }
   }
-  return share_outcome(comm, st);
+  return par::agree_status(comm, st, kIoFailed);
 }
 
 Status read_single_file_seq(fs::FileSystem& fs, par::Comm& comm,
@@ -100,7 +96,6 @@ Status read_single_file_seq(fs::FileSystem& fs, par::Comm& comm,
                             std::span<std::byte> out,
                             const SingleFileSeqOptions& options) {
   const int rank = comm.rank();
-  const int io_rank = options.io_rank;
   const std::uint64_t staging = std::max<std::uint64_t>(1, options.staging_bytes);
   // A task whose buffer cannot hold its bytes still takes part in every
   // gather and scatter, dropping the bytes, so no other task strands; its
@@ -108,10 +103,10 @@ Status read_single_file_seq(fs::FileSystem& fs, par::Comm& comm,
   const bool fits = out.empty() || out.size() >= my_bytes;
   const bool discard = out.empty() || !fits;
 
-  const auto sizes = comm.gather_u64(my_bytes, io_rank);
+  const auto sizes = comm.gather_u64(my_bytes, kIoRank);
 
   Status st;
-  if (rank == io_rank) {
+  if (rank == kIoRank) {
     std::unique_ptr<fs::File> file;
     auto opened = fs.open_read(path);
     if (opened.ok()) {
@@ -135,7 +130,7 @@ Status read_single_file_seq(fs::FileSystem& fs, par::Comm& comm,
             st = Corrupt("short read in restart file");
           }
         }
-        if (dst == io_rank) {
+        if (dst == kIoRank) {
           if (!discard && st.ok()) {
             std::copy(buf.begin(), buf.end(),
                       out.begin() + static_cast<std::ptrdiff_t>(done));
@@ -151,7 +146,7 @@ Status read_single_file_seq(fs::FileSystem& fs, par::Comm& comm,
     std::uint64_t done = 0;
     while (done < my_bytes) {
       const std::uint64_t piece = std::min(staging, my_bytes - done);
-      const std::vector<std::byte> buf = comm.recv_bytes(io_rank, kDataTag);
+      const std::vector<std::byte> buf = comm.recv_bytes(kIoRank, kDataTag);
       if (st.ok() && buf.size() != piece) {
         st = Internal("staging piece size mismatch");
       }
@@ -165,7 +160,7 @@ Status read_single_file_seq(fs::FileSystem& fs, par::Comm& comm,
   if (!fits && st.ok()) {
     st = InvalidArgument("output buffer smaller than expected bytes");
   }
-  return share_outcome(comm, st);
+  return par::agree_status(comm, st, kIoFailed);
 }
 
 }  // namespace sion::baseline

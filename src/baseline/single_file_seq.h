@@ -1,9 +1,10 @@
-// The single-file-sequential baseline: one designated I/O task accesses a
-// single file on behalf of all others, gathering (or scattering) the data in
-// staging-buffer-sized waves (paper section 1). This is the scheme MP2C
-// originally used for checkpoint/restart files and the comparison baseline
-// of Fig. 6; its bandwidth is limited to what a single task can push, and
-// bounded staging memory forces many alternating gather/write rounds.
+// The single-file-sequential baseline: one designated I/O task (rank 0)
+// accesses a single file on behalf of all others, gathering (or
+// scattering) the data in staging-buffer-sized waves (paper section 1).
+// This is the scheme MP2C originally used for checkpoint/restart files and
+// the comparison baseline of Fig. 6; its bandwidth is limited to what a
+// single task can push, and bounded staging memory forces many alternating
+// gather/write rounds.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +22,6 @@ struct SingleFileSeqOptions {
   // most this size ("multiple gather or scatter operations may be required
   // while writing or reading the file incrementally").
   std::uint64_t staging_bytes = 8 * kMiB;
-  int io_rank = 0;
 };
 
 // Collective write: task data is concatenated in rank order into `path`.

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "common/strings.h"
 #include "common/units.h"
 
 namespace sion {
@@ -12,7 +11,7 @@ Options::Options(int argc, const char* const* argv) {
   bool flags_done = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (flags_done || !starts_with(arg, "--")) {
+    if (flags_done || !arg.starts_with("--")) {
       positional_.push_back(arg);
       continue;
     }

@@ -5,47 +5,6 @@
 
 namespace sion {
 
-std::vector<std::string> split(std::string_view text, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t pos = text.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(text.substr(start));
-      break;
-    }
-    out.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i != 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
-std::string_view trim(std::string_view text) {
-  std::size_t b = 0;
-  std::size_t e = text.size();
-  while (b < e && (text[b] == ' ' || text[b] == '\t' || text[b] == '\n')) ++b;
-  while (e > b && (text[e - 1] == ' ' || text[e - 1] == '\t' || text[e - 1] == '\n')) --e;
-  return text.substr(b, e - b);
-}
-
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
-}
-
-bool ends_with(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
-}
-
 std::string strformat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

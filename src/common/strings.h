@@ -1,17 +1,9 @@
-// Small string helpers shared by the tools and option parsing.
+// String formatting shared by the library, the tools and the benches.
 #pragma once
 
 #include <string>
-#include <string_view>
-#include <vector>
 
 namespace sion {
-
-std::vector<std::string> split(std::string_view text, char sep);
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
-std::string_view trim(std::string_view text);
-bool starts_with(std::string_view text, std::string_view prefix);
-bool ends_with(std::string_view text, std::string_view suffix);
 
 // printf-style formatting into a std::string.
 std::string strformat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -21,11 +21,6 @@ Result<FileMap> FileMap::contiguous(int ntasks, int nfiles) {
   return FileMap(Mapping::kContiguous, ntasks, nfiles);
 }
 
-Result<FileMap> FileMap::round_robin(int ntasks, int nfiles) {
-  SION_RETURN_IF_ERROR(validate_counts(ntasks, nfiles));
-  return FileMap(Mapping::kRoundRobin, ntasks, nfiles);
-}
-
 Result<FileMap> FileMap::custom(std::vector<int> file_of_rank, int nfiles) {
   if (file_of_rank.empty()) return InvalidArgument("empty custom mapping");
   if (nfiles <= 0) return InvalidArgument("nfiles must be positive");
@@ -56,8 +51,12 @@ Result<FileMap> FileMap::make(Mapping mapping, int ntasks, int nfiles,
                               const std::vector<int>& custom_map) {
   switch (mapping) {
     case Mapping::kContiguous: return contiguous(ntasks, nfiles);
-    case Mapping::kRoundRobin: return round_robin(ntasks, nfiles);
     case Mapping::kCustom: {
+      if (custom_map.size() != static_cast<std::size_t>(ntasks)) {
+        return InvalidArgument(
+            strformat("custom mapping has %zu entries for %d tasks",
+                      custom_map.size(), ntasks));
+      }
       auto copy = custom_map;
       return custom(std::move(copy), nfiles);
     }
@@ -77,8 +76,6 @@ int FileMap::file_of(int rank) const {
     case Mapping::kContiguous:
       return static_cast<int>(static_cast<long long>(rank) * nfiles_ /
                               ntasks_);
-    case Mapping::kRoundRobin:
-      return rank % nfiles_;
     case Mapping::kCustom:
       return custom_file_of_rank_[static_cast<std::size_t>(rank)];
   }
@@ -89,8 +86,6 @@ int FileMap::local_index(int rank) const {
   switch (kind_) {
     case Mapping::kContiguous:
       return rank - contiguous_first_rank(file_of(rank));
-    case Mapping::kRoundRobin:
-      return rank / nfiles_;
     case Mapping::kCustom:
       return custom_local_index_[static_cast<std::size_t>(rank)];
   }
@@ -103,8 +98,6 @@ int FileMap::tasks_in_file(int filenum) const {
     case Mapping::kContiguous:
       return contiguous_first_rank(filenum + 1) -
              contiguous_first_rank(filenum);
-    case Mapping::kRoundRobin:
-      return ntasks_ / nfiles_ + (filenum < ntasks_ % nfiles_ ? 1 : 0);
     case Mapping::kCustom:
       return custom_tasks_in_file_[static_cast<std::size_t>(filenum)];
   }

@@ -3,7 +3,7 @@
 // the user chooses how many files and, if desired, the exact mapping (e.g.,
 // one physical file per Blue Gene I/O node).
 //
-// The built-in mappings are *computed*, not materialised: every task of a
+// The contiguous mapping is *computed*, not materialised: every task of a
 // collective open holds a FileMap while blocked, so per-task O(ntasks)
 // storage would make opens O(ntasks^2) memory at 64 Ki tasks. Only custom
 // mappings carry arrays.
@@ -18,15 +18,14 @@ namespace sion::core {
 
 enum class Mapping : std::uint8_t {
   kContiguous,  // ranks [i*N/F, (i+1)*N/F) share file i (default)
-  kRoundRobin,  // rank r -> file r % F
   kCustom,      // caller-supplied file index per rank
 };
 
 class FileMap {
  public:
   static Result<FileMap> contiguous(int ntasks, int nfiles);
-  static Result<FileMap> round_robin(int ntasks, int nfiles);
   static Result<FileMap> custom(std::vector<int> file_of_rank, int nfiles);
+  // A kCustom map must have exactly `ntasks` entries.
   static Result<FileMap> make(Mapping mapping, int ntasks, int nfiles,
                               const std::vector<int>& custom_map);
 

@@ -243,14 +243,11 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
   if (!is_power_of_two(real_blk)) {
     return InvalidArgument("file-system block size must be a power of two");
   }
-  std::uint64_t granule = real_blk;
-  if (config.alignment != CollectiveConfig::Alignment::kFsBlock) {
-    granule = std::min(
-        config.packing_granule != 0 ? config.packing_granule : real_blk,
-        real_blk);
-    if (!is_power_of_two(granule) || real_blk % granule != 0) {
-      granule = real_blk;
-    }
+  std::uint64_t granule = std::min(
+      config.packing_granule != 0 ? config.packing_granule : real_blk,
+      real_blk);
+  if (!is_power_of_two(granule) || real_blk % granule != 0) {
+    granule = real_blk;
   }
   out->granule_ = granule;
 
@@ -277,8 +274,7 @@ Result<std::unique_ptr<Collective>> Collective::open_write(
     // serialize() size depends only on the task count, so the pre-padding
     // header already has the final metablock-1 size.
     const std::uint64_t meta1_size = header.serialize().size();
-    if (config.alignment == CollectiveConfig::Alignment::kPacked &&
-        granule < real_blk) {
+    if (granule < real_blk) {
       // Pad each group's last chunk so the group ends on a real file-system
       // block boundary: a group has exactly one writer, so only boundaries
       // *between* groups can false-share, and this removes them.

@@ -15,12 +15,12 @@
 //
 // The on-disk format is the ordinary SION multifile: one logical chunk per
 // member rank, so a file written collectively reads back per-rank through
-// core::SionParFile::open_read (and vice versa). With Alignment::kPacked
-// the chunks of a group are packed at `packing_granule` instead of one
-// file-system block each — safe because a group has exactly one writer —
-// and only group boundaries are padded to the real file-system block, which
-// removes the "at least one file-system block per task" floor the paper
-// calls out for small task payloads.
+// core::SionParFile::open_read (and vice versa). The chunks of a group are
+// packed at `packing_granule` instead of one file-system block each — safe
+// because a group has exactly one writer — and each group's end is padded
+// to the real file-system block, so different collectors never share a
+// block. This removes the "at least one file-system block per task" floor
+// the paper calls out for small task payloads.
 //
 // Collective calls (open/write/read/read_skip/close) must be made by every
 // rank of the communicator, in the same order, like every SIONlib
@@ -52,21 +52,14 @@ struct CollectiveConfig {
   // bounded regardless of payload size.
   std::uint64_t buffer_bytes = 4 * kMiB;
 
-  enum class Alignment : std::uint8_t {
-    // Classic SION alignment: every chunk padded to the real file-system
-    // block. No packing win, but collectors still cut opens and op counts.
-    kFsBlock,
-    // Pack member chunks at packing_granule and pad each group's end to the
-    // real file-system block, so different collectors never share a block.
-    kPacked,
-    // Pack with no group padding: adjacent collectors may share blocks
-    // (exhibits Table-1-style lock ping-pong; for ablations).
-    kNone,
-  };
+  // The one layout, packed as the file comment describes. Nothing reads
+  // this field; it stays only while callers still assign it.
+  enum class Alignment : std::uint8_t { kPacked };
   Alignment alignment = Alignment::kPacked;
 
-  // Chunk packing granule for kPacked/kNone (power of two). Clamped to the
-  // real file-system block size.
+  // Chunk packing granule (power of two). Clamped to the real file-system
+  // block size; a granule that is not a power of two dividing the block
+  // falls back to the block.
   std::uint64_t packing_granule = 4 * kKiB;
 };
 

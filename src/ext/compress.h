@@ -71,7 +71,7 @@ namespace detail {
 }  // namespace detail
 
 // Knobs for the framed-compression stream path, carried as an optional
-// sub-spec of workloads::CheckpointSpec (and by TracerSpec).
+// sub-spec of workloads::CheckpointSpec and workloads::TracerSpec.
 struct CompressionSpec {
   // Raw bytes per frame. Smaller chunks bound the blast radius of one
   // damaged frame; larger chunks compress better. Clamped to

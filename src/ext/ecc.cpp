@@ -520,7 +520,10 @@ Status Ecc::encode_parity(fs::FileSystem& fs, par::Comm& comm,
 
   // Contiguous stripe ranges per task: parity is byte-positional, so any
   // partition encodes the same bytes; contiguous keeps the I/O sequential.
-  const std::uint64_t nstripes = (payload_bytes + stripe - 1) / stripe;
+  // The stripe may come from a parity header (heal), so neither the count
+  // nor the buffer below may assume it is small.
+  const std::uint64_t nstripes =
+      payload_bytes / stripe + (payload_bytes % stripe != 0 ? 1 : 0);
   const auto msize = static_cast<std::uint64_t>(comm.size());
   const auto me = static_cast<std::uint64_t>(comm.rank());
   const std::uint64_t lo = nstripes * me / msize;
@@ -542,7 +545,8 @@ Status Ecc::encode_parity(fs::FileSystem& fs, par::Comm& comm,
         }
         tables.push_back(make_tables(row));
       }
-      std::vector<std::byte> buf(static_cast<std::size_t>(stripe));
+      std::vector<std::byte> buf(
+          static_cast<std::size_t>(std::min(stripe, payload_bytes)));
       std::vector<std::vector<std::byte>> acc(targets.size());
       for (std::uint64_t s = lo; s < hi; ++s) {
         const std::uint64_t off = s * stripe;

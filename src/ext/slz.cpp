@@ -6,8 +6,6 @@
 
 #include "common/codec.h"
 #include "common/log.h"
-#include "common/strings.h"
-#include "common/units.h"
 
 namespace sion::ext {
 
@@ -262,44 +260,6 @@ Result<std::vector<std::byte>> slz_decompress(std::span<const std::byte> input,
   std::vector<std::byte> out(static_cast<std::size_t>(usize));
   SION_RETURN_IF_ERROR(slz_decompress_into(input, out));
   return out;
-}
-
-Status slz_validate_frame_size(std::uint64_t stream_bytes) {
-  if (stream_bytes > 0xFFFFFFFFULL) {
-    return OutOfRange(
-        strformat("slz stream of %s overflows the u32 frame length field; "
-                  "split the stream at the framing layer",
-                  format_bytes(stream_bytes).c_str()));
-  }
-  return Status::Ok();
-}
-
-Result<std::vector<std::byte>> slz_frame(std::span<const std::byte> input) {
-  std::vector<std::byte> stream = slz_compress(input);
-  SION_RETURN_IF_ERROR(slz_validate_frame_size(stream.size()));
-  std::vector<std::byte> out;
-  out.reserve(stream.size() + 4);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((stream.size() >> (8 * i)) & 0xFF));
-  }
-  out.insert(out.end(), stream.begin(), stream.end());
-  return out;
-}
-
-Result<std::pair<std::vector<std::byte>, std::size_t>> slz_unframe(
-    std::span<const std::byte> framed) {
-  if (framed.size() < 4) return Corrupt("truncated slz frame header");
-  std::uint32_t frame_bytes = 0;
-  for (int i = 0; i < 4; ++i) {
-    frame_bytes |= std::to_integer<std::uint32_t>(framed[static_cast<std::size_t>(i)])
-                   << (8 * i);
-  }
-  if (framed.size() < 4ULL + frame_bytes) {
-    return Corrupt("truncated slz frame body");
-  }
-  SION_ASSIGN_OR_RETURN(auto data,
-                        slz_decompress(framed.subspan(4, frame_bytes)));
-  return std::make_pair(std::move(data), static_cast<std::size_t>(4 + frame_bytes));
 }
 
 }  // namespace sion::ext

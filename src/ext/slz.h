@@ -63,17 +63,4 @@ Result<std::vector<std::byte>> slz_decompress(std::span<const std::byte> input,
                                               std::uint64_t max_bytes =
                                                   kSlzMaxDecode);
 
-// Compress/decompress with framing suitable for appending to a SION logical
-// file: [u32 frame bytes][slz stream]. Returns bytes consumed from `input`.
-// The u32 length field cannot represent a >= 4 GiB compressed stream; such
-// inputs are rejected (kOutOfRange) — split at a higher framing layer
-// (ext/compress.h chunks streams well below this bound).
-Result<std::vector<std::byte>> slz_frame(std::span<const std::byte> input);
-Result<std::pair<std::vector<std::byte>, std::size_t>> slz_unframe(
-    std::span<const std::byte> framed);
-
-// Exposed for the frame writers (slz_frame, ext/compress.h) and for tests:
-// checks that a compressed stream of `stream_bytes` fits a u32 length field.
-[[nodiscard]] Status slz_validate_frame_size(std::uint64_t stream_bytes);
-
 }  // namespace sion::ext

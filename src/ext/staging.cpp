@@ -25,7 +25,7 @@ constexpr std::uint64_t kCopyBufferBytes = 4 * kMiB;
 Result<std::unique_ptr<Staging>> Staging::open(
     fs::FileSystem& parallel_tier, par::Comm& comm, StagingConfig config,
     core::ParOpenSpec sion_spec, std::optional<CollectiveConfig> collective,
-    std::optional<BuddyConfig> buddy, std::optional<EccConfig> ecc) {
+    Protection protection) {
   if (config.fast_tier == nullptr) {
     return InvalidArgument("staging: a fast_tier file system is required");
   }
@@ -42,19 +42,19 @@ Result<std::unique_ptr<Staging>> Staging::open(
         "sets tasks_per_node and drain_bandwidth");
   }
 
-  if (buddy.has_value() && ecc.has_value()) {
-    return InvalidArgument(
-        "staging: buddy and ecc protection are mutually exclusive");
-  }
-  if (ecc.has_value()) {
+  std::optional<EccConfig> ecc;
+  int replicas = 1;
+  if (const auto* e = std::get_if<EccConfig>(&protection); e != nullptr) {
     SION_ASSIGN_OR_RETURN(ecc,
-                          Ecc::resolve(*ecc, sion_spec.nfiles, comm.size()));
+                          Ecc::resolve(*e, sion_spec.nfiles, comm.size()));
     sion_spec.nfiles = ecc->data_domains;
   }
-  if (buddy.has_value()) {
+  if (const auto* b = std::get_if<BuddyConfig>(&protection); b != nullptr) {
     SION_ASSIGN_OR_RETURN(
-        buddy, Buddy::resolve(*buddy, sion_spec.nfiles, comm.size()));
-    sion_spec.nfiles = buddy->num_domains;
+        const BuddyConfig buddy,
+        Buddy::resolve(*b, sion_spec.nfiles, comm.size()));
+    sion_spec.nfiles = buddy.num_domains;
+    replicas = std::max(1, buddy.replicas);
   }
 
   auto s = std::unique_ptr<Staging>(new Staging());
@@ -64,9 +64,8 @@ Result<std::unique_ptr<Staging>> Staging::open(
   s->drain_ = sim->config().burst_buffer;
   s->sion_spec_ = std::move(sion_spec);
   s->collective_ = collective;
-  s->buddy_ = buddy;
   s->ecc_ = ecc;
-  s->replicas_ = buddy.has_value() ? std::max(1, buddy->replicas) : 1;
+  s->replicas_ = replicas;
   s->drain_copies_ = static_cast<double>(s->replicas_);
   if (ecc.has_value()) {
     s->drain_copies_ = 1.0 + static_cast<double>(ecc->parity_domains) /

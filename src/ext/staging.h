@@ -41,6 +41,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/status.h"
@@ -54,6 +55,10 @@
 #include "par/comm.h"
 
 namespace sion::ext {
+
+// The redundancy scheme protecting a checkpoint: none, buddy replica sets,
+// or ECC parity files (workloads::CheckpointSpec::protection).
+using Protection = std::variant<std::monostate, BuddyConfig, EccConfig>;
 
 // The drain model (nodes, drain bandwidth, node capacity) is the parallel
 // tier's SimConfig::burst_buffer, so the parallel tier must be a SimFs.
@@ -83,14 +88,15 @@ class Staging {
   // Collective open. `sion_spec` is the template for the staged writes
   // (filename is the *final* base name; chunksize is set per write);
   // `collective` routes the staged fast-tier writes through
-  // ext::Collective; `buddy` replicates during the drain; `ecc` encodes
-  // parity during the drain instead (mutually exclusive with `buddy`).
-  // Either scheme stages one physical file per failure domain, so its
-  // resolved domain count overrides sion_spec.nfiles.
+  // ext::Collective. `protection` is applied during the drain: a
+  // BuddyConfig fans the staged files out to replica sets, an EccConfig
+  // encodes parity files. Either scheme stages one physical file per
+  // failure domain, so its resolved domain count overrides
+  // sion_spec.nfiles.
   static Result<std::unique_ptr<Staging>> open(
       fs::FileSystem& parallel_tier, par::Comm& comm, StagingConfig config,
       core::ParOpenSpec sion_spec, std::optional<CollectiveConfig> collective,
-      std::optional<BuddyConfig> buddy, std::optional<EccConfig> ecc = {});
+      Protection protection);
 
   // Collective: absorb checkpoint `index` (consecutive from 0) into its
   // fast-tier slot and book the background drain; returns the drain
@@ -131,8 +137,7 @@ class Staging {
   fs::SimConfig::BurstBuffer drain_;  // the parallel tier's drain model
   core::ParOpenSpec sion_spec_;
   std::optional<CollectiveConfig> collective_;
-  std::optional<BuddyConfig> buddy_;
-  std::optional<EccConfig> ecc_;
+  std::optional<EccConfig> ecc_;  // parity to encode after each drain
   int replicas_ = 1;
   // Bytes shipped over the drain links per staged byte: `replicas` for
   // buddy fan-out, 1 + m/k for ECC parity fabrication, 1 unprotected.

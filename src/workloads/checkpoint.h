@@ -5,7 +5,8 @@
 //
 // The spec composes optional sub-specs instead of bool flags:
 //   * `collective` — aggregate through ext::Collective (present = on);
-//   * `protection` — a variant of redundancy schemes (ext::BuddyConfig);
+//   * `protection` — a variant of redundancy schemes (ext::Protection:
+//     ext::BuddyConfig or ext::EccConfig);
 //   * `staging`    — asynchronous multi-tier staging (ext::StagingConfig):
 //     checkpoints land on a node-local fast tier and drain to the parallel
 //     file system in the background (see workloads/checkpoint_session.h).
@@ -58,8 +59,7 @@ struct CheckpointSpec {
   // k-file primary instead — any m of the k+m files may be lost at m/k
   // overhead, and restores either heal or decode lost files on the fly
   // (degraded reads). See the README "Checkpoint protection" matrix.
-  using Protection =
-      std::variant<std::monostate, ext::BuddyConfig, ext::EccConfig>;
+  using Protection = ext::Protection;
   Protection protection;
 
   // SIONlib strategy only: stage checkpoints on a node-local fast tier and
@@ -98,10 +98,12 @@ struct CheckpointSpec {
 // the writer task count: impossible configs (no parity domains, more
 // domains than GF(256) supports, domain counts that do not divide the
 // writers, replication degrees exceeding the domain count) fail here with
-// a clear InvalidArgument instead of deep inside the writer. Called by
-// CheckpointSession::open and restore; exposed for tests and tools.
-// `ntasks <= 0` skips the writer-divisibility checks (restores run at any
-// task count — an N->M restart comm need not divide into the domains).
+// a clear InvalidArgument instead of deep inside the writer. Only
+// CheckpointSession::open calls it, with the writer count; restores resolve
+// their scheme through Buddy::resolve / Ecc::resolve, with no writer count.
+// `ntasks <= 0` skips the writer-divisibility checks the same way (a restore
+// runs at any task count: an N->M restart comm need not divide into the
+// domains).
 [[nodiscard]] Status validate_protection(const CheckpointSpec& spec,
                                          int ntasks);
 

@@ -148,18 +148,10 @@ Result<std::unique_ptr<CheckpointSession>> CheckpointSession::open(
     open.filename = s.path;
     open.nfiles = std::max(1, s.nfiles);
     open.fsblksize = s.fsblksize;
-    std::optional<ext::BuddyConfig> buddy;
-    std::optional<ext::EccConfig> ecc;
-    if (const ext::BuddyConfig* b = s.buddy_protection(); b != nullptr) {
-      buddy = *b;
-    }
-    if (const ext::EccConfig* e = s.ecc_protection(); e != nullptr) {
-      ecc = *e;
-    }
     SION_ASSIGN_OR_RETURN(
         session->staging_,
-        ext::Staging::open(fs, comm, *s.staging, open, s.collective, buddy,
-                           ecc));
+        ext::Staging::open(fs, comm, *s.staging, open, s.collective,
+                           s.protection));
   }
   return session;
 }

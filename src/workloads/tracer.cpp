@@ -114,9 +114,9 @@ Result<std::uint64_t> Tracer::flush_and_close() {
   fs::DataView payload = fs::DataView::fill(std::byte{'e'}, spec_.synthetic_bytes);
   if (spec_.synthetic_bytes == 0) {
     raw = trace_serialize(events_);
-    if (spec_.compress) {
+    if (spec_.compression.has_value()) {
       SION_ASSIGN_OR_RETURN(framed,
-                            ext::compress_stream(raw, spec_.compression));
+                            ext::compress_stream(raw, *spec_.compression));
       payload = fs::DataView(framed);
     } else {
       payload = fs::DataView(raw);
@@ -155,7 +155,7 @@ Result<std::vector<TraceEvent>> trace_load_rank(fs::FileSystem& fs,
     SION_ASSIGN_OR_RETURN(const std::uint64_t n, file->pread(raw, 0));
     raw.resize(n);
   }
-  if (spec.compress) {
+  if (spec.compression.has_value()) {
     SION_ASSIGN_OR_RETURN(const std::vector<std::byte> decoded,
                           ext::decompress_stream(raw));
     return trace_deserialize(decoded);

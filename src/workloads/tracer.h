@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,11 +46,10 @@ struct TracerSpec {
   int nfiles = 1;                 // SION backend
   std::uint64_t fsblksize = 0;    // SION backend
   std::uint64_t buffer_bytes = 0;  // expected trace volume per task (chunk)
-  bool compress = false;           // frame-compress at flush (ext/compress.h)
-  // Framing knobs when `compress` is set; the shared framer gives trace
-  // streams the same sync-marker + CRC32C corruption tolerance as
-  // compressed checkpoints.
-  ext::CompressionSpec compression;
+  // When set, frame-compress at flush (ext/compress.h) and decompress at
+  // load: the shared framer gives trace streams the same sync-marker +
+  // CRC32C corruption tolerance as compressed checkpoints.
+  std::optional<ext::CompressionSpec> compression;
 
   // Benchmark mode: flush writes this many synthetic payload bytes instead
   // of the recorded events (compression is modelled as already applied —

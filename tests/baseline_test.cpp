@@ -121,23 +121,6 @@ TEST(SingleFileSeqTest2, FileIsConcatenationInRankOrder) {
   EXPECT_EQ(all[20], std::byte{'c'});
 }
 
-TEST(SingleFileSeqTest2, NonRootIoTask) {
-  fs::SimFs fs(fs::TestbedConfig());
-  par::Engine engine;
-  engine.run(4, [&](par::Comm& world) {
-    SingleFileSeqOptions options;
-    options.io_rank = 2;
-    const auto data = rank_pattern(world.rank(), 500);
-    ASSERT_TRUE(
-        write_single_file_seq(fs, world, "alt.dat", DataView(data), options)
-            .ok());
-    std::vector<std::byte> back(500);
-    ASSERT_TRUE(
-        read_single_file_seq(fs, world, "alt.dat", 500, back, options).ok());
-    EXPECT_EQ(back, data);
-  });
-}
-
 TEST(SingleFileSeqTest2, ReadOfMissingFileFailsOnAllRanks) {
   fs::SimFs fs(fs::TestbedConfig());
   par::Engine engine;

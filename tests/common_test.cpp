@@ -1,5 +1,5 @@
 // Unit tests for src/common: status propagation, binary codec roundtrips,
-// units parsing/formatting, string helpers, option parsing, RNG determinism.
+// units parsing/formatting, strformat, option parsing, RNG determinism.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -284,24 +284,6 @@ TEST(UnitsTest, PowerOfTwo) {
   EXPECT_TRUE(is_power_of_two(4096));
   EXPECT_FALSE(is_power_of_two(0));
   EXPECT_FALSE(is_power_of_two(3));
-}
-
-TEST(StringsTest, Split) {
-  EXPECT_EQ(split("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(split("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(split("a,,c", ','), (std::vector<std::string>{"a", "", "c"}));
-  EXPECT_EQ(split("a,", ','), (std::vector<std::string>{"a", ""}));
-}
-
-TEST(StringsTest, JoinTrimAffixes) {
-  EXPECT_EQ(join({"x", "y"}, "/"), "x/y");
-  EXPECT_EQ(join({}, "/"), "");
-  EXPECT_EQ(trim("  hi\n"), "hi");
-  EXPECT_EQ(trim(""), "");
-  EXPECT_TRUE(starts_with("multifile.sion", "multi"));
-  EXPECT_FALSE(starts_with("m", "multi"));
-  EXPECT_TRUE(ends_with("file.sion", ".sion"));
-  EXPECT_FALSE(ends_with("n", ".sion"));
 }
 
 TEST(StringsTest, Strformat) {

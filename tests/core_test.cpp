@@ -216,7 +216,8 @@ TEST(FileMapTest, ContiguousUneven) {
 }
 
 TEST(FileMapTest, RoundRobin) {
-  auto map = FileMap::round_robin(6, 2).value();
+  // Round robin (rank r -> file r % 2) is one custom map.
+  auto map = FileMap::custom({0, 1, 0, 1, 0, 1}, 2).value();
   EXPECT_EQ(map.file_of(0), 0);
   EXPECT_EQ(map.file_of(1), 1);
   EXPECT_EQ(map.file_of(2), 0);
@@ -228,6 +229,16 @@ TEST(FileMapTest, CustomValidation) {
   EXPECT_FALSE(FileMap::custom({0, 2}, 2).ok());   // out of range
   EXPECT_FALSE(FileMap::custom({0, 0}, 2).ok());   // file 1 empty
   EXPECT_FALSE(FileMap::custom({}, 1).ok());
+  // An opener's map must name a file for every task and for no more.
+  EXPECT_TRUE(FileMap::make(Mapping::kCustom, 3, 2, {0, 1, 0}).ok());
+  const auto longer = FileMap::make(Mapping::kCustom, 4, 2, {0, 1, 0, 1, 1, 1});
+  ASSERT_FALSE(longer.ok());
+  EXPECT_EQ(longer.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(longer.status().message(),
+            "custom mapping has 6 entries for 4 tasks");
+  const auto shorter = FileMap::make(Mapping::kCustom, 8, 2, {0, 1, 0, 1});
+  ASSERT_FALSE(shorter.ok());
+  EXPECT_EQ(shorter.status().code(), ErrorCode::kInvalidArgument);
 }
 
 TEST(FileMapTest, BadCounts) {
@@ -696,6 +707,31 @@ TEST(ParFileTest, CustomMappingRoundtrip) {
   });
 }
 
+// A map with fewer entries than tasks used to kill the process on
+// FileMap::file_of's rank CHECK.
+TEST(ParFileTest, CustomMapOfTheWrongLengthFailsEveryTask) {
+  fs::SimFs fs(fs::TestbedConfig());
+  par::Engine engine;
+  int failed = 0;
+  engine.run(8, [&](par::Comm& world) {
+    ParOpenSpec spec;
+    spec.filename = "short_map.sion";
+    spec.chunksize = 1000;
+    spec.fsblksize = 512;
+    spec.nfiles = 2;
+    spec.mapping = Mapping::kCustom;
+    spec.custom_file_of_rank = {0, 1, 0, 1};
+    auto open = SionParFile::open_write(fs, world, spec);
+    ASSERT_FALSE(open.ok()) << "task " << world.rank();
+    EXPECT_EQ(open.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(open.status().message(),
+              "custom mapping has 4 entries for 8 tasks");
+    ++failed;
+  });
+  EXPECT_EQ(failed, 8);
+  EXPECT_FALSE(fs.exists("short_map.sion.000000"));
+}
+
 // ---------------------------------------------------------------------------
 // Parallel roundtrip on the real file system
 // ---------------------------------------------------------------------------
@@ -896,6 +932,24 @@ TEST_F(SerialFileTest, ForgedGlobalRankIsCorruptNotAnOutOfBoundsWrite) {
   // Rejected by the range check, before any array is indexed by the rank.
   EXPECT_NE(open.status().message().find("out of range"), std::string::npos)
       << open.status().to_string();
+}
+
+// A map with more entries than chunk sizes used to open, and close then
+// read past the end of a header's global ranks.
+TEST_F(SerialFileTest, CustomMapOfTheWrongLengthIsRejected) {
+  SerialWriteSpec spec;
+  spec.filename = "long_map.sion";
+  spec.chunksizes = {1000, 1000, 1000, 1000};
+  spec.nfiles = 2;
+  spec.fsblksize = 512;
+  spec.mapping = Mapping::kCustom;
+  spec.custom_file_of_rank = {0, 1, 0, 1, 1, 1};
+  auto open = SionSerialFile::open_write(fs_, spec);
+  ASSERT_FALSE(open.ok());
+  EXPECT_EQ(open.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(open.status().message(),
+            "custom mapping has 6 entries for 4 tasks");
+  EXPECT_FALSE(fs_.exists("long_map.sion.000000"));
 }
 
 TEST_F(SerialFileTest, LocationsExposeBytesWritten) {

@@ -11,6 +11,7 @@
 
 #include <cstring>
 #include <functional>
+#include <iterator>
 
 #include "common/codec.h"
 #include "common/rng.h"
@@ -527,6 +528,17 @@ TEST_P(EccFaultTest, InvalidConfigurationsAreRejectedEarly) {
 // Heal report plumbing and companion discovery (the sionrepair pre-flight).
 // ---------------------------------------------------------------------------
 
+// A caller's stripe of 2^63 bytes used to size the encode buffer and kill
+// the write; the stripe only batches I/O, so it must write and restore.
+TEST_P(EccFaultTest, HugeStripeWritesAndRestoresExactly) {
+  workloads::CheckpointSpec spec = ecc_spec("huge_stripe.ckpt", 4, 2);
+  std::get<EccConfig>(spec.protection).stripe_bytes = std::uint64_t{1} << 63;
+  write_ecc(16, spec);
+  ASSERT_TRUE(
+      fs_.remove(core::physical_file_name("huge_stripe.ckpt", 1, 4)).ok());
+  restore_and_check(16, 4, spec);
+}
+
 TEST_P(EccFaultTest, HealReportsWhatItRepaired) {
   const int kWriters = 16;
   const int k = 4;
@@ -827,13 +839,42 @@ class EccHeaderFuzzTest : public ::testing::Test {
     ecc.data_domains = kK;
     ecc.parity_domains = 2;
     spec_.protection = ecc;
+    write_set(spec_);
+    clean_ = whole(Ecc::parity_name("fz.ckpt", 0));
+  }
+
+  void write_set(const workloads::CheckpointSpec& spec) {
     par::Engine engine;
     engine.run(kWriters, [&](par::Comm& world) {
       const auto mine = rank_payload(world.rank());
       ASSERT_TRUE(
-          workloads::write_checkpoint(fs_, world, spec_, DataView(mine)).ok());
+          workloads::write_checkpoint(fs_, world, spec, DataView(mine)).ok());
     });
-    clean_ = whole(Ecc::parity_name("fz.ckpt", 0));
+  }
+
+  // Restores `spec` N->M on `ntasks` tasks; every task must succeed and
+  // hold its exact share of the writers' bytes.
+  void expect_exact_restore(workloads::CheckpointSpec spec, int ntasks) {
+    const std::vector<std::byte> expect = concatenated_payload(kWriters);
+    spec.restart_ntasks = ntasks;
+    int restored = 0;
+    par::Engine engine;
+    engine.run(ntasks, [&](par::Comm& world) {
+      const std::uint64_t lo =
+          share_offset(expect.size(), ntasks, world.rank());
+      const std::uint64_t hi =
+          share_offset(expect.size(), ntasks, world.rank() + 1);
+      std::vector<std::byte> mine(hi - lo);
+      const Status st =
+          workloads::read_checkpoint(fs_, world, spec, mine.size(), mine);
+      ASSERT_TRUE(st.ok()) << "task " << world.rank() << ": "
+                           << st.to_string();
+      EXPECT_TRUE(std::equal(mine.begin(), mine.end(),
+                             expect.begin() + static_cast<std::ptrdiff_t>(lo)))
+          << "task " << world.rank() << " restored wrong bytes";
+      ++restored;
+    });
+    EXPECT_EQ(restored, ntasks);
   }
 
   std::vector<std::byte> whole(const std::string& path) {
@@ -1002,26 +1043,48 @@ TEST_F(EccHeaderFuzzTest, ShiftedDataStartRestoresFromTheOtherParity) {
   EXPECT_EQ(probe.value().parity_ok[1], 1);
   EXPECT_EQ(probe.value().data_ok[1], 0);
 
-  const std::vector<std::byte> expect = concatenated_payload(kWriters);
-  constexpr int kTasks = 8;
-  workloads::CheckpointSpec spec = spec_;
-  spec.restart_ntasks = kTasks;
-  int restored = 0;
-  par::Engine engine;
-  engine.run(kTasks, [&](par::Comm& world) {
-    const std::uint64_t lo = share_offset(expect.size(), kTasks, world.rank());
-    const std::uint64_t hi =
-        share_offset(expect.size(), kTasks, world.rank() + 1);
-    std::vector<std::byte> mine(hi - lo);
-    const Status st =
-        workloads::read_checkpoint(fs_, world, spec, mine.size(), mine);
-    ASSERT_TRUE(st.ok()) << "task " << world.rank() << ": " << st.to_string();
-    EXPECT_TRUE(std::equal(mine.begin(), mine.end(),
-                           expect.begin() + static_cast<std::ptrdiff_t>(lo)))
-        << "task " << world.rank() << " restored wrong bytes";
-    ++restored;
-  });
-  EXPECT_EQ(restored, kTasks);
+  expect_exact_restore(spec_, 8);
+}
+
+// Ecc::heal re-encodes a lost parity file with the stripe of the first
+// usable parity header, whose CRC protects it but whose value nothing
+// bounds. A stripe of 2^63 made the encode allocate a 2^63-byte buffer: rank
+// 0 threw std::length_error and its peers hung. A stripe of 2^64 - 1 wrapped
+// the stripe count to 0, so heal wrote an all-zero parity file that looked
+// intact. The stripe only batches I/O, so both must heal exactly.
+TEST_F(EccHeaderFuzzTest, ForgedHugeStripeHealsExactly) {
+  const std::uint64_t stripes[] = {std::uint64_t{1} << 63, ~std::uint64_t{0}};
+  for (std::size_t i = 0; i < std::size(stripes); ++i) {
+    SCOPED_TRACE("stripe " + std::to_string(stripes[i]));
+    workloads::CheckpointSpec spec = spec_;
+    spec.path = "stripe" + std::to_string(i) + ".ckpt";
+    write_set(spec);
+    const std::string p0 = Ecc::parity_name(spec.path, 0);
+    const std::vector<std::byte> clean = whole(p0);
+    ParityFields f = read_fields(clean);
+    f.stripe_bytes = stripes[i];
+    store(p0, with_header(clean, f));
+    ASSERT_TRUE(fs_.remove(Ecc::parity_name(spec.path, 1)).ok());
+
+    constexpr int kHealers = 4;
+    int healed = 0;
+    par::Engine engine;
+    engine.run(kHealers, [&](par::Comm& world) {
+      auto report = Ecc::heal(fs_, world, spec.path,
+                              std::get<EccConfig>(spec.protection));
+      ASSERT_TRUE(report.ok()) << "task " << world.rank() << ": "
+                               << report.status().to_string();
+      EXPECT_EQ(report.value().damaged_parity, 1);
+      EXPECT_EQ(report.value().healed_files, 1);
+      ++healed;
+    });
+    EXPECT_EQ(healed, kHealers);
+
+    // Only the re-encoded p1 can now rebuild the lost data file 1.
+    ASSERT_TRUE(fs_.remove(core::physical_file_name(spec.path, 1, kK)).ok());
+    ASSERT_TRUE(fs_.remove(p0).ok());
+    expect_exact_restore(spec, 4);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(PlainAndCollective, EccFaultTest,

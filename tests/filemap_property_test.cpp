@@ -1,7 +1,8 @@
-// Property tests for the computed (closed-form) file mappings: for every
-// (ntasks, nfiles) combination the mapping must partition ranks into
-// contiguous-per-file, ascending local indices, with per-file counts that
-// sum to ntasks — the invariants the multifile header format relies on.
+// Property tests for the file mappings, the computed (closed-form)
+// contiguous one and a custom one: for every (ntasks, nfiles) combination
+// the mapping must partition ranks into ascending local indices per file,
+// with per-file counts that sum to ntasks — the invariants the multifile
+// header format relies on.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -52,17 +53,30 @@ TEST_P(FileMapSweepTest, ContiguousInvariants) {
   EXPECT_LE(hi - lo, 1);
 }
 
+// Round robin (rank r -> file r % nfiles) as a custom map, the most finely
+// interleaved one; these invariants hold for any custom map.
 TEST_P(FileMapSweepTest, RoundRobinInvariants) {
   const auto [ntasks, nfiles] = GetParam();
-  auto map = FileMap::round_robin(ntasks, nfiles).value();
+  std::vector<int> round_robin(static_cast<std::size_t>(ntasks));
+  for (int r = 0; r < ntasks; ++r) {
+    round_robin[static_cast<std::size_t>(r)] = r % nfiles;
+  }
+  auto map =
+      FileMap::make(Mapping::kCustom, ntasks, nfiles, round_robin).value();
   int total = 0;
-  std::vector<int> next_local(static_cast<std::size_t>(nfiles), 0);
-  for (int f = 0; f < nfiles; ++f) total += map.tasks_in_file(f);
+  for (int f = 0; f < nfiles; ++f) {
+    EXPECT_GE(map.tasks_in_file(f), 1);
+    total += map.tasks_in_file(f);
+  }
   EXPECT_EQ(total, ntasks);
+  std::vector<int> next_local(static_cast<std::size_t>(nfiles), 0);
   for (int r = 0; r < ntasks; ++r) {
     const int f = map.file_of(r);
     EXPECT_EQ(f, r % nfiles);
     EXPECT_EQ(map.local_index(r), next_local[static_cast<std::size_t>(f)]++);
+  }
+  for (int f = 0; f < nfiles; ++f) {
+    EXPECT_EQ(next_local[static_cast<std::size_t>(f)], map.tasks_in_file(f));
   }
 }
 

@@ -1,7 +1,8 @@
 // Cross-module integration scenarios that chain several subsystems end to
 // end: parallel write -> serial tools -> parallel re-read; crash -> repair ->
-// defrag; compression through the SION write path; round-robin mappings
-// under re-reads; and the full MP2C example pipeline on PosixFs.
+// defrag; compression frames through the SION write path; a custom
+// round-robin file map under re-reads; and the full MP2C example pipeline
+// on PosixFs.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -10,8 +11,8 @@
 #include "common/strings.h"
 #include "common/units.h"
 #include "core/api.h"
+#include "ext/compress.h"
 #include "ext/recovery.h"
-#include "ext/slz.h"
 #include "fs/posix_fs.h"
 #include "fs/sim/machine.h"
 #include "fs/sim/simfs.h"
@@ -44,7 +45,8 @@ TEST(IntegrationTest, ParallelWriteSplitCompareParallelRead) {
     spec.chunksize = 10000;
     spec.fsblksize = 4096;
     spec.nfiles = 3;
-    spec.mapping = core::Mapping::kRoundRobin;
+    spec.mapping = core::Mapping::kCustom;
+    for (int r = 0; r < n; ++r) spec.custom_file_of_rank.push_back(r % 3);
     auto sion = core::SionParFile::open_write(fsim, world, spec);
     ASSERT_TRUE(sion.ok()) << sion.status().to_string();
     const auto data = rank_pattern(world.rank(), 25000);
@@ -111,7 +113,7 @@ TEST(IntegrationTest, CompressedPayloadThroughMultifile) {
     for (std::size_t i = 0; i < raw.size(); ++i) {
       raw[i] = static_cast<std::byte>((i / 100 + world.rank()) % 7);
     }
-    auto framed_or = ext::slz_frame(raw);
+    auto framed_or = ext::compress_stream(raw);
     ASSERT_TRUE(framed_or.ok());
     const std::vector<std::byte> framed = std::move(framed_or).value();
 
@@ -127,9 +129,11 @@ TEST(IntegrationTest, CompressedPayloadThroughMultifile) {
     ASSERT_TRUE(ropen.ok());
     std::vector<std::byte> back(ropen.value()->bytes_remaining_total());
     ASSERT_TRUE(ropen.value()->read(back).ok());
-    auto restored = ext::slz_unframe(back);
+    ext::StreamLossReport loss;
+    auto restored = ext::decompress_stream(back, &loss);
     ASSERT_TRUE(restored.ok()) << restored.status().to_string();
-    EXPECT_EQ(restored.value().first, raw);
+    EXPECT_EQ(restored.value(), raw);
+    EXPECT_TRUE(loss.clean()) << loss.to_string();
     ASSERT_TRUE(ropen.value()->close().ok());
   });
 }

@@ -7,7 +7,10 @@
 // data.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/codec.h"
 #include "common/rng.h"
@@ -307,6 +310,111 @@ TEST_F(RecoveryFaultTest, CorruptedHeaderFailsCleanly) {
   auto report = repair_multifile(fs_, "hdr.sion");
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), ErrorCode::kCorrupt);
+}
+
+// ---------------------------------------------------------------------------
+// seeded mutation
+// ---------------------------------------------------------------------------
+
+// Seeded bit flips in the bytes repair parses, metablock 1 and the chunk
+// frames, of a crashed multifile; payload bytes carry no checksum, so they
+// are left alone. Some rounds also truncate the file. Repair must never
+// crash, over-allocate or hang (the asan and ubsan presets run this suite
+// too). It returns OK, kCorrupt, kNotFound (a flipped file count names a
+// missing file) or kFailedPrecondition (a flipped flag says the file has no
+// chunk frames). After an OK repair every task reads a prefix of its own
+// stream, the torn-final-frame contract above, or the reopen fails with the
+// parallel opener's codes (a repaired metablock 1 can still hold a damaged
+// rank or size, which repair does not parse).
+TEST_F(RecoveryFaultTest, SeededMutationsRepairToAPrefixOrFailCleanly) {
+  constexpr int kTasks = 4;
+  constexpr std::uint64_t kBytes = 7000;  // three blocks per task
+  write_multifile("fz.sion", kTasks, 1, kBytes, /*crash=*/true);
+  const Geometry geo = geometry_of("fz.sion");
+  std::vector<std::byte> clean;
+  {
+    auto file = fs_.open_read("fz.sion");
+    ASSERT_TRUE(file.ok());
+    clean.resize(file.value()->stat().value().size);
+    ASSERT_TRUE(file.value()->pread(clean, 0).ok());
+  }
+  std::vector<std::uint64_t> parsed;  // offsets of the bytes repair parses
+  for (std::uint64_t i = 0; i < geo.header.serialize().size(); ++i) {
+    parsed.push_back(i);
+  }
+  for (int t = 0; t < kTasks; ++t) {
+    for (std::uint64_t b = 0; b < geo.header.nblocks; ++b) {
+      const std::uint64_t start = geo.layout.chunk_start(t, b);
+      for (std::uint64_t i = 0; i < core::kChunkFrameSize; ++i) {
+        if (start + i < clean.size()) parsed.push_back(start + i);
+      }
+    }
+  }
+
+  Rng rng(0x4E9A1F);
+  int repaired = 0;
+  int rejected = 0;
+  int strict_prefix = 0;  // OK repairs after which a task read a prefix
+  for (int round = 0; round < 2000; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<std::byte> bytes = clean;
+    const int flips = 1 + static_cast<int>(rng.next_below(8));
+    for (int f = 0; f < flips; ++f) {
+      bytes[parsed[rng.next_below(parsed.size())]] ^=
+          static_cast<std::byte>(1u << rng.next_below(8));
+    }
+    if (rng.next_bool(0.2)) bytes.resize(rng.next_below(bytes.size()));
+    {
+      auto file = fs_.create("mut.sion");
+      ASSERT_TRUE(file.ok());
+      if (!bytes.empty()) {
+        ASSERT_TRUE(file.value()->pwrite(DataView(bytes), 0).ok());
+      }
+    }
+    const auto report = repair_multifile(fs_, "mut.sion");
+    if (!report.ok()) {
+      const ErrorCode code = report.status().code();
+      EXPECT_TRUE(code == ErrorCode::kCorrupt ||
+                  code == ErrorCode::kNotFound ||
+                  code == ErrorCode::kFailedPrecondition)
+          << report.status().to_string();
+      ++rejected;
+      continue;
+    }
+    ++repaired;
+    bool prefix = false;
+    par::Engine engine;
+    engine.run(kTasks, [&](par::Comm& world) {
+      auto ropen = core::SionParFile::open_read(fs_, world, "mut.sion");
+      if (!ropen.ok()) {
+        const ErrorCode code = ropen.status().code();
+        EXPECT_TRUE(code == ErrorCode::kCorrupt ||
+                    code == ErrorCode::kNotFound ||
+                    code == ErrorCode::kFailedPrecondition ||
+                    code == ErrorCode::kInvalidArgument ||
+                    code == ErrorCode::kInternal)
+            << "task " << world.rank() << ": " << ropen.status().to_string();
+        return;
+      }
+      auto got = ropen.value()->read_remaining();
+      if (got.ok()) {
+        const auto expect = payload_of(world.rank(), kBytes);
+        ASSERT_LE(got.value().size(), kBytes) << "task " << world.rank();
+        EXPECT_TRUE(std::equal(got.value().begin(), got.value().end(),
+                               expect.begin()))
+            << "task " << world.rank() << " read bytes it never wrote";
+        prefix = prefix || got.value().size() < kBytes;
+      } else {
+        EXPECT_EQ(got.status().code(), ErrorCode::kCorrupt)
+            << "task " << world.rank() << ": " << got.status().to_string();
+      }
+      EXPECT_TRUE(ropen.value()->close().ok());
+    });
+    strict_prefix += prefix;
+  }
+  EXPECT_GT(repaired, 0);
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(strict_prefix, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -296,7 +296,7 @@ TEST(StagingTest, SlotReuseWaitsForEviction) {
     core::ParOpenSpec sion;
     sion.filename = "db.sion";
     auto staging = ext::Staging::open(pfs, world, config, sion, std::nullopt,
-                                      std::nullopt);
+                                      ext::Protection{});
     ASSERT_TRUE(staging.ok()) << staging.status().to_string();
     for (std::uint64_t k = 0; k < 5; ++k) {
       const auto mine = payload_of(world.rank(), k, 512 * kKiB);

@@ -306,7 +306,7 @@ TEST_P(TracerBackendTest, RecordFlushReload) {
     spec.backend = c.backend;
     spec.nfiles = 2;
     spec.buffer_bytes = nevents * kTraceEventBytes + 4096;
-    spec.compress = c.compress;
+    if (c.compress) spec.compression = ext::CompressionSpec{};
     auto tracer = Tracer::open(fs, world, spec);
     ASSERT_TRUE(tracer.ok()) << tracer.status().to_string();
     for (const auto& e : trace_generate(world.rank(), nevents, 21)) {
@@ -328,7 +328,7 @@ TEST_P(TracerBackendTest, RecordFlushReload) {
     spec.path = "trace";
     spec.backend = c.backend;
     spec.nfiles = 2;
-    spec.compress = c.compress;
+    if (c.compress) spec.compression = ext::CompressionSpec{};
     auto events = trace_load_rank(fs, spec, r);
     ASSERT_TRUE(events.ok()) << events.status().to_string();
     const auto expect = trace_generate(r, nevents, 21);
